@@ -1,14 +1,42 @@
-"""Axis-aligned bounding box hierarchy over triangles for closest-point
-queries. Queries are exact: traversal prunes by box distance only, so the
-returned distance equals the brute-force minimum over all triangles."""
+"""Exact closest-point queries against a triangle mesh, answered in
+batches over k-d trees of the triangle centroids.
+
+Every triangle T has a centroid c and a radius r (the largest
+centroid-to-vertex distance), and every point of T lies within r of c.
+So if some triangle is at distance `ub` from a query q, the closest
+triangle has its centroid within `ub + r` of q. A query therefore runs in
+two passes:
+
+1. the exact distances to the triangles of q's nearest centroids give
+   the upper bound `ub`;
+2. `query_ball_point(q, ub + r)` gathers every triangle that can be
+   closer, and one vectorized `closest_point_on_triangles` call over all
+   (query, candidate) pairs picks the winner.
+
+Triangle sizes vary across a scan (large cap faces beside fine side
+rows), and one radius for all would sweep in far too many small
+triangles. Triangles are therefore bucketed by `floor(log2(r / r_max))`,
+each bucket with its own tree and its own largest radius.
+
+Ties: among equally distant triangles the lowest face id wins, so the
+answer does not depend on tree layout and equals `brute_force_closest`.
+A caller may pass a per-face `tie_score` instead: then among the faces
+within `TIE_MM` of the closest, the highest score wins (lowest id after
+that).
+"""
 
 from __future__ import annotations
 
-import heapq
+import itertools
 
 import numpy as np
+from scipy.spatial import cKDTree
 
-_LEAF_SIZE = 8
+TIE_MM = 1e-9
+_NEAREST = 4  # centroids per bucket whose triangles set the upper bound
+_MAX_LEVELS = 5  # radius buckets: r_max / 2**k for k < _MAX_LEVELS
+_MAX_PAIRS = 1 << 16  # (query, triangle) pairs per vectorized batch
+_SLACK = 1.0 + 1e-9  # keeps rounding in the tree's distances from dropping a face
 
 
 def closest_point_on_triangles(p, a, b, c):
@@ -89,97 +117,108 @@ def brute_force_closest(vertices, faces, query):
 
 
 class TriangleBVH:
-    """Median-split AABB tree; immutable and safe to share after build."""
+    """Exact closest-point index over a triangle mesh: one centroid k-d tree
+    per triangle-size bucket (the class name predates the k-d trees).
+    Immutable and safe to share after build."""
 
     def __init__(self, vertices, faces):
         self.vertices = np.asarray(vertices, dtype=np.float64)
         self.faces = np.asarray(faces, dtype=np.int64)
-        tri = self.vertices[self.faces]
-        self._tri = tri
-        tri_min = tri.min(axis=1)
-        tri_max = tri.max(axis=1)
-        centroids = tri.mean(axis=1)
-
-        order = np.arange(len(self.faces))
-        nodes_min = []
-        nodes_max = []
-        nodes_left = []  # child index or face-range start
-        nodes_right = []  # child index or face-range end
-        nodes_leaf = []
-
-        def build(idx):
-            node = len(nodes_min)
-            nodes_min.append(tri_min[idx].min(axis=0))
-            nodes_max.append(tri_max[idx].max(axis=0))
-            nodes_left.append(0)
-            nodes_right.append(0)
-            nodes_leaf.append(False)
-            if len(idx) <= _LEAF_SIZE:
-                nodes_leaf[node] = True
-                nodes_left[node] = len(leaf_faces)
-                leaf_faces.extend(idx.tolist())
-                nodes_right[node] = len(leaf_faces)
-                return node
-            cen = centroids[idx]
-            axis = int(np.argmax(cen.max(axis=0) - cen.min(axis=0)))
-            half = len(idx) // 2
-            part = np.argpartition(cen[:, axis], half)
-            left = build(idx[part[:half]])
-            right = build(idx[part[half:]])
-            nodes_left[node] = left
-            nodes_right[node] = right
-            return node
-
-        leaf_faces = []
-        build(order)
-        self._min = np.asarray(nodes_min)
-        self._max = np.asarray(nodes_max)
-        self._left = np.asarray(nodes_left)
-        self._right = np.asarray(nodes_right)
-        self._is_leaf = np.asarray(nodes_leaf)
-        self._leaf_faces = np.asarray(leaf_faces, dtype=np.int64)
-
-    def _box_sqdist(self, node, p):
-        d = np.maximum(self._min[node] - p, 0.0) + np.maximum(
-            p - self._max[node], 0.0
-        )
-        return float(d @ d)
+        self._tri = self.vertices[self.faces]
+        centroids = self._tri.mean(axis=1)
+        radius = np.linalg.norm(self._tri - centroids[:, None], axis=2).max(axis=1)
+        rel = np.maximum(radius / (radius.max() or 1.0), 2.0 ** (1 - _MAX_LEVELS))
+        level = np.floor(np.log2(rel))
+        self._buckets = []
+        for lv in np.unique(level):
+            ids = np.flatnonzero(level == lv)
+            self._buckets.append((cKDTree(centroids[ids]), ids, radius[ids].max()))
 
     def closest_point(self, query):
         """Returns (point (3,), face id, distance)."""
-        p = np.asarray(query, dtype=np.float64)
-        best_sq = np.inf
-        best_pt = None
-        best_face = -1
-        heap = [(self._box_sqdist(0, p), 0)]
-        while heap:
-            dist, node = heapq.heappop(heap)
-            if dist >= best_sq:
-                break
-            if self._is_leaf[node]:
-                ids = self._leaf_faces[self._left[node] : self._right[node]]
-                tri = self._tri[ids]
-                pts, sq = closest_point_on_triangles(
-                    p, tri[:, 0], tri[:, 1], tri[:, 2]
-                )
-                i = int(np.argmin(sq))
-                if sq[i] < best_sq:
-                    best_sq = float(sq[i])
-                    best_pt = pts[i]
-                    best_face = int(ids[i])
-            else:
-                for child in (self._left[node], self._right[node]):
-                    d = self._box_sqdist(child, p)
-                    if d < best_sq:
-                        heapq.heappush(heap, (d, int(child)))
-        return best_pt, best_face, float(np.sqrt(best_sq))
+        pts, faces, dists = self.closest_points(np.reshape(query, (1, 3)))
+        return pts[0], int(faces[0]), float(dists[0])
 
-    def closest_points(self, queries):
-        """Batched closest_point; returns (points (n,3), faces (n,), dists (n,))."""
+    def closest_points(self, queries, tie_score=None):
+        """Batched exact closest points; returns (points (n,3), faces (n,),
+        dists (n,)).
+
+        tie_score: optional per-face array. Among the faces within TIE_MM
+        of the closest distance, the one with the highest score wins.
+        Without it, exact ties go to the lowest face id."""
         queries = np.asarray(queries, dtype=np.float64).reshape(-1, 3)
+        n = len(queries)
         pts = np.empty_like(queries)
-        faces = np.empty(len(queries), dtype=np.int64)
-        dists = np.empty(len(queries))
-        for i, q in enumerate(queries):
-            pts[i], faces[i], dists[i] = self.closest_point(q)
+        faces = np.empty(n, dtype=np.int64)
+        dists = np.empty(n)
+        if n == 0:
+            return pts, faces, dists
+
+        # pass 1: exact distance to the triangles of the nearest centroids
+        per_query = sum(min(_NEAREST, len(ids)) for _, ids, _ in self._buckets)
+        ub = np.empty(n)
+        for s in _batches(np.full(n, per_query), _MAX_PAIRS):
+            q = queries[s]
+            near = []
+            for tree, ids, _ in self._buckets:
+                _, nn = tree.query(q, k=min(_NEAREST, len(ids)))
+                near.append(ids[nn].reshape(len(q), -1))
+            near = np.hstack(near)
+            qi = np.repeat(np.arange(len(q)), near.shape[1])
+            _, _, ub[s] = self._select(q, qi, near.ravel(), None)
+
+        # pass 2: every triangle whose centroid lies within ub + r
+        tol = 0.0 if tie_score is None else TIE_MM
+        radii = [(ub + tol + r) * _SLACK for _, _, r in self._buckets]
+        counts = np.stack(
+            [
+                tree.query_ball_point(queries, rad, return_length=True)
+                for (tree, _, _), rad in zip(self._buckets, radii)
+            ]
+        )
+        for s in _batches(counts.sum(axis=0), _MAX_PAIRS):
+            q = queries[s]
+            qi, fi = [], []
+            for (tree, ids, _), rad, cnt in zip(self._buckets, radii, counts):
+                hits = tree.query_ball_point(q, rad[s])
+                total = int(cnt[s].sum())
+                flat = np.fromiter(
+                    itertools.chain.from_iterable(hits), dtype=np.int64, count=total
+                )
+                qi.append(np.repeat(np.arange(len(q)), cnt[s]))
+                fi.append(ids[flat])
+            pts[s], faces[s], dists[s] = self._select(
+                q, np.concatenate(qi), np.concatenate(fi), tie_score
+            )
         return pts, faces, dists
+
+    def _select(self, q, qi, fi, tie_score):
+        """Winner per query over the (query qi, face fi) pairs; every query
+        must have at least one pair."""
+        tri = self._tri[fi]
+        cand, sq = closest_point_on_triangles(q[qi], tri[:, 0], tri[:, 1], tri[:, 2])
+        order = np.lexsort((fi, sq, qi))
+        first = order[_run_starts(qi[order])]
+        if tie_score is not None:
+            d = np.sqrt(sq)
+            near = d <= d[first][qi] + TIE_MM
+            order = np.lexsort((fi, -np.asarray(tie_score)[fi], ~near, qi))
+            first = order[_run_starts(qi[order])]
+        return cand[first], fi[first], np.sqrt(sq[first])
+
+
+def _run_starts(sorted_keys):
+    """Index of the first element of each run of equal sorted keys."""
+    return np.flatnonzero(np.r_[True, sorted_keys[1:] != sorted_keys[:-1]])
+
+
+def _batches(cost, cap):
+    """Consecutive slices of the queries whose summed cost stays within
+    `cap`; a slice always holds at least one query."""
+    end = np.cumsum(cost)
+    start = 0
+    while start < len(cost):
+        base = end[start - 1] if start else 0
+        stop = max(start + 1, int(np.searchsorted(end, base + cap, side="right")))
+        yield slice(start, stop)
+        start = stop

@@ -67,9 +67,15 @@ def resample_closed_polyline(points, spacing):
 
 def map_margin_faces(die: TriangleMesh, margin_points):
     """Die faces closest to each margin point. Raises AlignmentError when
-    any point is farther than 1 mm from the die surface."""
+    any point is farther than 1 mm from the die surface.
+
+    A margin point usually lies on a die edge or vertex, equally close to
+    several faces; the tie goes to the face with the highest barycenter
+    (the crown side, the same "up" that `split_regions` uses)."""
     margin_points = np.asarray(margin_points, dtype=np.float64)
-    _, faces, dists = die.bvh().closest_points(margin_points)
+    _, faces, dists = die.bvh().closest_points(
+        margin_points, tie_score=die.barycenters[:, 2]
+    )
     worst = int(np.argmax(dists))
     if dists[worst] > ALIGNMENT_GUARD_MM:
         raise AlignmentError(

@@ -136,30 +136,26 @@ def load_margin_json(path):
 
 
 def _self_intersects_2d(points):
-    """Cheap planarized self-intersection screen used only for warnings."""
+    """Cheap planarized self-intersection screen used only for warnings:
+    tests a subsample of the loop's segments against each other."""
     # project on the two largest-variance axes
     centered = points - points.mean(axis=0)
     _, _, vt = np.linalg.svd(centered, full_matrices=False)
     flat = centered @ vt[:2].T
     seg = np.roll(flat, -1, axis=0) - flat
     n = len(flat)
-    step = max(1, n // 200)  # screen a subsample; this is advisory only
-    idx = range(0, n, step)
-    for i in idx:
-        for j in idx:
-            if abs(i - j) <= 1 or (i == 0 and j == n - 1) or (j == 0 and i == n - 1):
-                continue
-            p, r = flat[i], seg[i]
-            q, s = flat[j], seg[j]
-            denom = r[0] * s[1] - r[1] * s[0]
-            if abs(denom) < 1e-30:
-                continue
-            qp = q - p
-            t = (qp[0] * s[1] - qp[1] * s[0]) / denom
-            u = (qp[0] * r[1] - qp[1] * r[0]) / denom
-            if 0 < t < 1 and 0 < u < 1:
-                return True
-    return False
+    idx = np.arange(0, n, max(1, n // 200))  # advisory only: a subsample
+    p, r = flat[idx], seg[idx]
+    i, j = idx[:, None], idx[None, :]
+    # neighbouring segments share an endpoint
+    skip = (np.abs(i - j) <= 1) | ((i == 0) & (j == n - 1)) | ((j == 0) & (i == n - 1))
+    denom = r[:, None, 0] * r[None, :, 1] - r[:, None, 1] * r[None, :, 0]
+    skip |= np.abs(denom) < 1e-30
+    denom = np.where(skip, 1.0, denom)
+    qp = p[None, :, :] - p[:, None, :]
+    t = (qp[..., 0] * r[None, :, 1] - qp[..., 1] * r[None, :, 0]) / denom
+    u = (qp[..., 0] * r[:, None, 1] - qp[..., 1] * r[:, None, 0]) / denom
+    return bool(np.any(~skip & (0 < t) & (t < 1) & (0 < u) & (u < 1)))
 
 
 def extract_margin_line(

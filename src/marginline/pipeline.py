@@ -189,28 +189,18 @@ def stage_features(manifest: DatasetManifest, config: PipelineConfig, run_dir):
     for index, case in enumerate(manifest):
         labeled_path = labels_dir / f"{case.case_id}_labeled.ply"
         if labeled_path.exists():
-            mesh, labels = load_labeled_ply(labeled_path)
-            sample = LabeledMesh(mesh, labels)
+            variants = [LabeledMesh(*load_labeled_ply(labeled_path))]
+            if config.augment_per_die > 0 and case.split == "train":
+                variants = augment(variants[0], spec, sample_index=index)
+            samples = [(v.mesh, v.labels) for v in variants]
         else:
+            # inference-only case: no crown bottom, so no labels
             pre = Path(run_dir) / "preprocess" / f"{case.case_id}_decimated.stl"
-            sample = LabeledMesh(load_mesh(pre), np.zeros(0, dtype=np.int64))
-
-        variants = [sample]
-        if (
-            config.augment_per_die > 0
-            and case.split == "train"
-            and sample.labels.size
-        ):
-            variants = augment(sample, spec, sample_index=index)
-        for k, variant in enumerate(variants):
-            feats, adj = _featurize(variant.mesh, config)
+            samples = [(load_mesh(pre), None)]
+        for k, (mesh, labels) in enumerate(samples):
+            feats, adj = _featurize(mesh, config)
             name = case.case_id if k == 0 else f"{case.case_id}#aug{k}"
-            save_feature_cache(
-                out / f"{name}.mlfc",
-                feats,
-                adj,
-                labels=variant.labels if variant.labels.size else None,
-            )
+            save_feature_cache(out / f"{name}.mlfc", feats, adj, labels=labels)
     return out
 
 

@@ -1,20 +1,106 @@
 import numpy as np
+import pytest
 
-from marginline.bvh import TriangleBVH, brute_force_closest
-from marginline.shapes import icosphere
+from marginline.bvh import TriangleBVH, _batches, brute_force_closest
+from marginline.mesh import TriangleMesh
+from marginline.shapes import frustum_die, icosphere
+
+
+def _assert_matches_brute_force(mesh, queries):
+    """Distances within 1e-12 of the exhaustive oracle; points too unless
+    another face ties for the minimum; and the same face as the oracle's
+    argmin, whose exact ties go to the lowest face id."""
+    pts, faces, dists = mesh.bvh().closest_points(queries)
+    assert pts.shape == (len(queries), 3)
+    assert faces.shape == dists.shape == (len(queries),)
+    for i, q in enumerate(queries):
+        pb, fb, db = brute_force_closest(mesh.vertices, mesh.faces, q)
+        assert abs(dists[i] - db) <= 1e-12
+        assert faces[i] == fb
+        others = np.delete(np.arange(mesh.n_faces), fb)
+        if len(others):
+            _, _, d_other = brute_force_closest(mesh.vertices, mesh.faces[others], q)
+            if d_other - db <= 1e-12:
+                continue
+        assert np.linalg.norm(pts[i] - pb) <= 1e-12
+
+
+@pytest.fixture(scope="module")
+def mixed_die():
+    """Large cap faces beside fine side rows: several radius buckets."""
+    die, _ = frustum_die(segments=40, rows_below=10, rows_above=6)
+    assert len(die.bvh()._buckets) >= 3
+    return die
 
 
 def test_bvh_matches_brute_force(unit_sphere):
-    bvh = TriangleBVH(unit_sphere.vertices, unit_sphere.faces)
     rng = np.random.default_rng(4)
-    queries = rng.uniform(-2.0, 2.0, size=(200, 3))
-    for q in queries:
-        p, f, d = bvh.closest_point(q)
-        pb, fb, db = brute_force_closest(
-            unit_sphere.vertices, unit_sphere.faces, q
-        )
-        assert abs(d - db) < 1e-9
-        assert np.linalg.norm(p - pb) < 1e-9
+    _assert_matches_brute_force(unit_sphere, rng.uniform(-2.0, 2.0, size=(200, 3)))
+
+
+def test_mixed_sizes_match_brute_force(mixed_die):
+    rng = np.random.default_rng(6)
+    lo, hi = mixed_die.bounding_box()
+    queries = rng.uniform(lo - 1.0, hi + 1.0, size=(150, 3))
+    _assert_matches_brute_force(mixed_die, queries)
+
+
+def test_queries_on_vertices_and_edges(mixed_die):
+    rng = np.random.default_rng(7)
+    verts = mixed_die.vertices[rng.choice(mixed_die.n_vertices, 60, replace=False)]
+    tri = mixed_die.vertices[mixed_die.faces[rng.choice(mixed_die.n_faces, 60)]]
+    edges = 0.5 * (tri[:, 0] + tri[:, 1])
+    queries = np.vstack([verts, edges])
+    _assert_matches_brute_force(mixed_die, queries)
+    _, _, dists = mixed_die.bvh().closest_points(queries)
+    assert dists.max() <= 1e-12
+
+
+def test_far_queries(mixed_die):
+    lo, hi = mixed_die.bounding_box()
+    size = float(np.linalg.norm(hi - lo))
+    rng = np.random.default_rng(8)
+    directions = rng.normal(size=(20, 3))
+    directions /= np.linalg.norm(directions, axis=1, keepdims=True)
+    queries = 0.5 * (lo + hi) + 10.0 * size * directions
+    _assert_matches_brute_force(mixed_die, queries)
+
+
+def test_empty_query_array(unit_sphere):
+    pts, faces, dists = unit_sphere.bvh().closest_points(np.zeros((0, 3)))
+    assert pts.shape == (0, 3)
+    assert faces.shape == dists.shape == (0,)
+
+
+def test_one_face_mesh():
+    mesh = TriangleMesh(
+        [[0.0, 0.0, 0.0], [1.0, 0.0, 0.0], [0.0, 2.0, 0.0]], [[0, 1, 2]]
+    )
+    rng = np.random.default_rng(9)
+    _assert_matches_brute_force(mesh, rng.uniform(-3.0, 3.0, size=(40, 3)))
+
+
+def test_batches_respect_pair_cap():
+    cost = np.array([3, 4, 1, 9, 2, 2, 2, 0, 5])
+    slices = list(_batches(cost, 6))
+    assert np.array_equal(np.concatenate([np.arange(len(cost))[s] for s in slices]),
+                          np.arange(len(cost)))
+    for s in slices:
+        assert cost[s].sum() <= 6 or s.stop - s.start == 1
+
+
+def test_tiny_pair_cap_keeps_answers(mixed_die, monkeypatch):
+    import marginline.bvh as bvh_mod
+
+    rng = np.random.default_rng(10)
+    queries = rng.uniform(-30.0, 30.0, size=(30, 3))
+    expected = mixed_die.bvh().closest_points(queries)
+    # far queries see nearly every face; a tiny cap forces one query
+    # per batch and must not change the answer
+    monkeypatch.setattr(bvh_mod, "_MAX_PAIRS", 7)
+    got = TriangleBVH(mixed_die.vertices, mixed_die.faces).closest_points(queries)
+    for a, b in zip(expected, got):
+        assert np.array_equal(a, b)
 
 
 def test_batched_query_agrees_with_single(unit_sphere):

@@ -83,6 +83,33 @@ def test_alignment_guard(labeled_die_case):
         map_margin_faces(decimated, far)
 
 
+def test_margin_ties_go_to_the_crown_side():
+    # faces 0 (below) and 1 (above) share the edge (0,0,0)-(1,0,0)
+    die = TriangleMesh(
+        [[0.0, 0.0, 0.0], [1.0, 0.0, 0.0], [0.5, 0.0, -1.0], [0.5, 0.3, 1.0]],
+        [[0, 1, 2], [0, 1, 3]],
+    )
+    on_edge = np.array([[0.5, 0.0, 0.0]])
+    # a plain query keeps the exact argmin, lowest face id on a tie
+    assert die.bvh().closest_points(on_edge)[1].tolist() == [0]
+    assert map_margin_faces(die, on_edge) == {1}
+    # a rounding error's worth below the edge still counts as a tie
+    below = np.array([[0.25, 0.0, -1e-12]])
+    assert die.bvh().closest_points(below)[1].tolist() == [0]
+    assert map_margin_faces(die, below) == {1}
+
+
+def test_label_transfer_repeats_exactly():
+    from marginline.decimate import decimate
+    from marginline.synthetic import generate_case
+
+    labels = []
+    for _ in range(2):
+        case = generate_case("rerun", np.random.default_rng([99, 1]))
+        labels.append(label_die(decimate(case.die, 2000), case.crown_bottom).labels)
+    assert np.array_equal(labels[0], labels[1])
+
+
 def test_split_needs_a_separating_ring(unit_sphere):
     from marginline.errors import IncompleteMarginError
 

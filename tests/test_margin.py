@@ -11,6 +11,7 @@ from marginline.errors import BoundaryExtractionError
 from marginline.labeling import LabeledMesh
 from marginline.margin import (
     MarginLine,
+    _self_intersects_2d,
     extract_boundary_faces,
     extract_margin_line,
     load_margin_json,
@@ -104,3 +105,49 @@ def test_obj_export(tmp_path):
     indices = polys[0].split()[1:]
     assert indices[0] == "1" and indices[-1] == "1"  # closed loop
     assert len(indices) == 101
+
+
+def _self_intersects_loop(points):
+    """Pairwise-loop reference for `_self_intersects_2d`."""
+    centered = points - points.mean(axis=0)
+    _, _, vt = np.linalg.svd(centered, full_matrices=False)
+    flat = centered @ vt[:2].T
+    seg = np.roll(flat, -1, axis=0) - flat
+    n = len(flat)
+    idx = range(0, n, max(1, n // 200))
+    for i in idx:
+        for j in idx:
+            if abs(i - j) <= 1 or (i == 0 and j == n - 1) or (j == 0 and i == n - 1):
+                continue
+            p, r = flat[i], seg[i]
+            q, s = flat[j], seg[j]
+            denom = r[0] * s[1] - r[1] * s[0]
+            if abs(denom) < 1e-30:
+                continue
+            qp = q - p
+            t = (qp[0] * s[1] - qp[1] * s[0]) / denom
+            u = (qp[0] * r[1] - qp[1] * r[0]) / denom
+            if 0 < t < 1 and 0 < u < 1:
+                return True
+    return False
+
+
+def _planar_loop(x, y, tilt=0.3):
+    return np.stack([x, y, tilt * x + 2.0], axis=1)
+
+
+def test_self_intersection_screen():
+    t = 2 * np.pi * (np.arange(180) + 0.5) / 180
+    ellipse = _planar_loop(3.0 * np.cos(t), 2.0 * np.sin(t))
+    figure_eight = _planar_loop(3.0 * np.cos(t), 2.0 * np.sin(t) * np.cos(t))
+    assert not _self_intersects_2d(ellipse)
+    assert _self_intersects_2d(figure_eight)
+    # subsampled screens give the loop reference's answer
+    rng = np.random.default_rng(3)
+    for n in (5000, 1001, 399, 37):
+        t = 2 * np.pi * np.arange(n) / n
+        for k in range(3):
+            wobble = rng.uniform(0.0, 1.5) * np.sin(rng.integers(2, 9) * t)
+            loop = _planar_loop((3.0 + wobble) * np.cos(t), (2.0 + wobble) * np.sin(t))
+            loop += rng.normal(0.0, 0.02, loop.shape)
+            assert _self_intersects_2d(loop) == _self_intersects_loop(loop)
