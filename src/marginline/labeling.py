@@ -152,12 +152,3 @@ def label_die(die: TriangleMesh, crown_bottom: TriangleMesh) -> LabeledMesh:
     points = resample_closed_polyline(points, spacing)
     margin = map_margin_faces(die, points)
     return split_regions(die, margin)
-
-
-def labeling_sidecar(case_id, labeled: LabeledMesh, margin_faces):
-    counts = np.bincount(labeled.labels, minlength=2)
-    return {
-        "case_id": case_id,
-        "margin_face_ids": sorted(int(f) for f in margin_faces),
-        "label_counts": {"0": int(counts[0]), "1": int(counts[1])},
-    }

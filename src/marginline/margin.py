@@ -137,18 +137,18 @@ def load_margin_json(path):
 
 def _self_intersects_2d(points):
     """Cheap planarized self-intersection screen used only for warnings:
-    tests a subsample of the loop's segments against each other."""
+    tests the closed polygon through at most 200 evenly subsampled loop
+    points (its chords) for crossings."""
     # project on the two largest-variance axes
     centered = points - points.mean(axis=0)
     _, _, vt = np.linalg.svd(centered, full_matrices=False)
     flat = centered @ vt[:2].T
-    seg = np.roll(flat, -1, axis=0) - flat
-    n = len(flat)
-    idx = np.arange(0, n, max(1, n // 200))  # advisory only: a subsample
-    p, r = flat[idx], seg[idx]
-    i, j = idx[:, None], idx[None, :]
-    # neighbouring segments share an endpoint
-    skip = (np.abs(i - j) <= 1) | ((i == 0) & (j == n - 1)) | ((j == 0) & (i == n - 1))
+    p = flat[:: -(-len(flat) // 200)]  # step ceil(n / 200): <= 200 chords
+    r = np.roll(p, -1, axis=0) - p
+    m = len(p)
+    i, j = np.arange(m)[:, None], np.arange(m)[None, :]
+    # neighbouring chords share an endpoint
+    skip = (np.abs(i - j) <= 1) | ((i == 0) & (j == m - 1)) | ((j == 0) & (i == m - 1))
     denom = r[:, None, 0] * r[None, :, 1] - r[:, None, 1] * r[None, :, 0]
     skip |= np.abs(denom) < 1e-30
     denom = np.where(skip, 1.0, denom)

@@ -251,19 +251,10 @@ def stage_train(manifest: DatasetManifest, config: PipelineConfig, run_dir):
             if folds.fold_of(sid, base_case_id) != fold:
                 continue
             pred = np.argmax(forward(params, feats.matrix, adj), axis=1)
-            scores.append(_dice(pred, labels))
+            scores.append(metrics_mod.segmentation_metrics(pred, labels)[1])
         val_dice[str(fold)] = float(np.mean(scores)) if scores else None
     (out / "validation_dice.json").write_text(json.dumps(val_dice, indent=1))
     return out
-
-
-def _dice(pred, truth):
-    tp = int(np.sum((pred == 1) & (truth == 1)))
-    fp = int(np.sum((pred == 1) & (truth == 0)))
-    fn = int(np.sum((pred == 0) & (truth == 1)))
-    if tp + fp + fn == 0:
-        return 1.0
-    return 2.0 * tp / (2.0 * tp + fp + fn)
 
 
 def _prediction_cases(manifest):

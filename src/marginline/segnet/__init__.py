@@ -4,7 +4,6 @@ from .train import (
     Adam,
     FoldAssignment,
     TrainConfig,
-    dice_score,
     evaluate_loss,
     kfold_split,
     sample_loss_and_grads,

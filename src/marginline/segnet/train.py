@@ -20,7 +20,6 @@ class TrainConfig:
     eps: float = 1e-8
     epochs: int = 200
     n_classes: int = 2
-    patch_size: int = 10000
     width_scale: float = 1.0
     seed: int = 0
 
@@ -114,16 +113,6 @@ def evaluate_loss(params, samples):
     return float(
         np.mean([loss_value(forward(params, f, a), y) for f, a, y in samples])
     )
-
-
-def dice_score(pred, truth):
-    pred = np.asarray(pred)
-    truth = np.asarray(truth)
-    tp = int(np.sum((pred == 1) & (truth == 1)))
-    fp = int(np.sum((pred == 1) & (truth == 0)))
-    fn = int(np.sum((pred == 0) & (truth == 1)))
-    den = 2 * tp + fp + fn
-    return 1.0 if den == 0 else 2 * tp / den
 
 
 def train_fold(train_samples, val_samples, config: TrainConfig, fold=1, seed=None):

@@ -108,19 +108,21 @@ def test_obj_export(tmp_path):
 
 
 def _self_intersects_loop(points):
-    """Pairwise-loop reference for `_self_intersects_2d`."""
+    """Pairwise-loop reference for `_self_intersects_2d`: the chords
+    between every step-th loop point, step = ceil(n / 200)."""
     centered = points - points.mean(axis=0)
     _, _, vt = np.linalg.svd(centered, full_matrices=False)
     flat = centered @ vt[:2].T
-    seg = np.roll(flat, -1, axis=0) - flat
     n = len(flat)
-    idx = range(0, n, max(1, n // 200))
-    for i in idx:
-        for j in idx:
-            if abs(i - j) <= 1 or (i == 0 and j == n - 1) or (j == 0 and i == n - 1):
+    step = (n + 199) // 200
+    poly = [flat[k] for k in range(0, n, step)]
+    m = len(poly)
+    for i in range(m):
+        for j in range(m):
+            if abs(i - j) <= 1 or (i == 0 and j == m - 1) or (j == 0 and i == m - 1):
                 continue
-            p, r = flat[i], seg[i]
-            q, s = flat[j], seg[j]
+            p, r = poly[i], poly[(i + 1) % m] - poly[i]
+            q, s = poly[j], poly[(j + 1) % m] - poly[j]
             denom = r[0] * s[1] - r[1] * s[0]
             if abs(denom) < 1e-30:
                 continue
@@ -137,11 +139,12 @@ def _planar_loop(x, y, tilt=0.3):
 
 
 def test_self_intersection_screen():
-    t = 2 * np.pi * (np.arange(180) + 0.5) / 180
-    ellipse = _planar_loop(3.0 * np.cos(t), 2.0 * np.sin(t))
-    figure_eight = _planar_loop(3.0 * np.cos(t), 2.0 * np.sin(t) * np.cos(t))
-    assert not _self_intersects_2d(ellipse)
-    assert _self_intersects_2d(figure_eight)
+    for n in (180, 1000, 5000):
+        t = 2 * np.pi * (np.arange(n) + 0.5) / n
+        ellipse = _planar_loop(3.0 * np.cos(t), 2.0 * np.sin(t))
+        figure_eight = _planar_loop(3.0 * np.cos(t), 2.0 * np.sin(t) * np.cos(t))
+        assert not _self_intersects_2d(ellipse)
+        assert _self_intersects_2d(figure_eight)
     # subsampled screens give the loop reference's answer
     rng = np.random.default_rng(3)
     for n in (5000, 1001, 399, 37):
