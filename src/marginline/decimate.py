@@ -6,9 +6,19 @@ another boundary vertex) and by adding perpendicular boundary-plane
 penalty quadrics. Topology is guarded by the link condition, so the
 number of boundary loops and the genus never change.
 
-Edge costs and optimal positions are computed for all live edges at once
-with numpy; collapses are then applied cheapest-first in passes until
-the face budget is met.
+The work runs in passes over numpy arrays. Each pass ranks every live
+edge at once (quadric cost, optimal position, stable cost order), then
+takes the greedy vertex-disjoint matching of collapses in that order: the
+cheapest edge first, skipping any edge that touches a vertex already
+taken. The whole batch is checked at once, each collapse against the
+mesh as the cheaper collapses of its batch leave it: the link condition
+(common-neighbour count equals the number of third vertices of the shared
+faces), no surviving face may flip, and afterwards no edge may carry more
+than two faces. A collapse that fails is dropped and the rest checked
+again; edges its vertices blocked get a further matching in the same
+pass. The face budget is met by cutting the batch to its cheapest prefix.
+When no check fails, a pass collapses exactly the edges that a
+one-collapse-at-a-time loop over the same ranking would.
 """
 
 from __future__ import annotations
@@ -30,47 +40,57 @@ _PACK = [(0, 0), (0, 1), (0, 2), (0, 3), (1, 1), (1, 2), (1, 3),
 
 def _plane_quadrics(planes, weights):
     """(n, 10) packed quadrics for (n, 4) plane equations."""
-    outer = planes[:, :, None] * planes[:, None, :] * weights[:, None, None]
-    return np.stack([outer[:, i, j] for i, j in _PACK], axis=1)
+    p = planes.T
+    return np.stack([p[i] * p[j] * weights for i, j in _PACK], axis=1)
 
 
-class _Decimator:
-    def __init__(self, mesh: TriangleMesh):
-        self.vx = mesh.vertices[:, 0].tolist()
-        self.vy = mesh.vertices[:, 1].tolist()
-        self.vz = mesh.vertices[:, 2].tolist()
-        self.faces = [list(f) for f in mesh.faces.tolist()]
-        self.face_alive = [True] * len(self.faces)
-        self.n_alive = len(self.faces)
-        nv = len(self.vx)
-        self.vertex_faces = [set() for _ in range(nv)]
-        for fi, (a, b, c) in enumerate(self.faces):
-            self.vertex_faces[a].add(fi)
-            self.vertex_faces[b].add(fi)
-            self.vertex_faces[c].add(fi)
-        self.version = [0] * nv
-        self.quadrics = np.zeros((nv, 10))
-        self.boundary = [False] * nv
-        self._init_quadrics(mesh)
+def _edge_codes(faces, nv):
+    """u * nv + v (u < v) for the three edges of every face."""
+    a = np.concatenate([faces[:, 0], faces[:, 1], faces[:, 0]])
+    b = np.concatenate([faces[:, 1], faces[:, 2], faces[:, 2]])
+    return np.minimum(a, b) * nv + np.maximum(a, b)
 
-    def _init_quadrics(self, mesh):
-        adj = mesh.adjacency()
-        normals = mesh.face_normals
-        v0 = mesh.vertices[mesh.faces[:, 0]]
-        d = -np.einsum("ij,ij->i", normals, v0)
-        planes = np.concatenate([normals, d[:, None]], axis=1)
-        packed = _plane_quadrics(planes, mesh.face_areas)
-        for k in range(3):
-            np.add.at(self.quadrics, mesh.faces[:, k], packed)
-        bedges, bfaces = adj.boundary_edges()
-        if len(bedges) == 0:
-            return
-        for u, v in bedges.tolist():
-            self.boundary[u] = True
-            self.boundary[v] = True
+
+def _edge_table(faces, nv):
+    """Sorted unique edge codes and the number of faces on each."""
+    return np.unique(_edge_codes(faces, nv), return_counts=True)
+
+
+def _initial_state(mesh: TriangleMesh):
+    """Edge table, vertex quadrics and boundary flags of the input mesh.
+
+    Raises TopologyError on an edge shared by more than two faces."""
+    nv = mesh.n_vertices
+    codes, first, counts = np.unique(
+        _edge_codes(mesh.faces, nv), return_index=True, return_counts=True
+    )
+    bad = np.flatnonzero(counts > 2)
+    if len(bad):
+        u, v = divmod(int(codes[bad[0]]), nv)
+        raise TopologyError(
+            f"non-manifold edge ({u}, {v}) shared by {counts[bad[0]]} faces"
+        )
+
+    quadrics = np.empty((nv, 10))
+    normals = mesh.face_normals
+    v0 = mesh.vertices[mesh.faces[:, 0]]
+    d = -np.einsum("ij,ij->i", normals, v0)
+    planes = np.concatenate([normals, d[:, None]], axis=1)
+    packed = _plane_quadrics(planes, mesh.face_areas)
+    corners = mesh.faces.T.ravel()
+    for j in range(10):  # per vertex, in corner order: as np.add.at would
+        quadrics[:, j] = np.bincount(
+            corners, weights=np.tile(packed[:, j], 3), minlength=nv
+        )
+    boundary = np.zeros(nv, dtype=bool)
+    one = counts == 1
+    bedges = np.stack([codes[one] // nv, codes[one] % nv], axis=1)
+    bfaces = first[one] % len(mesh.faces)
+    if len(bedges):
+        boundary[bedges.ravel()] = True
         # planes containing each boundary edge, perpendicular to its face
         edge = mesh.vertices[bedges[:, 1]] - mesh.vertices[bedges[:, 0]]
-        perp = np.cross(edge, mesh.face_normals[bfaces])
+        perp = np.cross(edge, normals[bfaces])
         norm = np.linalg.norm(perp, axis=1)
         ok = norm > 1e-30
         perp = perp[ok] / norm[ok][:, None]
@@ -79,212 +99,266 @@ class _Decimator:
         w = _BOUNDARY_WEIGHT * np.sum(edge[ok] ** 2, axis=1)
         packed = _plane_quadrics(np.concatenate([perp, d[:, None]], axis=1), w)
         for k in range(2):
-            np.add.at(self.quadrics, bedges[ok, k], packed)
+            np.add.at(quadrics, bedges[ok, k], packed)
+    return codes, counts, quadrics, boundary
 
-    # -- neighborhood helpers -------------------------------------------
 
-    def neighbors(self, u):
-        out = set()
-        for fi in self.vertex_faces[u]:
-            for v in self.faces[fi]:
-                out.add(v)
-        out.discard(u)
-        return out
+def _quadric_cost(q, x, y, z):
+    """v^T Q v at points (x, y, z) for (10, n) packed quadrics."""
+    return (
+        q[0] * x * x + 2 * q[1] * x * y + 2 * q[2] * x * z
+        + 2 * q[3] * x + q[4] * y * y + 2 * q[5] * y * z
+        + 2 * q[6] * y + q[7] * z * z + 2 * q[8] * z + q[9]
+    )
 
-    def shared_faces(self, u, v):
-        return self.vertex_faces[u] & self.vertex_faces[v]
 
-    def link_condition(self, u, v):
-        shared = self.shared_faces(u, v)
-        if not (1 <= len(shared) <= 2):
-            return False
-        third = set()
-        for fi in shared:
-            for w in self.faces[fi]:
-                if w != u and w != v:
-                    third.add(w)
-        return (self.neighbors(u) & self.neighbors(v)) == third
+def _rank_edges(codes, counts, points, quadrics, boundary):
+    """Cheapest collapse target per live edge, cheapest first.
 
-    def would_flip(self, u, v, pos):
-        """True if moving u (and v) to pos flips any surviving face."""
-        px, py, pz = pos
-        for vert in (u, v):
-            for fi in self.vertex_faces[vert]:
-                f = self.faces[fi]
-                if u in f and v in f:
-                    continue  # face dies in the collapse
-                a, b, c = f
-                coords = []
-                for w in (a, b, c):
-                    if w == u or w == v:
-                        coords.append((px, py, pz))
-                    else:
-                        coords.append((self.vx[w], self.vy[w], self.vz[w]))
-                (ax, ay, az), (bx, by, bz), (cx, cy, cz) = coords
-                n1x = (by - ay) * (cz - az) - (bz - az) * (cy - ay)
-                n1y = (bz - az) * (cx - ax) - (bx - ax) * (cz - az)
-                n1z = (bx - ax) * (cy - ay) - (by - ay) * (cx - ax)
-                ax, ay, az = self.vx[a], self.vy[a], self.vz[a]
-                bx, by, bz = self.vx[b], self.vy[b], self.vz[b]
-                cx, cy, cz = self.vx[c], self.vy[c], self.vz[c]
-                n0x = (by - ay) * (cz - az) - (bz - az) * (cy - ay)
-                n0y = (bz - az) * (cx - ax) - (bx - ax) * (cz - az)
-                n0z = (bx - ax) * (cy - ay) - (by - ay) * (cx - ax)
-                if n0x * n1x + n0y * n1y + n0z * n1z <= 0:
-                    return True
-        return False
-
-    def collapse(self, u, v, pos):
-        """Merge v into u at pos. Assumes validity checks already passed."""
-        dead = self.shared_faces(u, v)
-        for fi in dead:
-            self.face_alive[fi] = False
-            self.n_alive -= 1
-            for w in self.faces[fi]:
-                self.vertex_faces[w].discard(fi)
-        for fi in list(self.vertex_faces[v]):
-            f = self.faces[fi]
-            self.faces[fi] = [u if w == v else w for w in f]
-            self.vertex_faces[u].add(fi)
-        self.vertex_faces[v].clear()
-        self.vx[u], self.vy[u], self.vz[u] = pos
-        self.quadrics[u] += self.quadrics[v]
-        if self.boundary[v]:
-            self.boundary[u] = True
-        self.version[u] += 1
-        self.version[v] += 1
-
-    def _edge_entries(self):
-        """Cheapest collapse target per live edge, fully vectorized.
-
-        Returns (cost, u, v, version_u, version_v, position) tuples for
-        every collapsible edge; edges joining two boundary vertices
-        through the interior are dropped."""
-        faces = np.asarray(
-            [f for f, alive in zip(self.faces, self.face_alive) if alive],
-            dtype=np.int64,
-        )
-        nv = len(self.vx)
-        pairs = np.sort(
-            np.concatenate([faces[:, [0, 1]], faces[:, [1, 2]], faces[:, [0, 2]]]),
-            axis=1,
-        )
-        codes, counts = np.unique(pairs[:, 0] * nv + pairs[:, 1], return_counts=True)
-        u, v = codes // nv, codes % nv
-        Q = self.quadrics
-        P = np.stack([self.vx, self.vy, self.vz], axis=1)
-        bnd = np.asarray(self.boundary)
-        q = Q[u] + Q[v]
-
-        def cost_at(p):
-            x, y, z = p[:, 0], p[:, 1], p[:, 2]
-            return (
-                q[:, 0] * x * x + 2 * q[:, 1] * x * y + 2 * q[:, 2] * x * z
-                + 2 * q[:, 3] * x + q[:, 4] * y * y + 2 * q[:, 5] * y * z
-                + 2 * q[:, 6] * y + q[:, 7] * z * z + 2 * q[:, 8] * z + q[:, 9]
-            )
-
-        a, b, c = q[:, 0], q[:, 1], q[:, 2]
-        d, e, f = q[:, 4], q[:, 5], q[:, 7]
-        det = a * (d * f - e * e) - b * (b * f - c * e) + c * (b * e - c * d)
-        scale = np.maximum.reduce([np.abs(a), np.abs(d), np.abs(f)])
-        solvable = np.abs(det) >= 1e-9 * np.maximum(scale, 1e-30) ** 3
-        safe_det = np.where(solvable, det, 1.0)
-        rx, ry, rz = -q[:, 3], -q[:, 6], -q[:, 8]
-        ix = (d * f - e * e) / safe_det
-        iy = (c * e - b * f) / safe_det
-        iz = (b * e - c * d) / safe_det
-        jy = (a * f - c * c) / safe_det
-        jz = (b * c - a * e) / safe_det
-        kz = (a * d - b * b) / safe_det
-        opt = np.stack(
-            [
-                ix * rx + iy * ry + iz * rz,
-                iy * rx + jy * ry + jz * rz,
-                iz * rx + jz * ry + kz * rz,
-            ],
-            axis=1,
-        )
-        pu, pv = P[u], P[v]
-        mid = 0.5 * (pu + pv)
-        # fallback when the quadric is singular: best of mid/endpoints
-        cands = np.stack([mid, pu, pv], axis=0)
-        cand_costs = np.stack([cost_at(p) for p in cands], axis=0)
-        pick = cand_costs.argmin(axis=0)
-        fallback = cands[pick, np.arange(len(u))]
-        fallback_cost = cand_costs[pick, np.arange(len(u))]
-        bu, bv = bnd[u], bnd[v]
-        interior = ~(bu | bv)
-        pos = np.where((interior & solvable)[:, None], opt, fallback)
-        cost = np.where(interior & solvable, cost_at(opt), fallback_cost)
-        # boundary endpoints are kept in place
-        only_u = bu & ~bv
-        only_v = bv & ~bu
-        pos[only_u] = pu[only_u]
-        pos[only_v] = pv[only_v]
-        cost[only_u] = cost_at(pu)[only_u]
-        cost[only_v] = cost_at(pv)[only_v]
+    codes/counts is the sorted edge table. Returns (u, v, position,
+    face count) arrays in stable cost order; edges joining two boundary
+    vertices through the interior are dropped."""
+    nv = len(points)
+    u, v = codes // nv, codes % nv
+    qt = np.ascontiguousarray(quadrics.T)
+    q = qt[:, u] + qt[:, v]
+    a, b, c = q[0], q[1], q[2]
+    d, e, f = q[4], q[5], q[7]
+    det = a * (d * f - e * e) - b * (b * f - c * e) + c * (b * e - c * d)
+    scale = np.maximum.reduce([np.abs(a), np.abs(d), np.abs(f)])
+    solvable = np.abs(det) >= 1e-9 * np.maximum(scale, 1e-30) ** 3
+    safe_det = np.where(solvable, det, 1.0)
+    rx, ry, rz = -q[3], -q[6], -q[8]
+    ix = (d * f - e * e) / safe_det
+    iy = (c * e - b * f) / safe_det
+    iz = (b * e - c * d) / safe_det
+    jy = (a * f - c * c) / safe_det
+    jz = (b * c - a * e) / safe_det
+    kz = (a * d - b * b) / safe_det
+    opt = (
+        ix * rx + iy * ry + iz * rz,
+        iy * rx + jy * ry + jz * rz,
+        iz * rx + jz * ry + kz * rz,
+    )
+    cost = _quadric_cost(q, *opt)
+    pos = np.stack(opt, axis=1)
+    bu, bv = boundary[u], boundary[v]
+    fix = np.flatnonzero(bu | bv | ~solvable)
+    if len(fix):
+        # singular quadric: best of mid/endpoints; a boundary endpoint is
+        # kept in place, and of two boundary endpoints the cheaper is kept
+        pt = np.ascontiguousarray(points.T)
+        pu, pv = pt[:, u[fix]], pt[:, v[fix]]
+        cands = np.stack([0.5 * (pu + pv), pu, pv])
+        qf = q[:, fix]
+        costs = np.stack([_quadric_cost(qf, *p) for p in cands])
+        bu, bv = bu[fix], bv[fix]
+        pick = costs.argmin(axis=0)
+        pick[bu & ~bv] = 1
+        pick[bv & ~bu] = 2
         both = bu & bv
-        if np.any(both):
-            end_costs = np.stack([cost_at(pu), cost_at(pv)], axis=0)
-            pick = end_costs.argmin(axis=0)
-            ends = np.stack([pu, pv], axis=0)
-            pos[both] = ends[pick, np.arange(len(u))][both]
-            cost[both] = end_costs[pick, np.arange(len(u))][both]
-        keep = ~(both & (counts != 1))  # two boundary ends, interior edge
-        order = np.argsort(cost[keep], kind="stable")
-        u, v, pos = u[keep][order], v[keep][order], pos[keep][order]
-        ver = np.asarray(self.version)
-        return (
-            u.tolist(),
-            v.tolist(),
-            ver[u].tolist(),
-            ver[v].tolist(),
-            pos.tolist(),
+        pick[both] = 1 + costs[1:, both].argmin(axis=0)
+        cols = np.arange(len(fix))
+        cost[fix] = costs[pick, cols]
+        pos[fix] = cands[pick, :, cols]
+        both = fix[both]
+        keep = np.ones(len(u), dtype=bool)
+        keep[both[counts[both] != 1]] = False  # two boundary ends, interior edge
+        keep = np.flatnonzero(keep)
+        order = keep[np.argsort(cost[keep], kind="stable")]
+    else:
+        order = np.argsort(cost, kind="stable")
+    return u[order], v[order], pos[order], counts[order]
+
+
+def _greedy_matching(u, v, nv):
+    """Indices of the edges, in order, whose endpoints no earlier picked
+    edge touches."""
+    used = bytearray(nv)
+    picked = []
+    for i, (a, b) in enumerate(zip(u.tolist(), v.tolist())):
+        if not (used[a] or used[b]):
+            used[a] = used[b] = 1
+            picked.append(i)
+    return np.asarray(picked, dtype=np.int64)
+
+
+def _distinct(x):
+    """Sorted distinct values of an int array."""
+    x = np.sort(x)
+    first = np.ones(len(x), dtype=bool)
+    first[1:] = x[1:] != x[:-1]
+    return x[first]
+
+
+def _normals(coords, tri):
+    """Unnormalised normals of (n, 3) triangles over (3, V) coordinates."""
+    (ax, bx, cx), (ay, by, cy), (az, bz, cz) = (
+        [axis[tri[:, k]] for k in range(3)] for axis in coords
+    )
+    return (
+        (by - ay) * (cz - az) - (bz - az) * (cy - ay),
+        (bz - az) * (cx - ax) - (bx - ax) * (cz - az),
+        (bx - ax) * (cy - ay) - (by - ay) * (cx - ax),
+    )
+
+
+class _Decimator:
+    """Live faces, vertex positions, quadrics and boundary flags, with the
+    current edge table; collapsed in batches by run()."""
+
+    def __init__(self, mesh: TriangleMesh):
+        self.faces = mesh.faces
+        self.points = mesh.vertices.copy()
+        self.codes, self.counts, self.quadrics, self.boundary = _initial_state(mesh)
+
+    @property
+    def n_alive(self):
+        return len(self.faces)
+
+    def _check(self, u, v, pos, first):
+        """Link and flip checks of collapses first..b-1 of the batch, each
+        on the mesh that collapses 0..k-1 leave. (b,) bool; collapses
+        before `first` are taken as passed."""
+        F, P = self.faces, self.points
+        nv, b = len(P), len(u)
+        midx = np.full(nv, b)  # batch index of each vertex, b when free
+        midx[u] = np.arange(b)
+        midx[v] = np.arange(b)
+        img = np.arange(nv)
+        img[v] = u
+        # one row per (collapse, face around u or v)
+        corners = midx[F.ravel()]
+        sel = np.flatnonzero((corners >= first) & (corners < b))
+        rs = corners[sel]
+        tri = F[sel // 3]
+        on_v = F.ravel()[sel] == v[rs]
+        mt = midx[tri]
+        rd = np.full(len(sel), b)  # step at which the face collapses away
+        for i, j in ((0, 1), (1, 2), (0, 2)):
+            rd = np.where(mt[:, i] == mt[:, j], np.minimum(rd, mt[:, i]), rd)
+        alive = rd >= rs
+        moved = mt < rs[:, None]
+        hit = (tri == u[rs][:, None]) | (tri == v[rs][:, None])
+
+        # link condition: |N(u) & N(v)| == distinct third vertices of the
+        # shared faces, neighbours renamed by the earlier collapses
+        key = rs[:, None] * nv + np.where(moved, img[tri], tri)
+        other = alive[:, None] & ~hit
+        sides = _distinct((2 * key + on_v[:, None])[other]) // 2
+        common = sides[1:][sides[1:] == sides[:-1]]
+        shared = (rd == rs) & ~on_v
+        third = _distinct(key[shared][other[shared]])
+        n_shared = np.bincount(rs[shared], minlength=b)
+        ok = (
+            (n_shared >= 1)
+            & (n_shared <= 2)
+            & (np.bincount(common // nv, minlength=b)
+               == np.bincount(third // nv, minlength=b))
         )
+        ok[:first] = True
+
+        # flip test on every surviving face around u and v: corner ids
+        # index P, or nv + k for a vertex that collapse k moved
+        keep = rd > rs
+        tri, mt, hit, rs = tri[keep], mt[keep], hit[keep], rs[keep]
+        cur = np.where(mt < rs[:, None], nv + mt, tri)
+        new = np.where(hit, nv + rs[:, None], cur)
+        coords = np.concatenate([P, pos]).T.copy()
+        n0x, n0y, n0z = _normals(coords, cur)
+        n1x, n1y, n1z = _normals(coords, new)
+        flips = n0x * n1x + n0y * n1y + n0z * n1z <= 0
+        ok[rs[flips]] = False
+        return ok
+
+    def _collapse_batch(self, u, v, pos, dead, target_faces):
+        """Check, cut to the face budget and apply one matching. Returns
+        the indices of the applied collapses and a mask of those a check
+        dropped."""
+        nv = len(self.points)
+        live = np.ones(len(u), dtype=bool)
+        settled = 0  # leading collapses of idx known to pass
+        while True:
+            idx = np.flatnonzero(live)
+            removed_before = np.cumsum(dead[idx]) - dead[idx]
+            idx = idx[removed_before < self.n_alive - target_faces]
+            ok = self._check(u[idx], v[idx], pos[idx], settled)
+            if not ok.all():
+                settled = int(np.argmin(ok))
+                live[idx[~ok]] = False
+                continue
+            img = np.arange(nv)
+            img[v[idx]] = u[idx]
+            faces = img[self.faces]
+            faces = faces[
+                (faces[:, 0] != faces[:, 1])
+                & (faces[:, 1] != faces[:, 2])
+                & (faces[:, 0] != faces[:, 2])
+            ]
+            codes, counts = _edge_table(faces, nv)
+            over = codes[counts > 2]
+            if len(over):
+                # no edge may end up with more than two faces: drop the
+                # collapses that merged into either of its ends
+                midx = np.full(nv, len(idx))
+                midx[u[idx]] = np.arange(len(idx))
+                blame = midx[np.concatenate([over // nv, over % nv])]
+                blame = blame[blame < len(idx)]
+                settled = int(blame.min())
+                live[idx[blame]] = False
+                continue
+            break
+        a, b = u[idx], v[idx]
+        self.faces, self.codes, self.counts = faces, codes, counts
+        self.points[a] = pos[idx]
+        self.quadrics[a] += self.quadrics[b]
+        self.boundary[a] |= self.boundary[b]
+        return idx, ~live
 
     def run(self, target_faces):
-        """Greedy cheapest-first passes.
+        """Greedy cheapest-first passes of batched collapses.
 
-        Each pass ranks every live edge at once, then collapses them in
-        cost order, skipping any edge whose endpoints were already
-        touched this pass (their quadrics changed). Repeated passes
-        converge like a lazy heap at a fraction of the bookkeeping."""
+        Each pass ranks every live edge, then collapses a vertex-disjoint
+        matching of them in cost order. Edges that only a rejected
+        collapse blocked are matched again against the updated mesh, in
+        the same pass and with the same ranking (their endpoints are
+        untouched, so their cost and position still hold)."""
+        nv = len(self.points)
         while self.n_alive > target_faces:
             before = self.n_alive
-            for u, v, ver_u, ver_v, pos in zip(*self._edge_entries()):
-                if self.n_alive <= target_faces:
+            u, v, pos, dead = _rank_edges(
+                self.codes, self.counts, self.points, self.quadrics,
+                self.boundary,
+            )
+            open_ = np.ones(len(u), dtype=bool)
+            while self.n_alive > target_faces:
+                cand = np.flatnonzero(open_)
+                batch = cand[_greedy_matching(u[cand], v[cand], nv)]
+                done, failed = self._collapse_batch(
+                    u[batch], v[batch], pos[batch], dead[batch], target_faces
+                )
+                if not failed.any():
                     break
-                if ver_u != self.version[u] or ver_v != self.version[v]:
-                    continue
-                if not self.shared_faces(u, v):
-                    continue
-                if not self.link_condition(u, v):
-                    continue
-                if self.would_flip(u, v, pos):
-                    continue
-                self.collapse(u, v, pos)
+                touched = np.zeros(nv, dtype=bool)
+                touched[u[batch[done]]] = True
+                touched[v[batch[done]]] = True
+                open_ &= ~(touched[u] | touched[v])
+                open_[batch] = False
             if self.n_alive == before:
                 break
         return self.n_alive
 
     def to_mesh(self):
-        verts = np.stack(
-            [np.asarray(self.vx), np.asarray(self.vy), np.asarray(self.vz)],
-            axis=1,
-        )
-        faces = np.asarray(
-            [f for f, alive in zip(self.faces, self.face_alive) if alive],
-            dtype=np.int64,
-        )
-        used = np.unique(faces)
-        remap = np.full(len(verts), -1, dtype=np.int64)
+        used = _distinct(self.faces.ravel())
+        remap = np.full(len(self.points), -1, dtype=np.int64)
         remap[used] = np.arange(len(used))
-        return TriangleMesh(verts[used], remap[faces])
+        return TriangleMesh(self.points[used], remap[self.faces])
 
 
 def decimate(mesh: TriangleMesh, target_faces: int) -> TriangleMesh:
-    """Reduce the mesh to approximately target_faces triangles."""
+    """Reduce the mesh to approximately target_faces triangles.
+
+    Raises TopologyError on an edge shared by more than two faces."""
     if target_faces < 4:
         raise ValueError("target_faces must be at least 4")
     if target_faces >= mesh.n_faces:
@@ -294,7 +368,6 @@ def decimate(mesh: TriangleMesh, target_faces: int) -> TriangleMesh:
                 f"{mesh.n_faces}; returning mesh unchanged"
             )
         return mesh
-    mesh.adjacency()  # raises TopologyError on non-manifold input
     dec = _Decimator(mesh)
     reached = dec.run(target_faces)
     if reached > target_faces * 1.005:

@@ -150,15 +150,18 @@ class FaceAdjacency:
     def build(mesh: TriangleMesh) -> "FaceAdjacency":
         f = mesh.faces
         n_faces = len(f)
-        edges = np.concatenate([f[:, [0, 1]], f[:, [1, 2]], f[:, [2, 0]]])
-        edges = np.sort(edges, axis=1)
+        a = np.concatenate([f[:, 0], f[:, 1], f[:, 2]])
+        b = np.concatenate([f[:, 1], f[:, 2], f[:, 0]])
+        edges = np.stack([np.minimum(a, b), np.maximum(a, b)], axis=1)
         owner = np.concatenate([np.arange(n_faces)] * 3)
         order = np.lexsort((edges[:, 1], edges[:, 0]))
         edges = edges[order]
         owner = owner[order]
-        uniq, start, counts = np.unique(
-            edges, axis=0, return_index=True, return_counts=True
-        )
+        new = np.ones(len(edges), dtype=bool)
+        new[1:] = np.any(edges[1:] != edges[:-1], axis=1)
+        start = np.flatnonzero(new)
+        counts = np.diff(np.append(start, len(edges)))
+        uniq = edges[start]
         bad = np.nonzero(counts > 2)[0]
         if len(bad):
             u, v = uniq[bad[0]]
@@ -169,10 +172,15 @@ class FaceAdjacency:
         edge_faces[:, 0] = owner[start]
         two = counts == 2
         edge_faces[two, 1] = owner[start[two] + 1]
-        neighbors = [[] for _ in range(n_faces)]
-        for a, b in edge_faces[two]:
-            neighbors[a].append(int(b))
-            neighbors[b].append(int(a))
+        # each face's neighbours in edge order: both directions of every
+        # interior edge, interleaved, grouped by face with a stable sort
+        pairs = edge_faces[two]
+        src = pairs.ravel()
+        dst = pairs[:, ::-1].ravel()
+        by_face = np.argsort(src, kind="stable")
+        ends = np.cumsum(np.bincount(src, minlength=n_faces)).tolist()
+        dst = dst[by_face].tolist()
+        neighbors = [dst[a:b] for a, b in zip([0] + ends[:-1], ends)]
         return FaceAdjacency(neighbors, edge_faces, uniq)
 
     def boundary_edges(self):

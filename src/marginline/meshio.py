@@ -22,15 +22,18 @@ _LABEL_COLORS = {0: (170, 170, 170), 1: (170, 60, 190)}
 
 
 def _weld(raw_vertices):
-    """Merge vertices within WELD_TOL; returns (vertices, index_map)."""
+    """Merge vertices within WELD_TOL; returns (vertices, index_map).
+
+    Welded vertices come in lexicographic order of their rounded keys,
+    each at the position of its first occurrence."""
     key = np.round(raw_vertices / WELD_TOL).astype(np.int64)
-    uniq, inverse = np.unique(key, axis=0, return_inverse=True)
-    # representative position: first occurrence of each key
-    first = np.full(len(uniq), -1, dtype=np.int64)
-    for i, k in enumerate(inverse):
-        if first[k] < 0:
-            first[k] = i
-    return raw_vertices[first], inverse
+    order = np.lexsort(key.T[::-1])
+    key = key[order]
+    new = np.ones(len(key), dtype=bool)
+    new[1:] = np.any(key[1:] != key[:-1], axis=1)
+    inverse = np.empty(len(key), dtype=np.int64)
+    inverse[order] = np.cumsum(new) - 1
+    return raw_vertices[order[new]], inverse
 
 
 def soup_to_mesh(raw_vertices):

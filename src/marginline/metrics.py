@@ -3,6 +3,7 @@ classification and rank correlation."""
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -57,7 +58,7 @@ def segmentation_metrics(pred, truth):
 
 @dataclass
 class DistanceStats:
-    """Nearest-neighbor distance statistics in micrometers."""
+    """Point-to-curve distance statistics in micrometers."""
 
     max_um: float
     mean_um: float
@@ -67,16 +68,52 @@ class DistanceStats:
     symmetric_std_um: float
 
 
+_PAIRS_PER_CHUNK = 1 << 18
+
+
+def closed_polyline_distance(points, loop):
+    """Exact distance from each point to the closed polyline through
+    `loop` (its last point joined to its first), in the input units.
+
+    A segment's closest point lies within half the segment's length of
+    one of its ends, so only segments with an end within (distance to the
+    nearest loop point + half the longest segment) can be closest; those
+    are found with a k-d tree. Points go in chunks of at most 2**18 //
+    len(loop), which bounds the pairs of a chunk."""
+    points = np.asarray(points, dtype=np.float64).reshape(-1, 3)
+    a = np.asarray(loop, dtype=np.float64).reshape(-1, 3)
+    ab = np.roll(a, -1, axis=0) - a
+    ab_sq = np.einsum("ij,ij->i", ab, ab)
+    inv = np.divide(1.0, ab_sq, out=np.zeros_like(ab_sq), where=ab_sq > 0)
+    tree = cKDTree(a)
+    reach = (tree.query(points)[0] + 0.5 * np.sqrt(ab_sq.max())) * (1 + 1e-9)
+    out = np.full(len(points), np.inf)
+    chunk = max(1, _PAIRS_PER_CHUNK // len(a))
+    for lo in range(0, len(points), chunk):
+        near = tree.query_ball_point(points[lo:lo + chunk], reach[lo:lo + chunk])
+        ends = np.fromiter(itertools.chain.from_iterable(near), dtype=np.int64)
+        owner = lo + np.repeat(np.arange(len(near)), [len(n) for n in near])
+        seg = np.concatenate([ends, (ends - 1) % len(a)])  # both segments at each end
+        owner = np.concatenate([owner, owner])
+        ap = points[owner] - a[seg]
+        t = np.clip(np.einsum("ij,ij->i", ap, ab[seg]) * inv[seg], 0.0, 1.0)
+        gap = ap - t[:, None] * ab[seg]
+        np.minimum.at(out, owner, np.einsum("ij,ij->i", gap, gap))
+    return np.sqrt(out)
+
+
 def margin_distance_stats(pred_points, truth_points) -> DistanceStats:
-    """Primary direction is predicted -> truth; the symmetric variant
-    pools both directions (max of maxes, stats of pooled distances).
+    """Primary direction is predicted points -> the truth curve, the
+    closed polyline through `truth_points` in order; the symmetric
+    variant pools both directions (truth points -> the predicted closed
+    polyline as well; max of maxes, stats of pooled distances).
     Inputs are mm; the report is in micrometers."""
     pred_points = np.asarray(pred_points, dtype=np.float64)
     truth_points = np.asarray(truth_points, dtype=np.float64)
     if len(pred_points) == 0 or len(truth_points) == 0:
         raise MetricError("empty point cloud")
-    d_pt = cKDTree(truth_points).query(pred_points)[0] * 1000.0
-    d_tp = cKDTree(pred_points).query(truth_points)[0] * 1000.0
+    d_pt = closed_polyline_distance(pred_points, truth_points) * 1000.0
+    d_tp = closed_polyline_distance(truth_points, pred_points) * 1000.0
     pooled = np.concatenate([d_pt, d_tp])
     return DistanceStats(
         max_um=float(d_pt.max()),

@@ -3,6 +3,7 @@ import pytest
 
 from marginline.errors import EmptyMeshError, TopologyError
 from marginline.mesh import (
+    FaceAdjacency,
     TriangleMesh,
     connected_components,
     extract_boundary_loops,
@@ -75,3 +76,34 @@ def test_transformed_keeps_face_order(unit_sphere):
     assert moved.face_areas.sum() == pytest.approx(
         4 * unit_sphere.face_areas.sum(), rel=1e-9
     )
+
+
+def _adjacency_reference(mesh):
+    """Edge table from a dict: faces listed per edge in slot order (every
+    face's (0, 1) edge, then (1, 2), then (2, 0)), edges sorted."""
+    faces = mesh.faces.tolist()
+    per_edge = {}
+    for i, j in ((0, 1), (1, 2), (2, 0)):
+        for fi, f in enumerate(faces):
+            a, b = sorted((f[i], f[j]))
+            per_edge.setdefault((a, b), []).append(fi)
+    keys = sorted(per_edge)
+    edge_faces = [(per_edge[k] + [-1])[:2] for k in keys]
+    neighbors = [[] for _ in faces]
+    for a, b in edge_faces:
+        if b >= 0:
+            neighbors[a].append(b)
+            neighbors[b].append(a)
+    return neighbors, np.array(edge_faces), np.array(keys)
+
+
+def test_adjacency_matches_dict_reference():
+    cyl = open_cylinder(radius=2.0, height=3.0, segments=24, rings=6)
+    order = np.random.default_rng(3).permutation(cyl.n_faces)
+    mesh = TriangleMesh(cyl.vertices, cyl.faces[order])
+    adj = FaceAdjacency.build(mesh)
+    neighbors, edge_faces, edge_vertices = _adjacency_reference(mesh)
+    assert (edge_faces[:, 1] == -1).sum() == 48  # two rims
+    assert adj.neighbors == neighbors
+    assert np.array_equal(adj.edge_faces, edge_faces)
+    assert np.array_equal(adj.edge_vertices, edge_vertices)

@@ -3,6 +3,8 @@ import pytest
 
 from marginline.errors import MeshParseError
 from marginline.meshio import (
+    WELD_TOL,
+    _weld,
     load_labeled_ply,
     load_mesh,
     save_ply,
@@ -85,3 +87,29 @@ def test_weld_tolerance_collapses_near_duplicates():
         dtype=float,
     )
     assert soup_to_mesh(tri).n_vertices == 4
+
+
+def _weld_loop(raw_vertices):
+    """Reference weld: row-wise unique keys, first occurrence by a loop."""
+    key = np.round(raw_vertices / WELD_TOL).astype(np.int64)
+    uniq, inverse = np.unique(key, axis=0, return_inverse=True)
+    first = np.full(len(uniq), -1, dtype=np.int64)
+    for i, k in enumerate(inverse.ravel()):
+        if first[k] < 0:
+            first[k] = i
+    return raw_vertices[first], inverse.ravel()
+
+
+def test_weld_matches_row_unique_reference():
+    rng = np.random.default_rng(11)
+    base = rng.uniform(-5.0, 5.0, size=(300, 3))
+    base[:40, 0] = -base[:40, 0]  # negative and positive keys side by side
+    base[40:60] = np.round(base[40:60])  # exact small integers, zeros too
+    soup = base[rng.integers(0, len(base), size=3000)]
+    jitter = rng.uniform(-0.01, 0.01, size=soup.shape) * WELD_TOL
+    soup = np.where(rng.random((len(soup), 1)) < 0.3, soup + jitter, soup)
+    vertices, inverse = _weld(soup)
+    ref_vertices, ref_inverse = _weld_loop(soup)
+    assert len(vertices) < len(soup)
+    assert np.array_equal(vertices, ref_vertices)
+    assert np.array_equal(inverse, ref_inverse)

@@ -6,10 +6,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from marginline import metrics
 from marginline.errors import MetricError
 from marginline.metrics import (
     CaseEvaluation,
     aggregate,
+    closed_polyline_distance,
     evaluate_case,
     margin_distance_stats,
     segmentation_metrics,
@@ -80,6 +82,47 @@ def test_distance_stats_asymmetry():
     stats = margin_distance_stats(pred, truth)
     assert stats.max_um == 0.0
     assert stats.symmetric_max_um == pytest.approx(1000.0)
+
+
+def test_distance_to_sparse_ngon_truth_is_to_its_edges():
+    """A dense prediction 30 um outside every edge of a 12-gon truth: the
+    distance is to the truth curve, not to its 12 vertices (up to
+    ~1.3 mm away)."""
+    n, radius, offset = 12, 5.0, 0.03
+    corners = radius * np.stack(
+        [np.cos(2 * np.pi * np.arange(n) / n), np.sin(2 * np.pi * np.arange(n) / n),
+         np.zeros(n)], axis=1
+    )
+    pred = []
+    for a, b in zip(corners, np.roll(corners, -1, axis=0)):
+        out = (a + b) / np.linalg.norm(a + b)  # outward normal of the edge
+        for t in np.linspace(0.0, 1.0, 200, endpoint=False)[1:]:
+            pred.append(a + t * (b - a) + offset * out)
+    stats = margin_distance_stats(np.asarray(pred), corners)
+    assert stats.max_um == pytest.approx(30.0, rel=1e-9)
+    assert stats.mean_um == pytest.approx(30.0, rel=1e-9)
+    assert stats.symmetric_max_um >= stats.max_um
+
+
+def test_closed_polyline_distance_matches_pairwise_loop(monkeypatch):
+    rng = np.random.default_rng(5)
+    loop = rng.normal(size=(9, 3))
+    loop[4] = loop[3]  # a zero-length segment
+    along = rng.integers(0, len(loop), 40)
+    on_loop = loop[along] + rng.random((40, 1)) * (np.roll(loop, -1, axis=0)[along] - loop[along])
+    points = np.concatenate([
+        rng.normal(size=(50, 3)) * 2.0,  # near and far
+        on_loop + rng.normal(scale=1e-3, size=on_loop.shape),  # beside a segment
+    ])
+    monkeypatch.setattr(metrics, "_PAIRS_PER_CHUNK", 20)  # 2 points a chunk
+    got = closed_polyline_distance(points, loop)
+    for p, d in zip(points, got):
+        best = np.inf
+        for a, b in zip(loop, np.roll(loop, -1, axis=0)):
+            ab = b - a
+            t = 0.0 if not ab.any() else np.clip((p - a) @ ab / (ab @ ab), 0, 1)
+            best = min(best, np.linalg.norm(p - (a + t * ab)))
+        assert d == pytest.approx(best, abs=1e-12)
 
 
 def test_distance_stats_empty_raises():
