@@ -1,4 +1,5 @@
 import importlib
+import warnings
 
 import numpy as np
 import pytest
@@ -319,6 +320,25 @@ def test_failed_collapses_are_dropped_until_the_batch_passes(mesh):
         assert done.tolist() == sorted(checks)
         assert np.flatnonzero(failed).tolist() == sorted(drop)
     assert most_rounds >= 2  # some drop changed a later collapse's outcome
+
+
+def test_pass_goes_on_when_its_whole_matching_fails(monkeypatch):
+    # every collapse of the first matching is rejected: the edges they
+    # blocked are matched again in the same pass instead of stalling
+    check = decimate_module._Decimator._check
+    calls = []
+
+    def reject_first_batch(self, u, v, pos, first):
+        calls.append(len(u))
+        ok = check(self, u, v, pos, first)
+        return ok & (len(calls) > 1)
+
+    monkeypatch.setattr(decimate_module._Decimator, "_check", reject_first_batch)
+    sphere = icosphere(subdivisions=3)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # no stall warning
+        out = decimate(sphere, 300)
+    assert out.n_faces <= 300
 
 
 def test_guard_drops_collapse_that_leaves_an_edge_with_four_faces(monkeypatch):
