@@ -29,7 +29,6 @@ from .mesh import (
     extract_boundary_loops,
 )
 from .meshio import (
-    load_labeled_ply,
     load_mesh,
     save_ply,
     save_stl_ascii,
@@ -84,7 +83,7 @@ __all__ = [
     "compute_mean_curvature", "connected_components", "cut_energy",
     "decimate", "evaluate_case", "extract_boundary_loops",
     "extract_margin_line", "fit_smoothing_spline", "generate_benchmark",
-    "graph_cut_refine", "label_die", "load_labeled_ply", "load_manifest",
+    "graph_cut_refine", "label_die", "load_manifest",
     "load_mesh", "margin_distance_stats", "normalize", "obb_register",
     "run_pipeline", "save_ply", "save_stl_ascii", "save_stl_binary",
     "segmentation_metrics", "smoothness_bound", "spearman",

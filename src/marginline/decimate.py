@@ -27,7 +27,6 @@ import warnings
 
 import numpy as np
 
-from .errors import TopologyError
 from .mesh import TriangleMesh
 
 _BOUNDARY_WEIGHT = 1000.0
@@ -61,15 +60,10 @@ def _initial_state(mesh: TriangleMesh):
 
     Raises TopologyError on an edge shared by more than two faces."""
     nv = mesh.n_vertices
-    codes, first, counts = np.unique(
-        _edge_codes(mesh.faces, nv), return_index=True, return_counts=True
-    )
-    bad = np.flatnonzero(counts > 2)
-    if len(bad):
-        u, v = divmod(int(codes[bad[0]]), nv)
-        raise TopologyError(
-            f"non-manifold edge ({u}, {v}) shared by {counts[bad[0]]} faces"
-        )
+    adjacency = mesh.adjacency()
+    codes = adjacency.edge_vertices[:, 0] * nv + adjacency.edge_vertices[:, 1]
+    counts = np.where(adjacency.edge_faces[:, 1] >= 0, 2, 1)
+    bedges, bfaces = adjacency.boundary_edges()
 
     quadrics = np.empty((nv, 10))
     normals = mesh.face_normals
@@ -83,9 +77,6 @@ def _initial_state(mesh: TriangleMesh):
             corners, weights=np.tile(packed[:, j], 3), minlength=nv
         )
     boundary = np.zeros(nv, dtype=bool)
-    one = counts == 1
-    bedges = np.stack([codes[one] // nv, codes[one] % nv], axis=1)
-    bfaces = first[one] % len(mesh.faces)
     if len(bedges):
         boundary[bedges.ravel()] = True
         # planes containing each boundary edge, perpendicular to its face

@@ -3,7 +3,6 @@ the die -> two-region per-face labeling."""
 
 from __future__ import annotations
 
-import json
 import warnings
 from dataclasses import dataclass
 
@@ -85,10 +84,12 @@ def map_margin_faces(die: TriangleMesh, margin_points):
     return set(int(f) for f in faces)
 
 
-def _dilate(faces, adjacency):
-    out = set(faces)
-    for f in faces:
-        out.update(adjacency.neighbors[f])
+def _dilate(mask, adjacency):
+    """The face mask grown by its edge-sharing one-ring."""
+    ef = adjacency.edge_faces[adjacency.edge_faces[:, 1] >= 0]
+    out = mask.copy()
+    out[ef[mask[ef[:, 0]], 1]] = True
+    out[ef[mask[ef[:, 1]], 0]] = True
     return out
 
 
@@ -101,26 +102,22 @@ def split_regions(die: TriangleMesh, margin_faces) -> LabeledMesh:
     before giving up with an IncompleteMarginError.
     """
     adjacency = die.adjacency()
-    all_faces = set(range(die.n_faces))
-    margin = set(int(f) for f in margin_faces)
+    margin = np.zeros(die.n_faces, dtype=bool)
+    margin[np.fromiter(margin_faces, dtype=np.int64)] = True
     bary_z = die.barycenters[:, 2]
 
-    def _separated(comps):
+    def _separated(rest, comps):
         # the margin ring must disconnect the top of the die from the
         # bottom; islands pinched off the ring do not count
-        rest = all_faces - margin
-        if not rest:
-            return False
-        order = sorted(rest, key=lambda f: bary_z[f])
+        order = rest[np.argsort(bary_z[rest], kind="stable")]
         lowest, highest = order[0], order[-1]
-        for comp in comps:
-            if lowest in comp:
-                return highest not in comp
-        return False
+        bottom = next(comp for comp in comps if lowest in comp)
+        return highest not in bottom
 
     for attempt in range(MAX_GAP_DILATIONS + 1):
-        comps = connected_components(all_faces - margin, adjacency)
-        if len(comps) >= 2 and _separated(comps):
+        rest = np.flatnonzero(~margin)
+        comps = connected_components(rest, adjacency)
+        if len(comps) >= 2 and _separated(rest, comps):
             break
         if attempt < MAX_GAP_DILATIONS:
             margin = _dilate(margin, adjacency)
@@ -128,18 +125,16 @@ def split_regions(die: TriangleMesh, margin_faces) -> LabeledMesh:
         raise IncompleteMarginError(
             "margin faces do not disconnect the die after "
             f"{MAX_GAP_DILATIONS} dilation rounds",
-            gaps=sorted(margin)[:20],
+            gaps=np.flatnonzero(margin)[:20].tolist(),
         )
     bary = die.barycenters
     areas = die.face_areas
-    mean_z = []
-    for comp in comps:
-        ids = np.fromiter(comp, dtype=np.int64)
-        mean_z.append(float(np.average(bary[ids, 2], weights=areas[ids])))
-    crown = comps[int(np.argmax(mean_z))]
+    mean_z = [
+        float(np.average(bary[comp, 2], weights=areas[comp])) for comp in comps
+    ]
     labels = np.zeros(die.n_faces, dtype=np.int64)
-    labels[np.fromiter(crown, dtype=np.int64)] = 1
-    labels[np.fromiter(margin, dtype=np.int64)] = 1
+    labels[comps[int(np.argmax(mean_z))]] = 1
+    labels[margin] = 1
     return LabeledMesh(die, labels)
 
 

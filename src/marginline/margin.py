@@ -5,14 +5,14 @@ from __future__ import annotations
 
 import json
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
 from .errors import BoundaryExtractionError
 from .labeling import LabeledMesh
-from .mesh import TriangleMesh
+from .mesh import TriangleMesh, loop_length, walk_closed_loops
 from .spline import SmoothingSpline, fit_smoothing_spline
 
 DEFAULT_SAMPLES = 5000
@@ -33,40 +33,6 @@ def _label_boundary_edges(labeled: LabeledMesh):
     return ev, one_side
 
 
-def _edge_loops(edge_vertices):
-    """Group edges into closed vertex loops; returns lists of edge ids."""
-    incident = {}
-    for eid, (a, b) in enumerate(edge_vertices.tolist()):
-        incident.setdefault(a, []).append(eid)
-        incident.setdefault(b, []).append(eid)
-    used = set()
-    loops = []
-    for start in range(len(edge_vertices)):
-        if start in used:
-            continue
-        loop = [start]
-        used.add(start)
-        a, b = edge_vertices[start]
-        first, cur = int(a), int(b)
-        closed = False
-        while True:
-            nxt = [e for e in incident[cur] if e not in used]
-            if not nxt:
-                closed = cur == first
-                break
-            eid = nxt[0]
-            used.add(eid)
-            loop.append(eid)
-            u, v = edge_vertices[eid]
-            cur = int(v) if int(u) == cur else int(u)
-            if cur == first:
-                closed = True
-                break
-        if closed and len(loop) >= 3:
-            loops.append(loop)
-    return loops
-
-
 def extract_boundary_faces(labeled: LabeledMesh):
     """Ordered centers of the label-1 faces adjacent to label-0 faces,
     following the longest closed loop of label-boundary edges.
@@ -75,23 +41,15 @@ def extract_boundary_faces(labeled: LabeledMesh):
     ev, one_side = _label_boundary_edges(labeled)
     if len(ev) == 0:
         raise BoundaryExtractionError("labels are uniform: no label boundary")
-    loops = _edge_loops(ev)
+    loops = walk_closed_loops(ev)
     if not loops:
         raise BoundaryExtractionError(
             f"{len(ev)} label-boundary edges form no closed loop"
         )
-    verts = labeled.mesh.vertices
-    lengths = [
-        sum(
-            float(np.linalg.norm(verts[ev[e, 0]] - verts[ev[e, 1]]))
-            for e in loop
-        )
-        for loop in loops
-    ]
-    loop = loops[int(np.argmax(lengths))]
+    lengths = [loop_length(labeled.mesh, verts) for verts, _ in loops]
+    _, loop = loops[int(np.argmax(lengths))]
     faces = []
-    for eid in loop:
-        f = int(one_side[eid])
+    for f in one_side[loop].tolist():
         if not faces or (f != faces[-1] and f != faces[0]):
             faces.append(f)
     face_ids = np.asarray(faces, dtype=np.int64)

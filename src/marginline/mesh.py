@@ -3,13 +3,22 @@
 Coordinates are in millimeters throughout. Meshes are immutable after
 construction; derived quantities (normals, barycenters, areas, adjacency,
 spatial index) are computed lazily and cached.
+
+All topology comes from one edge table, `FaceAdjacency`: every edge's
+sorted vertex pair and its one or two faces, built with a single stable
+sort of integer edge codes (an edge shared by three or more faces raises
+TopologyError there). Face components are scipy's connected components
+over its interior edges, a one-ring is one pass over them, and mesh
+boundaries and label boundaries are both closed loops of its edges,
+walked by `walk_closed_loops`.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
+from scipy.sparse import coo_matrix, csgraph
 
 from .errors import EmptyMeshError, TopologyError
 
@@ -139,54 +148,94 @@ class BoundaryLoop:
 
 
 class FaceAdjacency:
-    """Edge table and face-to-face adjacency of a triangle mesh."""
+    """Edge table of a triangle mesh: the one source of its topology.
 
-    def __init__(self, neighbors, edge_faces, edge_vertices):
-        self.neighbors = neighbors  # list[list[int]] per face
+    Row i of `edge_vertices` is the sorted vertex pair of the i-th edge,
+    edges in lexicographic order; row i of `edge_faces` holds the faces
+    on that edge in face-slot order (every face's (0, 1) edge, then
+    (1, 2), then (2, 0)), -1 in the second slot of a boundary edge."""
+
+    def __init__(self, n_faces, edge_faces, edge_vertices):
+        self.n_faces = n_faces
         self.edge_faces = edge_faces  # (E, 2) int64, -1 marks a boundary slot
         self.edge_vertices = edge_vertices  # (E, 2) int64, sorted pairs
 
     @staticmethod
     def build(mesh: TriangleMesh) -> "FaceAdjacency":
+        """Raises TopologyError on an edge shared by more than two faces."""
         f = mesh.faces
-        n_faces = len(f)
+        n_faces, nv = len(f), mesh.n_vertices
         a = np.concatenate([f[:, 0], f[:, 1], f[:, 2]])
         b = np.concatenate([f[:, 1], f[:, 2], f[:, 0]])
-        edges = np.stack([np.minimum(a, b), np.maximum(a, b)], axis=1)
-        owner = np.concatenate([np.arange(n_faces)] * 3)
-        order = np.lexsort((edges[:, 1], edges[:, 0]))
-        edges = edges[order]
-        owner = owner[order]
-        new = np.ones(len(edges), dtype=bool)
-        new[1:] = np.any(edges[1:] != edges[:-1], axis=1)
+        codes = np.minimum(a, b) * nv + np.maximum(a, b)
+        order = np.argsort(codes, kind="stable")
+        codes = codes[order]
+        new = np.ones(len(codes), dtype=bool)
+        new[1:] = codes[1:] != codes[:-1]
         start = np.flatnonzero(new)
-        counts = np.diff(np.append(start, len(edges)))
-        uniq = edges[start]
-        bad = np.nonzero(counts > 2)[0]
+        counts = np.diff(np.append(start, len(codes)))
+        bad = np.flatnonzero(counts > 2)
         if len(bad):
-            u, v = uniq[bad[0]]
+            u, v = divmod(int(codes[start[bad[0]]]), nv)
             raise TopologyError(
                 f"non-manifold edge ({u}, {v}) shared by {counts[bad[0]]} faces"
             )
-        edge_faces = np.full((len(uniq), 2), -1, dtype=np.int64)
+        owner = order % n_faces
+        edge_faces = np.full((len(start), 2), -1, dtype=np.int64)
         edge_faces[:, 0] = owner[start]
         two = counts == 2
         edge_faces[two, 1] = owner[start[two] + 1]
-        # each face's neighbours in edge order: both directions of every
-        # interior edge, interleaved, grouped by face with a stable sort
-        pairs = edge_faces[two]
-        src = pairs.ravel()
-        dst = pairs[:, ::-1].ravel()
-        by_face = np.argsort(src, kind="stable")
-        ends = np.cumsum(np.bincount(src, minlength=n_faces)).tolist()
-        dst = dst[by_face].tolist()
-        neighbors = [dst[a:b] for a, b in zip([0] + ends[:-1], ends)]
-        return FaceAdjacency(neighbors, edge_faces, uniq)
+        edge_vertices = np.stack(divmod(codes[start], nv), axis=1)
+        return FaceAdjacency(n_faces, edge_faces, edge_vertices)
 
     def boundary_edges(self):
-        """Edges incident to exactly one face, as (E_b, 2) vertex pairs."""
+        """Edges incident to exactly one face, as (E_b, 2) vertex pairs,
+        and that face of each."""
         mask = self.edge_faces[:, 1] == -1
         return self.edge_vertices[mask], self.edge_faces[mask, 0]
+
+
+def walk_closed_loops(edge_vertices):
+    """Closed loops formed by distinct edges given as (E, 2) vertex pairs.
+
+    Each walk starts at the first unused edge, goes from its first vertex
+    to its second and at every vertex takes the first unused edge there,
+    in the given order, until it is back at its start; a walk that gets
+    stuck first is an open chain and is dropped. Returns one (vertices,
+    edge ids) pair of int64 arrays per loop, edge k joining vertices k
+    and k + 1 (cyclically)."""
+    ends = edge_vertices.tolist()
+    incident = {}
+    for eid, (a, b) in enumerate(ends):
+        incident.setdefault(a, []).append(eid)
+        incident.setdefault(b, []).append(eid)
+    used = [False] * len(ends)
+    loops = []
+    for start, (first, cur) in enumerate(ends):
+        if used[start]:
+            continue
+        used[start] = True
+        verts, edges = [first], [start]
+        while cur != first:
+            eid = next((e for e in incident[cur] if not used[e]), None)
+            if eid is None:
+                break
+            used[eid] = True
+            verts.append(cur)
+            edges.append(eid)
+            a, b = ends[eid]
+            cur = b if a == cur else a
+        else:
+            loops.append(
+                (np.asarray(verts, dtype=np.int64), np.asarray(edges, dtype=np.int64))
+            )
+    return loops
+
+
+def loop_length(mesh: TriangleMesh, vertices):
+    """Length in mm of the closed polyline through `vertices`."""
+    pts = mesh.vertices[vertices]
+    return float(np.linalg.norm(np.roll(pts, -1, axis=0) - pts, axis=1).sum())
 
 
 def extract_boundary_loops(mesh: TriangleMesh) -> list[BoundaryLoop]:
@@ -195,65 +244,33 @@ def extract_boundary_loops(mesh: TriangleMesh) -> list[BoundaryLoop]:
     Closed meshes return an empty list. Raises TopologyError on
     non-manifold edges (via adjacency construction).
     """
-    adj = mesh.adjacency()
-    bedges, _ = adj.boundary_edges()
-    if len(bedges) == 0:
-        return []
-    nxt = {}
-    for a, b in bedges:
-        nxt.setdefault(int(a), []).append(int(b))
-        nxt.setdefault(int(b), []).append(int(a))
-    visited_edges = set()
-    loops = []
-    edge_set = {(min(a, b), max(a, b)) for a, b in bedges.tolist()}
-    for a, b in sorted(edge_set):
-        if (a, b) in visited_edges:
-            continue
-        loop = [a, b]
-        visited_edges.add((a, b))
-        while True:
-            cur, prev = loop[-1], loop[-2]
-            cands = [
-                v
-                for v in nxt[cur]
-                if v != prev
-                and (min(cur, v), max(cur, v)) not in visited_edges
-            ]
-            if not cands:
-                break
-            v = cands[0]
-            visited_edges.add((min(cur, v), max(cur, v)))
-            if v == loop[0]:
-                break
-            loop.append(v)
-        if len(loop) < 3:
-            continue
-        verts = np.asarray(loop, dtype=np.int64)
-        pts = mesh.vertices[verts]
-        seg = np.linalg.norm(np.roll(pts, -1, axis=0) - pts, axis=1)
-        loops.append(BoundaryLoop(vertices=verts, length=float(seg.sum())))
+    bedges, _ = mesh.adjacency().boundary_edges()
+    loops = [
+        BoundaryLoop(vertices=verts, length=loop_length(mesh, verts))
+        for verts, _ in walk_closed_loops(bedges)
+    ]
     loops.sort(key=lambda l: -l.length)
     return loops
 
 
 def connected_components(face_subset, adjacency: FaceAdjacency):
-    """Edge-connected components of a face subset, largest first."""
-    subset = set(int(f) for f in face_subset)
-    seen = set()
-    comps = []
-    for seed in sorted(subset):
-        if seed in seen:
-            continue
-        comp = {seed}
-        stack = [seed]
-        seen.add(seed)
-        while stack:
-            f = stack.pop()
-            for g in adjacency.neighbors[f]:
-                if g in subset and g not in seen:
-                    seen.add(g)
-                    comp.add(g)
-                    stack.append(g)
-        comps.append(comp)
-    comps.sort(key=lambda c: (-len(c), min(c)))
-    return comps
+    """Edge-connected components of a face subset (any iterable of face
+    ids), as sorted int64 id arrays: largest first, ties by smallest id."""
+    ids = np.unique(np.fromiter(face_subset, dtype=np.int64))
+    if len(ids) == 0:
+        return []
+    local = np.full(adjacency.n_faces, -1, dtype=np.int64)
+    local[ids] = np.arange(len(ids))
+    ef = adjacency.edge_faces[adjacency.edge_faces[:, 1] >= 0]
+    fa, fb = local[ef[:, 0]], local[ef[:, 1]]
+    inside = (fa >= 0) & (fb >= 0)
+    graph = coo_matrix(
+        (np.ones(int(inside.sum()), dtype=np.int8), (fa[inside], fb[inside])),
+        shape=(len(ids), len(ids)),
+    )
+    _, comp = csgraph.connected_components(graph, directed=False)
+    sizes = np.bincount(comp)
+    _, first = np.unique(comp, return_index=True)
+    # lexsort is stable: each component's ids stay ascending
+    order = np.lexsort((first[comp], -sizes[comp]))
+    return np.split(ids[order], np.cumsum(np.sort(sizes)[::-1])[:-1])

@@ -142,18 +142,13 @@ def _load_ply_ascii(text):
         [[float(x) for x in body[j].split()[:3]] for j in range(n_vert)]
     )
     faces = []
-    labels = []
     for j in range(n_vert, n_vert + n_face):
         tok = body[j].split()
         k = int(tok[0])
         if k != 3:
             raise MeshParseError(f"non-triangular PLY face at row {j}", offset=j)
         faces.append([int(t) for t in tok[1:4]])
-        if len(tok) > 4:
-            labels.append(int(tok[4]))
-    mesh = TriangleMesh(verts, np.asarray(faces))
-    lab = np.asarray(labels, dtype=np.int64) if len(labels) == n_face else None
-    return mesh, lab
+    return TriangleMesh(verts, np.asarray(faces))
 
 
 def load_mesh(source, fmt=None):
@@ -169,8 +164,7 @@ def load_mesh(source, fmt=None):
     if fmt is None:
         fmt = "ply" if data[:3] == b"ply" else "stl"
     if fmt == "ply":
-        mesh, _ = _load_ply_ascii(data.decode("ascii", errors="replace"))
-        return mesh
+        return _load_ply_ascii(data.decode("ascii", errors="replace"))
     if fmt == "stl":
         head = data[:5]
         if head == b"solid":
@@ -183,15 +177,6 @@ def load_mesh(source, fmt=None):
                 return _load_stl_ascii(text)
         return _load_stl_binary(data)
     raise MeshParseError(f"unknown mesh format {fmt!r}")
-
-
-def load_labeled_ply(source):
-    """Load an ASCII PLY along with its per-face labels (or None)."""
-    if isinstance(source, (str, Path)):
-        data = Path(source).read_bytes()
-    else:
-        data = source
-    return _load_ply_ascii(data.decode("ascii", errors="replace"))
 
 
 def save_stl_binary(mesh, path):

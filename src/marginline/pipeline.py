@@ -33,7 +33,7 @@ from .labeling import LabeledMesh, extract_margin_points, label_die
 from .manifest import DatasetManifest
 from .margin import extract_margin_line, load_margin_json
 from .mesh import TriangleMesh
-from .meshio import load_labeled_ply, load_mesh, save_ply, save_stl_binary
+from .meshio import load_mesh, save_ply, save_stl_binary
 from .preprocess import (
     AugmentationSpec,
     RigidTransform,
@@ -151,7 +151,7 @@ def stage_labels(manifest: DatasetManifest, config: PipelineConfig, run_dir):
         crown = TriangleMesh(transform.apply(crown.vertices), crown.faces)
         decimated = load_mesh(pre / f"{case.case_id}_decimated.stl")
         labeled = label_die(decimated, crown)
-        save_ply(labeled.mesh, out / f"{case.case_id}_labeled.ply", labeled.labels)
+        np.save(out / f"{case.case_id}_labels.npy", labeled.labels)
         truth = extract_margin_points(crown)
         (out / f"{case.case_id}_truth_margin.json").write_text(
             json.dumps(
@@ -183,20 +183,20 @@ def _featurize(mesh: TriangleMesh, config: PipelineConfig):
 def stage_features(manifest: DatasetManifest, config: PipelineConfig, run_dir):
     """Cache features/adjacency (and labels where known) per case, plus
     augmented variants of training cases when configured."""
+    pre = Path(run_dir) / "preprocess"
     labels_dir = Path(run_dir) / "labels"
     out = _stage_dir(run_dir, "features")
     spec = AugmentationSpec(samples_per_die=config.augment_per_die, seed=config.seed)
     for index, case in enumerate(manifest):
-        labeled_path = labels_dir / f"{case.case_id}_labeled.ply"
-        if labeled_path.exists():
-            variants = [LabeledMesh(*load_labeled_ply(labeled_path))]
+        mesh = load_mesh(pre / f"{case.case_id}_decimated.stl")
+        labels_path = labels_dir / f"{case.case_id}_labels.npy"
+        # an inference-only case (no crown bottom) has no labels
+        samples = [(mesh, None)]
+        if labels_path.exists():
+            variants = [LabeledMesh(mesh, np.load(labels_path))]
             if config.augment_per_die > 0 and case.split == "train":
                 variants = augment(variants[0], spec, sample_index=index)
             samples = [(v.mesh, v.labels) for v in variants]
-        else:
-            # inference-only case: no crown bottom, so no labels
-            pre = Path(run_dir) / "preprocess" / f"{case.case_id}_decimated.stl"
-            samples = [(load_mesh(pre), None)]
         for k, (mesh, labels) in enumerate(samples):
             feats, adj = _featurize(mesh, config)
             name = case.case_id if k == 0 else f"{case.case_id}#aug{k}"

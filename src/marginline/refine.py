@@ -174,7 +174,6 @@ def cleanup_components(labels, adjacency):
     ones = np.nonzero(labels == 1)[0]
     if len(ones) == 0:
         raise EmptyRegionError("no label-1 faces to keep")
-    comps = connected_components(ones, adjacency)
     out = np.zeros_like(labels)
-    out[np.fromiter(comps[0], dtype=np.int64)] = 1
+    out[connected_components(ones, adjacency)[0]] = 1
     return out

@@ -44,8 +44,7 @@ def _periodic_design(t, n_coef):
     knots = np.arange(-k, n_coef + k + 1) / n_coef
     full = BSpline.design_matrix(np.mod(t, 1.0), knots, k).toarray()
     design = np.zeros((len(t), n_coef))
-    for j in range(full.shape[1]):
-        design[:, j % n_coef] += full[:, j]
+    np.add.at(design, (slice(None), np.arange(full.shape[1]) % n_coef), full)
     return design
 
 
@@ -66,10 +65,9 @@ def _curvature_penalty(n_coef):
     d2 = np.nan_to_num(d2)
     w = np.tile(0.5 * h, len(xs))
     gram = (d2 * w[:, None]).T @ d2
+    wrap = np.arange(n_all) % n_coef
     folded = np.zeros((n_coef, n_coef))
-    for a in range(n_all):
-        for b in range(n_all):
-            folded[a % n_coef, b % n_coef] += gram[a, b]
+    np.add.at(folded, (wrap[:, None], wrap[None, :]), gram)
     return folded
 
 

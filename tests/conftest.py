@@ -8,6 +8,16 @@ from marginline.shapes import frustum_die, icosphere
 from marginline.synthetic import generate_case
 
 
+def face_neighbors(adjacency):
+    """Edge-sharing neighbours of every face, listed in edge-table order."""
+    neighbors = [[] for _ in range(adjacency.n_faces)]
+    for a, b in adjacency.edge_faces.tolist():
+        if b >= 0:
+            neighbors[a].append(b)
+            neighbors[b].append(a)
+    return neighbors
+
+
 @pytest.fixture(scope="session")
 def unit_sphere():
     return icosphere(subdivisions=3, radius=1.0)

@@ -14,6 +14,7 @@ import numpy as np
 import pytest
 from scipy.spatial import cKDTree
 
+from conftest import face_neighbors
 from marginline.cli import main as cli_main
 from marginline.decimate import decimate
 from marginline.ensemble import combine
@@ -153,14 +154,14 @@ def test_criterion_05_graph_cut_exactness():
     t0 = time.time()
     rng = np.random.default_rng(29)
     sphere = icosphere(1, radius=1.0)
-    adjacency = sphere.adjacency()
+    neighbors = face_neighbors(sphere.adjacency())
     for trial in range(100):
         n = int(rng.integers(4, 17))
         start = int(rng.integers(0, sphere.n_faces))
         chosen, frontier = [start], [start]
         while len(chosen) < n and frontier:
             f = frontier.pop(0)
-            for g in adjacency.neighbors[f]:
+            for g in neighbors[f]:
                 if g not in chosen:
                     chosen.append(g)
                     frontier.append(g)

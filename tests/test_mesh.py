@@ -89,12 +89,7 @@ def _adjacency_reference(mesh):
             per_edge.setdefault((a, b), []).append(fi)
     keys = sorted(per_edge)
     edge_faces = [(per_edge[k] + [-1])[:2] for k in keys]
-    neighbors = [[] for _ in faces]
-    for a, b in edge_faces:
-        if b >= 0:
-            neighbors[a].append(b)
-            neighbors[b].append(a)
-    return neighbors, np.array(edge_faces), np.array(keys)
+    return np.array(edge_faces), np.array(keys)
 
 
 def test_adjacency_matches_dict_reference():
@@ -102,8 +97,7 @@ def test_adjacency_matches_dict_reference():
     order = np.random.default_rng(3).permutation(cyl.n_faces)
     mesh = TriangleMesh(cyl.vertices, cyl.faces[order])
     adj = FaceAdjacency.build(mesh)
-    neighbors, edge_faces, edge_vertices = _adjacency_reference(mesh)
+    edge_faces, edge_vertices = _adjacency_reference(mesh)
     assert (edge_faces[:, 1] == -1).sum() == 48  # two rims
-    assert adj.neighbors == neighbors
     assert np.array_equal(adj.edge_faces, edge_faces)
     assert np.array_equal(adj.edge_vertices, edge_vertices)

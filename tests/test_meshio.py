@@ -5,7 +5,6 @@ from marginline.errors import MeshParseError
 from marginline.meshio import (
     WELD_TOL,
     _weld,
-    load_labeled_ply,
     load_mesh,
     save_ply,
     save_stl_ascii,
@@ -55,13 +54,16 @@ def test_ascii_parse_error_reports_line(tmp_path):
         load_mesh(path)
 
 
-def test_ply_label_round_trip(tmp_path, unit_sphere):
+def test_ply_face_rows_carry_labels(tmp_path, unit_sphere):
     labels = (unit_sphere.barycenters[:, 2] > 0).astype(np.int64)
     path = tmp_path / "labeled.ply"
     save_ply(unit_sphere, path, labels)
-    mesh, back = load_labeled_ply(path)
-    assert np.array_equal(back, labels)
-    assert mesh.n_faces == unit_sphere.n_faces
+    rows = path.read_text().splitlines()
+    face_rows = rows[rows.index("end_header") + 1 + unit_sphere.n_vertices :]
+    cols = np.array([row.split() for row in face_rows], dtype=np.int64)
+    assert np.array_equal(cols[:, 1:4], unit_sphere.faces)
+    assert np.array_equal(cols[:, 4], labels)
+    assert load_mesh(path).n_faces == unit_sphere.n_faces
 
 
 def test_soup_welding_merges_shared_vertices():

@@ -7,6 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from conftest import face_neighbors
 from marginline.errors import EmptyRegionError
 from marginline.mesh import TriangleMesh
 from marginline.refine import (
@@ -25,12 +26,12 @@ def _random_mesh(rng, max_faces=16):
     sphere = icosphere(subdivisions=1, radius=1.0)
     n = int(rng.integers(4, max_faces + 1))
     start = int(rng.integers(0, sphere.n_faces))
-    adjacency = sphere.adjacency()
+    neighbors = face_neighbors(sphere.adjacency())
     chosen = [start]
     frontier = [start]
     while len(chosen) < n and frontier:
         f = frontier.pop(0)
-        for g in adjacency.neighbors[f]:
+        for g in neighbors[f]:
             if g not in chosen:
                 chosen.append(g)
                 frontier.append(g)
