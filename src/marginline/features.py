@@ -7,6 +7,7 @@ from __future__ import annotations
 import struct
 import warnings
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 import scipy.sparse as sp
@@ -102,56 +103,35 @@ def compute_mean_curvature(mesh: TriangleMesh, smoothing_radius=None):
     return smoothed
 
 
-CHANNEL_GROUPS = ("vertex_coords", "barycenter", "normal", "curvature")
+N_CHANNELS = 18
 
 
 @dataclass
 class CellFeatures:
-    """N x C per-face feature matrix with a fixed channel-group order:
-    9 vertex coordinates, 3 barycenter, 3 unit normal, 3 vertex
-    curvatures. Omitted groups drop their columns without reordering."""
+    """N x 18 per-face feature matrix, channels in MeshSegNet's order
+    plus curvature: 9 vertex coordinates, 3 barycenter, 3 unit normal,
+    3 vertex curvatures."""
 
     matrix: np.ndarray
-    groups: tuple
-
-    @property
-    def n_cells(self):
-        return self.matrix.shape[0]
-
-    @property
-    def n_channels(self):
-        return self.matrix.shape[1]
 
 
-def assemble_features(
-    mesh: TriangleMesh,
-    include_vertex_coords=True,
-    include_curvature=True,
-    vertex_curvature=None,
-) -> CellFeatures:
-    """Feature rows ordered by face index. C = 18 with both flags on,
-    15 without curvature, 9 without vertex coordinates."""
-    if include_curvature and vertex_curvature is None:
-        raise ValueError(
-            "curvature channels requested but no precomputed vertex curvature given"
+def assemble_features(mesh: TriangleMesh, vertex_curvature) -> CellFeatures:
+    """Feature rows ordered by face index; `vertex_curvature` holds one
+    precomputed value per vertex."""
+    return CellFeatures(
+        np.concatenate(
+            [
+                mesh.vertices[mesh.faces].reshape(mesh.n_faces, 9),
+                mesh.barycenters,
+                mesh.face_normals,
+                np.asarray(vertex_curvature)[mesh.faces],
+            ],
+            axis=1,
         )
-    cols = []
-    groups = []
-    if include_vertex_coords:
-        cols.append(mesh.vertices[mesh.faces].reshape(mesh.n_faces, 9))
-        groups.append("vertex_coords")
-    cols.append(mesh.barycenters)
-    groups.append("barycenter")
-    cols.append(mesh.face_normals)
-    groups.append("normal")
-    if include_curvature:
-        cols.append(np.asarray(vertex_curvature)[mesh.faces])
-        groups.append("curvature")
-    return CellFeatures(np.concatenate(cols, axis=1), tuple(groups))
+    )
 
 
-@dataclass
-class AdjacencyPair:
+class AdjacencyPair(NamedTuple):
     """Row-stochastic face-proximity matrices at two radii (with
     self-loops); used for the network's symmetric average pooling."""
 
@@ -191,6 +171,9 @@ def build_adjacency(
 # -- train-time cache -----------------------------------------------------
 
 _MAGIC = b"MLFC\x01"
+# the header's channel-group bits: vertex coords, barycenter, normal,
+# curvature, all present in the one layout `assemble_features` builds
+_ALL_GROUPS = 0b1111
 
 
 def _write_sparse(fh, m):
@@ -215,11 +198,8 @@ def save_feature_cache(path, features: CellFeatures, adj: AdjacencyPair, labels=
     with open(path, "wb") as fh:
         fh.write(_MAGIC)
         n, c = features.matrix.shape
-        group_bits = sum(
-            1 << i for i, g in enumerate(CHANNEL_GROUPS) if g in features.groups
-        )
         has_labels = 1 if labels is not None else 0
-        fh.write(struct.pack("<qqqq", n, c, group_bits, has_labels))
+        fh.write(struct.pack("<qqqq", n, c, _ALL_GROUPS, has_labels))
         fh.write(struct.pack("<dd", adj.r_small, adj.r_large))
         fh.write(np.ascontiguousarray(features.matrix, dtype="<f8").tobytes())
         _write_sparse(fh, adj.a_small)
@@ -234,6 +214,11 @@ def load_feature_cache(path):
         if fh.read(len(_MAGIC)) != _MAGIC:
             raise ValueError(f"{path}: not a feature cache file")
         n, c, group_bits, has_labels = struct.unpack("<qqqq", fh.read(32))
+        if group_bits != _ALL_GROUPS or c != N_CHANNELS:
+            raise ValueError(
+                f"{path}: channel groups {group_bits:#b} and {c} channels are "
+                f"not the {N_CHANNELS}-channel layout"
+            )
         r_s, r_l = struct.unpack("<dd", fh.read(16))
         mat = np.frombuffer(fh.read(8 * n * c), dtype="<f8").reshape(n, c)
         a_s = _read_sparse(fh, n)
@@ -241,11 +226,8 @@ def load_feature_cache(path):
         labels = None
         if has_labels:
             labels = np.frombuffer(fh.read(8 * n), dtype="<i8")
-        groups = tuple(
-            g for i, g in enumerate(CHANNEL_GROUPS) if group_bits & (1 << i)
-        )
     return (
-        CellFeatures(mat.copy(), groups),
+        CellFeatures(mat.copy()),
         AdjacencyPair(a_s, a_l, r_s, r_l),
         None if labels is None else labels.copy(),
     )

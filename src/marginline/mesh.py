@@ -117,13 +117,6 @@ class TriangleMesh:
             self._bvh = TriangleBVH(self.vertices, self.faces)
         return self._bvh
 
-    def closest_point(self, query):
-        """Globally closest surface point to `query`.
-
-        Returns (point, face_id, distance).
-        """
-        return self.bvh().closest_point(np.asarray(query, dtype=np.float64))
-
     def transformed(self, rotation=None, translation=None, scale=None):
         """New mesh with vertices v -> diag(scale) @ (R @ v) + t."""
         v = self.vertices

@@ -4,7 +4,7 @@ classification and rank correlation."""
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy import stats as scipy_stats
@@ -13,6 +13,10 @@ from scipy.spatial import cKDTree
 from .errors import MetricError
 
 SUCCESS_THRESHOLD_UM = 200.0
+REPORT_COLUMNS = (
+    "case_id", "rating", "dsc", "sen", "ppv",
+    "max_um", "mean_um", "std_um", "success",
+)
 
 
 @dataclass
@@ -150,18 +154,16 @@ class CaseEvaluation:
     rating: float | None = None
 
     def row(self):
+        """This case's report row, keyed by REPORT_COLUMNS in order."""
         d = self.distances
-        return {
-            "case_id": self.case_id,
-            "rating": self.rating,
-            "dsc": self.dsc,
-            "sen": self.sen,
-            "ppv": self.ppv,
-            "max_um": None if d is None else d.max_um,
-            "mean_um": None if d is None else d.mean_um,
-            "std_um": None if d is None else d.std_um,
-            "success": self.success,
-        }
+        values = (
+            self.case_id, self.rating, self.dsc, self.sen, self.ppv,
+            None if d is None else d.max_um,
+            None if d is None else d.mean_um,
+            None if d is None else d.std_um,
+            self.success,
+        )
+        return dict(zip(REPORT_COLUMNS, values))
 
 
 def evaluate_case(

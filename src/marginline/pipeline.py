@@ -12,6 +12,7 @@ re-entered at any point.
 
 from __future__ import annotations
 
+import csv
 import json
 from dataclasses import asdict, dataclass
 from pathlib import Path
@@ -55,8 +56,6 @@ from .segnet import (
 @dataclass
 class PipelineConfig:
     target_faces: int = 10000
-    include_vertex_coords: bool = True
-    include_curvature: bool = True
     r_small: float = 0.1
     r_large: float = 0.2
     augment_per_die: int = 0
@@ -164,16 +163,9 @@ def stage_labels(manifest: DatasetManifest, config: PipelineConfig, run_dir):
 def _featurize(mesh: TriangleMesh, config: PipelineConfig):
     """Feature matrix plus adjacency for one decimated die (mm frame in,
     normalized coordinates out)."""
-    curvature = None
-    if config.include_curvature:
-        curvature = compute_mean_curvature(mesh)
+    curvature = compute_mean_curvature(mesh)
     normalized, _ = normalize(mesh)
-    feats = assemble_features(
-        normalized,
-        include_vertex_coords=config.include_vertex_coords,
-        include_curvature=config.include_curvature,
-        vertex_curvature=curvature,
-    )
+    feats = assemble_features(normalized, curvature)
     adj = build_adjacency(
         normalized.barycenters, r_small=config.r_small, r_large=config.r_large
     )
@@ -222,7 +214,7 @@ def stage_train(manifest: DatasetManifest, config: PipelineConfig, run_dir):
         feats, adj, labels = load_feature_cache(path)
         if labels is None:
             continue
-        dataset[sample_id] = (feats, adj, labels)
+        dataset[sample_id] = (feats.matrix, adj, labels)
     if len(dataset) < config.folds:
         raise ManifestError(
             f"{len(dataset)} labeled training samples cannot fill "
@@ -230,6 +222,8 @@ def stage_train(manifest: DatasetManifest, config: PipelineConfig, run_dir):
         )
     base_ids = sorted({base_case_id(s) for s in dataset})
     folds = kfold_split(base_ids, k=config.folds, seed=config.seed)
+    # every #augK variant trains and validates in its base case's fold
+    fold_of = {s: folds[base_case_id(s)] for s in dataset}
     tc = TrainConfig(
         learning_rate=config.learning_rate,
         batch_size=config.batch_size,
@@ -237,20 +231,20 @@ def stage_train(manifest: DatasetManifest, config: PipelineConfig, run_dir):
         width_scale=config.width_scale,
         seed=config.seed,
     )
-    models, history = train_kfold(dataset, folds, tc, base_of=base_case_id)
+    models, history = train_kfold(dataset, fold_of, tc)
     for fold, params in models.items():
         params.save(out / f"fold{fold}.bin")
-    (out / "folds.json").write_text(json.dumps(folds.assignment, indent=1))
+    (out / "folds.json").write_text(json.dumps(folds, indent=1))
     write_history_csv(out / "history.csv", history)
 
     # per-fold validation dice of the snapshot actually kept
     val_dice = {}
     for fold, params in models.items():
         scores = []
-        for sid, (feats, adj, labels) in dataset.items():
-            if folds.fold_of(sid, base_case_id) != fold:
+        for sid, (x, adj, labels) in dataset.items():
+            if fold_of[sid] != fold:
                 continue
-            pred = np.argmax(forward(params, feats.matrix, adj), axis=1)
+            pred = np.argmax(forward(params, x, adj), axis=1)
             scores.append(metrics_mod.segmentation_metrics(pred, labels)[1])
         val_dice[str(fold)] = float(np.mean(scores)) if scores else None
     (out / "validation_dice.json").write_text(json.dumps(val_dice, indent=1))
@@ -333,14 +327,13 @@ def stage_extract(manifest: DatasetManifest, config: PipelineConfig, run_dir):
 def stage_evaluate(manifest: DatasetManifest, config: PipelineConfig, run_dir):
     """Scores every predicted case against the transferred ground truth."""
     labels_dir = Path(run_dir) / "labels"
-    feat_dir = Path(run_dir) / "features"
     out = _stage_dir(run_dir, "evaluation")
     evaluations = []
     for case in _prediction_cases(manifest):
         truth_labels = pred_labels = None
-        cache = feat_dir / f"{case.case_id}.mlfc"
-        if cache.exists():
-            _, _, truth_labels = load_feature_cache(cache)
+        truth_path = labels_dir / f"{case.case_id}_labels.npy"
+        if truth_path.exists():
+            truth_labels = np.load(truth_path)
         refined = Path(run_dir) / "refine" / f"{case.case_id}_labels.npy"
         if truth_labels is not None and refined.exists():
             pred_labels = np.load(refined)
@@ -386,14 +379,8 @@ def stage_evaluate(manifest: DatasetManifest, config: PipelineConfig, run_dir):
 
 
 def _write_report_csv(path, rows):
-    import csv
-
-    fields = [
-        "case_id", "rating", "dsc", "sen", "ppv",
-        "max_um", "mean_um", "std_um", "success",
-    ]
     with open(path, "w", newline="") as fh:
-        writer = csv.DictWriter(fh, fieldnames=fields)
+        writer = csv.DictWriter(fh, fieldnames=metrics_mod.REPORT_COLUMNS)
         writer.writeheader()
         for row in rows:
             writer.writerow(row)

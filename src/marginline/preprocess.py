@@ -20,7 +20,7 @@ that all dies share one orientation.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.spatial import ConvexHull, QhullError
@@ -46,10 +46,6 @@ class RigidTransform:
             self.rotation @ other.rotation,
             self.rotation @ other.translation + self.translation,
         )
-
-    @staticmethod
-    def identity():
-        return RigidTransform(np.eye(3), np.zeros(3))
 
 
 @dataclass

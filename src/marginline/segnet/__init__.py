@@ -2,7 +2,6 @@ from .loss import cross_entropy, generalized_dice_loss, loss_grad_logits, loss_v
 from .network import NetworkParams, ShapeMismatch, architecture, backward, forward
 from .train import (
     Adam,
-    FoldAssignment,
     TrainConfig,
     evaluate_loss,
     kfold_split,

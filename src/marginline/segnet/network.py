@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import json
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -152,15 +152,12 @@ def _affine(params, name, x):
     return x @ w + params.tensors[name + ".b"]
 
 
-def forward(params: NetworkParams, features, adj, want_cache=False):
-    """Row-stochastic (N, 2) class probabilities.
-
-    `features` may be a CellFeatures or a raw (N, C) array; `adj` an
-    AdjacencyPair or an (A_S, A_L) pair of sparse matrices.
+def forward(params: NetworkParams, x, adj, want_cache=False):
+    """Row-stochastic (N, 2) class probabilities for the (N, C) feature
+    array `x`; `adj` is indexed as (A_S, A_L), so an AdjacencyPair or a
+    plain pair of matrices.
     """
-    x = features.matrix if hasattr(features, "matrix") else np.asarray(features)
-    a_s = adj.a_small if hasattr(adj, "a_small") else adj[0]
-    a_l = adj.a_large if hasattr(adj, "a_large") else adj[1]
+    a_s, a_l = adj[0], adj[1]
     if a_s.shape[0] != x.shape[0]:
         raise ShapeMismatch(
             f"stage adjacency: {a_s.shape[0]} rows for {x.shape[0]} cells"

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -15,47 +15,29 @@ from .network import NetworkParams, backward, forward
 class TrainConfig:
     learning_rate: float = 1e-3
     batch_size: int = 10
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
     epochs: int = 200
-    n_classes: int = 2
     width_scale: float = 1.0
     seed: int = 0
 
     def validate(self):
         if min(self.learning_rate, self.batch_size, self.epochs) <= 0:
             raise ValueError("hyperparameters must be positive")
-        if self.n_classes != 2:
-            raise ValueError("binary segmentation only (n_classes = 2)")
 
 
-@dataclass
-class FoldAssignment:
-    """case id -> fold in 1..k. Augmented variants always query through
-    fold_of() with their base case id."""
-
-    k: int
-    assignment: dict
-
-    def fold_of(self, case_id, base_of=None):
-        base = base_of(case_id) if base_of else case_id
-        return self.assignment[base]
-
-    def split(self, fold):
-        train = [c for c, f in sorted(self.assignment.items()) if f != fold]
-        val = [c for c, f in sorted(self.assignment.items()) if f == fold]
-        return train, val
-
-
-def kfold_split(case_ids, k=5, seed=0) -> FoldAssignment:
+def kfold_split(case_ids, k=5, seed=0):
+    """{case_id: fold in 1..k}, round robin over a seeded permutation."""
     case_ids = list(case_ids)
     if len(case_ids) < k:
         raise ValueError(f"{len(case_ids)} cases cannot fill {k} folds")
     rng = np.random.default_rng(seed)
     order = list(np.array(sorted(case_ids), dtype=object)[rng.permutation(len(case_ids))])
-    assignment = {c: (i % k) + 1 for i, c in enumerate(order)}
-    return FoldAssignment(k, assignment)
+    return {c: (i % k) + 1 for i, c in enumerate(order)}
+
+
+# Adam's moment decay rates and denominator guard (Kingma & Ba's defaults)
+BETA1 = 0.9
+BETA2 = 0.999
+EPS = 1e-8
 
 
 class Adam:
@@ -66,19 +48,18 @@ class Adam:
         self.t = 0
 
     def step(self, params: NetworkParams, grads):
-        cfg = self.config
         self.t += 1
-        b1t = 1.0 - cfg.beta1**self.t
-        b2t = 1.0 - cfg.beta2**self.t
+        b1t = 1.0 - BETA1**self.t
+        b2t = 1.0 - BETA2**self.t
         for name, g in grads.items():
             m = self.m[name]
             v = self.v[name]
-            m *= cfg.beta1
-            m += (1 - cfg.beta1) * g
-            v *= cfg.beta2
-            v += (1 - cfg.beta2) * g * g
+            m *= BETA1
+            m += (1 - BETA1) * g
+            v *= BETA2
+            v += (1 - BETA2) * g * g
             params.tensors[name] -= (
-                cfg.learning_rate * (m / b1t) / (np.sqrt(v / b2t) + cfg.eps)
+                self.config.learning_rate * (m / b1t) / (np.sqrt(v / b2t) + EPS)
             )
 
 
@@ -122,8 +103,7 @@ def train_fold(train_samples, val_samples, config: TrainConfig, fold=1, seed=Non
     Deterministic: fixed batch order shuffled by a seeded generator.
     """
     config.validate()
-    first = train_samples[0][0]
-    n_channels = (first.matrix if hasattr(first, "matrix") else first).shape[1]
+    n_channels = train_samples[0][0].shape[1]
     seed = config.seed if seed is None else seed
     params = NetworkParams.init(n_channels, config.width_scale, seed=seed)
     opt = Adam(params, config)
@@ -157,19 +137,18 @@ def train_fold(train_samples, val_samples, config: TrainConfig, fold=1, seed=Non
     return best, history
 
 
-def train_kfold(dataset, folds: FoldAssignment, config: TrainConfig, base_of=None):
-    """dataset: dict case_id -> (features, adjacency, labels). Trains one
-    model per fold (validating on that fold); returns (models, history)."""
+def train_kfold(dataset, fold_of, config: TrainConfig):
+    """dataset: dict sample_id -> (features, adjacency, labels); fold_of:
+    dict sample_id -> fold in 1..k. Trains one model per fold (validating
+    on that fold); returns (models, history)."""
     models = {}
     history = []
-    for fold in range(1, folds.k + 1):
-        train_ids = [
-            c for c in sorted(dataset) if folds.fold_of(c, base_of) != fold
-        ]
-        val_ids = [c for c in sorted(dataset) if folds.fold_of(c, base_of) == fold]
+    for fold in range(1, max(fold_of.values()) + 1):
+        train_ids = [s for s in sorted(dataset) if fold_of[s] != fold]
+        val_ids = [s for s in sorted(dataset) if fold_of[s] == fold]
         params, h = train_fold(
-            [dataset[c] for c in train_ids],
-            [dataset[c] for c in val_ids],
+            [dataset[s] for s in train_ids],
+            [dataset[s] for s in val_ids],
             config,
             fold=fold,
             seed=config.seed + fold,

@@ -1,3 +1,5 @@
+import struct
+
 import numpy as np
 import pytest
 
@@ -37,21 +39,9 @@ def test_feature_channel_layout(unit_sphere):
     h = compute_mean_curvature(unit_sphere)
     full = assemble_features(unit_sphere, vertex_curvature=h)
     assert full.matrix.shape == (unit_sphere.n_faces, 18)
-    assert full.groups == ("vertex_coords", "barycenter", "normal", "curvature")
-    no_curv = assemble_features(unit_sphere, include_curvature=False)
-    assert no_curv.matrix.shape[1] == 15
-    slim = assemble_features(
-        unit_sphere, include_vertex_coords=False, vertex_curvature=h
-    )
-    assert slim.matrix.shape[1] == 9
     # barycenter block sits after the 9 vertex coordinates
     assert np.allclose(full.matrix[:, 9:12], unit_sphere.barycenters)
     assert np.allclose(full.matrix[:, 12:15], unit_sphere.face_normals)
-
-
-def test_curvature_requires_precomputed_values(unit_sphere):
-    with pytest.raises(ValueError):
-        assemble_features(unit_sphere, include_curvature=True)
 
 
 def test_adjacency_row_stochastic_with_self_loops(unit_sphere):
@@ -76,3 +66,23 @@ def test_feature_cache_round_trip(tmp_path, unit_sphere):
     assert np.array_equal(l2, labels)
     assert (a2.a_small != adj.a_small).nnz == 0
     assert (a2.a_large != adj.a_large).nnz == 0
+
+
+def test_feature_cache_rejects_foreign_channel_layout(tmp_path, unit_sphere):
+    """A cache whose header names another set of channel groups, or
+    another channel count, is refused rather than read as 18 channels."""
+    h = compute_mean_curvature(unit_sphere)
+    feats = assemble_features(unit_sphere, vertex_curvature=h)
+    adj = build_adjacency(unit_sphere.barycenters)
+    path = tmp_path / "case.mlfc"
+    save_feature_cache(path, feats, adj)
+    good = path.read_bytes()
+    # header: 5-byte magic, then int64 n, c, channel-group bits, has_labels
+    n, c, bits, has_labels = struct.unpack_from("<qqqq", good, 5)
+    assert (c, bits) == (18, 0b1111)
+    for c_bad, bits_bad in ((18, 0b1110), (15, 0b0111)):
+        path.write_bytes(
+            good[:5] + struct.pack("<qqqq", n, c_bad, bits_bad, has_labels) + good[37:]
+        )
+        with pytest.raises(ValueError, match="18-channel layout"):
+            load_feature_cache(path)

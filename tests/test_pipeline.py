@@ -5,15 +5,20 @@ import json
 
 import numpy as np
 
+from marginline import pipeline
 from marginline.features import load_feature_cache
 from marginline.manifest import load_manifest, save_manifest
 from marginline.pipeline import (
     PipelineConfig,
+    base_case_id,
     run_pipeline,
+    stage_evaluate,
     stage_features,
     stage_labels,
     stage_preprocess,
+    stage_train,
 )
+from marginline.segnet import train as train_mod
 from marginline.synthetic import generate_benchmark
 
 
@@ -65,3 +70,83 @@ def test_crown_bottom_leaves_features_unchanged(tmp_path):
     assert no_labels is None
     assert feats.matrix.tobytes() == bare_feats.matrix.tobytes()
     assert (adj.a_large != bare_adj.a_large).nnz == 0
+
+
+def test_augmented_variants_train_and_validate_in_their_base_fold(
+    tmp_path, monkeypatch
+):
+    """Each #augK sample is held out, and scored for validation Dice, in
+    exactly the fold of the case it was made from; folds.json lists the
+    base cases only."""
+    data = tmp_path / "data"
+    manifest = load_manifest(generate_benchmark(data, n_cases=4, seed=5))
+    config = PipelineConfig(
+        target_faces=2000, folds=2, epochs=1, width_scale=0.125,
+        batch_size=4, augment_per_die=2, seed=1,
+    )
+    run = tmp_path / "run"
+    for stage in (stage_preprocess, stage_labels, stage_features):
+        stage(manifest, config, run)
+    sample_of = {
+        load_feature_cache(path)[0].matrix.tobytes(): path.stem
+        for path in (run / "features").glob("*.mlfc")
+    }
+    assert len(sample_of) == 12
+
+    trained, validated, fold_of_model = {}, {}, {}
+
+    def recording_train_fold(train_samples, val_samples, config, fold=1, seed=None):
+        trained[fold] = (
+            {sample_of[x.tobytes()] for x, _, _ in train_samples},
+            {sample_of[x.tobytes()] for x, _, _ in val_samples},
+        )
+        params, history = real_train_fold(
+            train_samples, val_samples, config, fold=fold, seed=seed
+        )
+        fold_of_model[id(params)] = fold
+        return params, history
+
+    def recording_forward(params, x, adj, want_cache=False):
+        validated.setdefault(fold_of_model[id(params)], set()).add(
+            sample_of[x.tobytes()]
+        )
+        return real_forward(params, x, adj, want_cache)
+
+    real_train_fold, real_forward = train_mod.train_fold, pipeline.forward
+    monkeypatch.setattr(train_mod, "train_fold", recording_train_fold)
+    monkeypatch.setattr(pipeline, "forward", recording_forward)
+    stage_train(manifest, config, run)
+
+    folds = json.loads((run / "models" / "folds.json").read_text())
+    assert sorted(folds) == sorted(c.case_id for c in manifest)
+    assert sorted(set(folds.values())) == [1, 2]
+    samples = set(sample_of.values())
+    for fold in (1, 2):
+        held_out = {s for s in samples if folds[base_case_id(s)] == fold}
+        assert any("#aug" in s for s in held_out)
+        assert trained[fold] == (samples - held_out, held_out)
+        assert validated[fold] == held_out
+
+
+def test_evaluate_reads_truth_labels_without_feature_cache(tmp_path):
+    """Evaluation takes its truth labels from the labels stage, so the
+    report is the same once the feature caches are gone."""
+    data = tmp_path / "data"
+    manifest = load_manifest(generate_benchmark(data, n_cases=3, seed=5))
+    config = PipelineConfig(
+        target_faces=2000, folds=2, epochs=1, width_scale=0.125,
+        batch_size=4, seed=1,
+    )
+    run = tmp_path / "run"
+    for name, stage in pipeline.STAGES:
+        if name != "extract":
+            stage(manifest, config, run)
+    report = run / "evaluation" / "report.json"
+    before = report.read_bytes()
+    assert all(
+        isinstance(row["dsc"], float) for row in json.loads(before)["cases"]
+    )
+    for path in (run / "features").glob("*.mlfc"):
+        path.unlink()
+    stage_evaluate(manifest, config, run)
+    assert report.read_bytes() == before

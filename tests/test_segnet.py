@@ -46,6 +46,14 @@ def test_parameter_count_frozen():
     assert params.n_parameters() == 42718
 
 
+def test_forward_takes_adjacency_pair_or_plain_pair():
+    feats, adj, _ = _toy_sample()
+    params = NetworkParams.init(18, 0.125, seed=1)
+    from_pair = forward(params, feats, adj)
+    from_tuple = forward(params, feats, (adj.a_small, adj.a_large))
+    assert from_pair.tobytes() == from_tuple.tobytes()
+
+
 def test_forward_shapes_and_probabilities():
     feats, adj, _ = _toy_sample()
     params = NetworkParams.init(18, 0.125, seed=1)
@@ -113,14 +121,8 @@ def test_absent_class_gets_zero_weight():
 
 def test_kfold_round_robin_sizes():
     folds = kfold_split([f"c{i:02d}" for i in range(41)], k=5, seed=0)
-    counts = np.bincount(list(folds.assignment.values()))[1:]
+    counts = np.bincount(list(folds.values()))[1:]
     assert sorted(counts.tolist()) == [8, 8, 8, 8, 9]
-
-
-def test_kfold_routes_augmented_variants_with_base():
-    folds = kfold_split(["a", "b", "c"], k=3, seed=1)
-    base_of = lambda s: s.split("#")[0]
-    assert folds.fold_of("a#aug5", base_of) == folds.fold_of("a", base_of)
 
 
 def test_training_is_deterministic_and_learns():
