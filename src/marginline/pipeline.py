@@ -44,6 +44,7 @@ from .preprocess import (
 )
 from .refine import GraphCutConfig, cleanup_components, graph_cut_refine
 from .segnet import (
+    COMPUTE_DTYPE,
     NetworkParams,
     TrainConfig,
     forward,
@@ -214,13 +215,19 @@ def stage_train(manifest: DatasetManifest, config: PipelineConfig, run_dir):
         feats, adj, labels = load_feature_cache(path)
         if labels is None:
             continue
-        dataset[sample_id] = (feats.matrix, adj, labels)
-    if len(dataset) < config.folds:
+        # cast once here, so no forward or backward pass has to
+        adj = adj._replace(
+            a_small=adj.a_small.astype(COMPUTE_DTYPE),
+            a_large=adj.a_large.astype(COMPUTE_DTYPE),
+        )
+        dataset[sample_id] = (feats.matrix.astype(COMPUTE_DTYPE), adj, labels)
+    base_ids = sorted({base_case_id(s) for s in dataset})
+    # folds split cases, not samples: #augK variants do not fill a fold
+    if len(base_ids) < config.folds:
         raise ManifestError(
-            f"{len(dataset)} labeled training samples cannot fill "
+            f"{len(base_ids)} labeled training cases cannot fill "
             f"{config.folds} folds"
         )
-    base_ids = sorted({base_case_id(s) for s in dataset})
     folds = kfold_split(base_ids, k=config.folds, seed=config.seed)
     # every #augK variant trains and validates in its base case's fold
     fold_of = {s: folds[base_case_id(s)] for s in dataset}

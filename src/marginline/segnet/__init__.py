@@ -1,6 +1,7 @@
 from .loss import cross_entropy, generalized_dice_loss, loss_grad_logits, loss_value
 from .network import NetworkParams, ShapeMismatch, architecture, backward, forward
 from .train import (
+    COMPUTE_DTYPE,
     Adam,
     TrainConfig,
     evaluate_loss,

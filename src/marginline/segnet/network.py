@@ -1,4 +1,4 @@
-"""Graph-constrained mesh segmentation network (numpy, float64).
+"""Graph-constrained mesh segmentation network (numpy).
 
 Forward pipeline: feature-transform module (FTM), per-cell MLP-1, graph
 module GLM-1 (small-radius pooling), MLP-2, GLM-2 (small and large radii),
@@ -7,7 +7,9 @@ per-cell linear classifier with row softmax.
 
 Gradients are exact analytic backprop; no framework involved. All
 parameter tensors live in a flat name -> ndarray dict so training code and
-checkpoints can stay generic.
+checkpoints can stay generic. The weights' dtype is the compute dtype:
+`forward` and `backward` cast their inputs to it, and `forward` returns
+float64 probabilities whatever it is.
 """
 
 from __future__ import annotations
@@ -17,6 +19,7 @@ import struct
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.sparse as sp
 
 
 def _w(base, scale):
@@ -73,6 +76,10 @@ def _dense_shapes(arch):
     return shapes
 
 
+CHECKPOINT_V1 = "marginline-checkpoint-v1"  # every tensor float64
+CHECKPOINT_V2 = "marginline-checkpoint-v2"  # each tensor's dtype in the header
+
+
 @dataclass
 class NetworkParams:
     arch: dict
@@ -103,17 +110,35 @@ class NetworkParams:
     def n_parameters(self):
         return sum(v.size for v in self.tensors.values())
 
+    @property
+    def dtype(self):
+        """The compute dtype: that of the (uniformly typed) weights."""
+        return self.tensors["clf.W"].dtype
+
+    def astype(self, dtype):
+        return NetworkParams(
+            dict(self.arch), {k: v.astype(dtype) for k, v in self.tensors.items()}
+        )
+
     def zeros_like(self):
         return {k: np.zeros_like(v) for k, v in self.tensors.items()}
 
     def save(self, path):
-        """Versioned container: JSON architecture header + raw float64."""
+        """Versioned container: JSON architecture header, listing each
+        tensor's name, shape and dtype, then the raw little-endian
+        tensors as they are."""
         names = sorted(self.tensors)
+        dtypes = {n: self.tensors[n].dtype.newbyteorder("<") for n in names}
         header = {
-            "format": "marginline-checkpoint-v1",
+            "format": CHECKPOINT_V2,
             "arch": self.arch,
             "tensors": [
-                {"name": n, "shape": list(self.tensors[n].shape)} for n in names
+                {
+                    "name": n,
+                    "shape": list(self.tensors[n].shape),
+                    "dtype": dtypes[n].str,
+                }
+                for n in names
             ],
         }
         blob = json.dumps(header, sort_keys=True).encode()
@@ -121,20 +146,27 @@ class NetworkParams:
             fh.write(struct.pack("<q", len(blob)))
             fh.write(blob)
             for n in names:
-                fh.write(np.ascontiguousarray(self.tensors[n], dtype="<f8").tobytes())
+                fh.write(self.tensors[n].astype(dtypes[n], copy=False).tobytes())
 
     @staticmethod
     def load(path):
+        """Tensors in the dtypes a v2 header lists; a v1 file carries none
+        and is all float64."""
         with open(path, "rb") as fh:
             (hlen,) = struct.unpack("<q", fh.read(8))
             header = json.loads(fh.read(hlen).decode())
-            if header.get("format") != "marginline-checkpoint-v1":
+            fmt = header.get("format")
+            if fmt not in (CHECKPOINT_V1, CHECKPOINT_V2):
                 raise ValueError(f"{path}: unknown checkpoint format")
             tensors = {}
             for entry in header["tensors"]:
+                code = entry["dtype"] if fmt == CHECKPOINT_V2 else "<f8"
+                if code not in ("<f4", "<f8"):
+                    raise ValueError(f"{path}: tensor dtype {code!r} is not float")
                 shape = tuple(entry["shape"])
                 size = int(np.prod(shape)) if shape else 1
-                data = np.frombuffer(fh.read(8 * size), dtype="<f8")
+                dtype = np.dtype(code)
+                data = np.frombuffer(fh.read(dtype.itemsize * size), dtype=dtype)
                 tensors[entry["name"]] = data.reshape(shape).copy()
         return NetworkParams(header["arch"], tensors)
 
@@ -152,16 +184,26 @@ def _affine(params, name, x):
     return x @ w + params.tensors[name + ".b"]
 
 
+def _as_dtype(a, dtype):
+    """`a` in `dtype`, copied only when it is not in it already."""
+    if sp.issparse(a):
+        return a.astype(dtype, copy=False)
+    return np.asarray(a, dtype=dtype)
+
+
 def forward(params: NetworkParams, x, adj, want_cache=False):
-    """Row-stochastic (N, 2) class probabilities for the (N, C) feature
-    array `x`; `adj` is indexed as (A_S, A_L), so an AdjacencyPair or a
-    plain pair of matrices.
+    """Row-stochastic (N, 2) float64 class probabilities for the (N, C)
+    feature array `x`; `adj` is indexed as (A_S, A_L), so an AdjacencyPair
+    or a plain pair of sparse or dense matrices. Every layer runs in the
+    weights' dtype.
     """
     a_s, a_l = adj[0], adj[1]
     if a_s.shape[0] != x.shape[0]:
         raise ShapeMismatch(
             f"stage adjacency: {a_s.shape[0]} rows for {x.shape[0]} cells"
         )
+    dt = params.dtype
+    x, a_s, a_l = _as_dtype(x, dt), _as_dtype(a_s, dt), _as_dtype(a_l, dt)
     arch = params.arch
     cache = {"x": x, "a_s": a_s, "a_l": a_l, "acts": {}}
     acts = cache["acts"]
@@ -218,7 +260,8 @@ def forward(params: NetworkParams, x, adj, want_cache=False):
     for i in range(len(arch["mlp3"])):
         h = dense_relu(f"mlp3.{i}", h)
     acts["clf"] = (h, None)
-    logits = _affine(params, "clf", h)
+    # the (N, 2) softmax runs in float64 whatever the compute dtype
+    logits = _affine(params, "clf", h).astype(np.float64)
     cache["logits"] = logits
 
     z = logits - logits.max(axis=1, keepdims=True)
@@ -231,11 +274,12 @@ def forward(params: NetworkParams, x, adj, want_cache=False):
 
 
 def backward(params: NetworkParams, cache, dlogits):
-    """Parameter gradients given d(loss)/d(logits). Returns a name ->
-    ndarray dict matching params.tensors."""
+    """Parameter gradients given d(loss)/d(logits), in the weights'
+    dtype. Returns a name -> ndarray dict matching params.tensors."""
     arch = params.arch
     acts = cache["acts"]
     grads = {}
+    dlogits = np.asarray(dlogits, dtype=params.dtype)
 
     def back_affine(name, dout):
         h = acts[name][0]

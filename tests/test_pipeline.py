@@ -4,8 +4,10 @@ import csv
 import json
 
 import numpy as np
+import pytest
 
-from marginline import pipeline
+from marginline import metrics, pipeline
+from marginline.errors import ManifestError
 from marginline.features import load_feature_cache
 from marginline.manifest import load_manifest, save_manifest
 from marginline.pipeline import (
@@ -18,6 +20,7 @@ from marginline.pipeline import (
     stage_preprocess,
     stage_train,
 )
+from marginline.segnet import NetworkParams, forward
 from marginline.segnet import train as train_mod
 from marginline.synthetic import generate_benchmark
 
@@ -87,8 +90,12 @@ def test_augmented_variants_train_and_validate_in_their_base_fold(
     run = tmp_path / "run"
     for stage in (stage_preprocess, stage_labels, stage_features):
         stage(manifest, config, run)
+
+    def key(x):  # a sample's features, in the training dtype or not
+        return np.asarray(x, dtype=np.float32).tobytes()
+
     sample_of = {
-        load_feature_cache(path)[0].matrix.tobytes(): path.stem
+        key(load_feature_cache(path)[0].matrix): path.stem
         for path in (run / "features").glob("*.mlfc")
     }
     assert len(sample_of) == 12
@@ -97,8 +104,8 @@ def test_augmented_variants_train_and_validate_in_their_base_fold(
 
     def recording_train_fold(train_samples, val_samples, config, fold=1, seed=None):
         trained[fold] = (
-            {sample_of[x.tobytes()] for x, _, _ in train_samples},
-            {sample_of[x.tobytes()] for x, _, _ in val_samples},
+            {sample_of[key(x)] for x, _, _ in train_samples},
+            {sample_of[key(x)] for x, _, _ in val_samples},
         )
         params, history = real_train_fold(
             train_samples, val_samples, config, fold=fold, seed=seed
@@ -108,7 +115,7 @@ def test_augmented_variants_train_and_validate_in_their_base_fold(
 
     def recording_forward(params, x, adj, want_cache=False):
         validated.setdefault(fold_of_model[id(params)], set()).add(
-            sample_of[x.tobytes()]
+            sample_of[key(x)]
         )
         return real_forward(params, x, adj, want_cache)
 
@@ -150,3 +157,49 @@ def test_evaluate_reads_truth_labels_without_feature_cache(tmp_path):
         path.unlink()
     stage_evaluate(manifest, config, run)
     assert report.read_bytes() == before
+
+
+def test_fold_guard_counts_cases_not_augmented_samples(tmp_path):
+    """Three cases cannot fill five folds, however many #augK variants
+    each one brings."""
+    data = tmp_path / "data"
+    manifest = load_manifest(generate_benchmark(data, n_cases=3, seed=5))
+    config = PipelineConfig(
+        target_faces=2000, folds=5, epochs=1, width_scale=0.125,
+        augment_per_die=2, seed=1,
+    )
+    run = tmp_path / "run"
+    for stage in (stage_preprocess, stage_labels, stage_features):
+        stage(manifest, config, run)
+    assert len(list((run / "features").glob("*.mlfc"))) == 9
+    with pytest.raises(ManifestError, match="3 labeled training cases"):
+        stage_train(manifest, config, run)
+
+
+def test_saved_checkpoints_reproduce_validation_dice(tmp_path):
+    """Each saved fold model, reloaded and run on its held-out cases'
+    feature caches, scores exactly the validation Dice stage_train wrote."""
+    data = tmp_path / "data"
+    manifest = load_manifest(generate_benchmark(data, n_cases=6, seed=5))
+    config = PipelineConfig(
+        target_faces=2000, folds=2, epochs=2, width_scale=0.125,
+        batch_size=4, seed=1,
+    )
+    run = tmp_path / "run"
+    for stage in (stage_preprocess, stage_labels, stage_features, stage_train):
+        stage(manifest, config, run)
+    written = json.loads((run / "models" / "validation_dice.json").read_text())
+    folds = json.loads((run / "models" / "folds.json").read_text())
+    recomputed = {}
+    for fold in range(1, config.folds + 1):
+        params = NetworkParams.load(run / "models" / f"fold{fold}.bin")
+        assert params.dtype == train_mod.COMPUTE_DTYPE
+        scores = []
+        for case_id in sorted(c for c, f in folds.items() if f == fold):
+            feats, adj, labels = load_feature_cache(
+                run / "features" / f"{case_id}.mlfc"
+            )
+            pred = np.argmax(forward(params, feats.matrix, adj), axis=1)
+            scores.append(metrics.segmentation_metrics(pred, labels)[1])
+        recomputed[str(fold)] = float(np.mean(scores))
+    assert recomputed == written

@@ -1,3 +1,6 @@
+import json
+import struct
+
 import numpy as np
 import pytest
 
@@ -10,6 +13,7 @@ from marginline.segnet import (
     kfold_split,
     train_fold,
 )
+from marginline.segnet import train as train_mod
 from marginline.segnet.loss import (
     cross_entropy,
     generalized_dice_loss,
@@ -146,3 +150,75 @@ def test_checkpoint_round_trip(tmp_path):
     assert back.arch == params.arch
     for name in params.tensors:
         assert np.array_equal(back.tensors[name], params.tensors[name])
+
+
+def test_checkpoint_v2_keeps_float32(tmp_path):
+    params = NetworkParams.init(18, 0.125, seed=9)
+    params.save(tmp_path / "f8.bin")
+    single = params.astype(np.float32)
+    single.save(tmp_path / "f4.bin")
+    back = NetworkParams.load(tmp_path / "f4.bin")
+    assert back.arch == single.arch
+    for name, tensor in single.tensors.items():
+        assert back.tensors[name].dtype == np.float32
+        assert back.tensors[name].tobytes() == tensor.tobytes()
+    f4, f8 = (tmp_path / "f4.bin").stat().st_size, (tmp_path / "f8.bin").stat().st_size
+    assert 0.5 < f4 / f8 < 0.55  # the JSON header is the same size in both
+
+
+def test_checkpoint_v1_loads_as_float64(tmp_path):
+    """A file written before tensors carried their dtype is all float64."""
+    params = NetworkParams.init(18, 0.125, seed=9)
+    names = sorted(params.tensors)
+    header = {
+        "format": "marginline-checkpoint-v1",
+        "arch": params.arch,
+        "tensors": [
+            {"name": n, "shape": list(params.tensors[n].shape)} for n in names
+        ],
+    }
+    blob = json.dumps(header, sort_keys=True).encode()
+    path = tmp_path / "v1.bin"
+    with open(path, "wb") as fh:
+        fh.write(struct.pack("<q", len(blob)))
+        fh.write(blob)
+        for n in names:
+            fh.write(params.tensors[n].astype("<f8").tobytes())
+    back = NetworkParams.load(path)
+    assert back.arch == params.arch
+    for name, tensor in params.tensors.items():
+        assert back.tensors[name].dtype == np.float64
+        assert np.array_equal(back.tensors[name], tensor)
+
+
+def test_training_computes_in_float32(monkeypatch):
+    optimizers = []
+
+    class RecordingAdam(train_mod.Adam):
+        def __init__(self, params, config):
+            super().__init__(params, config)
+            optimizers.append(self)
+
+    monkeypatch.setattr(train_mod, "Adam", RecordingAdam)
+    samples = [_toy_sample(seed=s) for s in range(3)]
+    config = TrainConfig(batch_size=2, epochs=2, width_scale=0.125, seed=5)
+    params, _ = train_fold(samples[:2], samples[2:], config, fold=1)
+    assert params.dtype == np.float32
+    (opt,) = optimizers
+    for name in params.tensors:
+        assert params.tensors[name].dtype == np.float32
+        assert opt.m[name].dtype == opt.v[name].dtype == np.float32
+
+
+def test_float32_weights_set_the_compute_dtype():
+    feats, adj, labels = _toy_sample(seed=3)
+    double = NetworkParams.init(18, 0.125, seed=3)
+    single = double.astype(np.float32)
+    probs, cache = forward(single, feats, adj, want_cache=True)
+    grads = backward(single, cache, loss_grad_logits(probs, labels))
+    assert all(g.dtype == np.float32 for g in grads.values())
+    assert probs.dtype == np.float64
+    assert np.allclose(probs.sum(axis=1), 1.0, atol=1e-12)
+    # the same float32 weights, computed in float64
+    reference = forward(single.astype(np.float64), feats, adj)
+    assert np.abs(probs - reference).max() <= 1e-5
