@@ -49,6 +49,7 @@ from .segnet import (
     TrainConfig,
     forward,
     kfold_split,
+    thread_map,
     train_kfold,
     write_history_csv,
 )
@@ -245,15 +246,17 @@ def stage_train(manifest: DatasetManifest, config: PipelineConfig, run_dir):
     write_history_csv(out / "history.csv", history)
 
     # per-fold validation dice of the snapshot actually kept
-    val_dice = {}
-    for fold, params in models.items():
-        scores = []
-        for sid, (x, adj, labels) in dataset.items():
-            if fold_of[sid] != fold:
-                continue
-            pred = np.argmax(forward(params, x, adj), axis=1)
-            scores.append(metrics_mod.segmentation_metrics(pred, labels)[1])
-        val_dice[str(fold)] = float(np.mean(scores)) if scores else None
+    def fold_dice(fold):
+        scores = [
+            metrics_mod.segmentation_metrics(
+                np.argmax(forward(models[fold], x, adj), axis=1), labels
+            )[1]
+            for sid, (x, adj, labels) in dataset.items()
+            if fold_of[sid] == fold
+        ]
+        return float(np.mean(scores)) if scores else None
+
+    val_dice = dict(zip(map(str, models), thread_map(fold_dice, models)))
     (out / "validation_dice.json").write_text(json.dumps(val_dice, indent=1))
     return out
 
@@ -271,12 +274,15 @@ def stage_predict(manifest: DatasetManifest, config: PipelineConfig, run_dir):
     models = {}
     for fold in range(1, config.folds + 1):
         models[fold] = NetworkParams.load(model_dir / f"fold{fold}.bin")
+    dtype = models[1].dtype
     for case in _prediction_cases(manifest):
         feats, adj, _ = load_feature_cache(feat_dir / f"{case.case_id}.mlfc")
-        fields = [
-            forward(models[fold], feats.matrix, adj)
-            for fold in sorted(models)
-        ]
+        # cast once, not once per fold thread
+        x = feats.matrix.astype(dtype)
+        adj = (adj.a_small.astype(dtype), adj.a_large.astype(dtype))
+        fields = thread_map(
+            lambda fold: forward(models[fold], x, adj), sorted(models)
+        )
         if config.ensemble.startswith("fold-"):
             k = int(config.ensemble.split("-", 1)[1])
             if k not in models:

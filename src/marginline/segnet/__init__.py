@@ -7,6 +7,7 @@ from .train import (
     evaluate_loss,
     kfold_split,
     sample_loss_and_grads,
+    thread_map,
     train_fold,
     train_kfold,
     write_history_csv,

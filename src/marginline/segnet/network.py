@@ -3,13 +3,25 @@
 Forward pipeline: feature-transform module (FTM), per-cell MLP-1, graph
 module GLM-1 (small-radius pooling), MLP-2, GLM-2 (small and large radii),
 global max pooling broadcast back to cells, dense fusion MLP-3, and a
-per-cell linear classifier with row softmax.
+per-cell linear classifier with row softmax. The network follows
+MeshSegNet (Lian et al., IEEE TMI 2020).
+
+Two layers are computed by the row blocks of their weights rather than
+on a concatenated input, which is the same math with a smaller working
+set: GLM-2's [h, A_S h, A_L h] @ W is three products, so backward applies
+A_S.T and A_L.T once each to the output gradient; and the global feature
+broadcast to every cell enters MLP-3's first layer as one bias row,
+global_feat @ W[k:]. The tensor names and shapes are those of the
+concatenated form.
 
 Gradients are exact analytic backprop; no framework involved. All
 parameter tensors live in a flat name -> ndarray dict so training code and
 checkpoints can stay generic. The weights' dtype is the compute dtype:
 `forward` and `backward` cast their inputs to it, and `forward` returns
-float64 probabilities whatever it is.
+float64 probabilities whatever it is. ReLUs run in place and backward
+takes their mask from the output; the FTM encoder keeps only the rows
+that win its max pool, and `forward(..., want_cache=False)` keeps no
+activations at all.
 """
 
 from __future__ import annotations
@@ -175,13 +187,23 @@ class ShapeMismatch(ValueError):
     pass
 
 
+def _check_width(name, got, expected):
+    if got != expected:
+        raise ShapeMismatch(f"stage {name}: input width {got} != expected {expected}")
+
+
 def _affine(params, name, x):
     w = params.tensors[name + ".W"]
-    if x.shape[1] != w.shape[0]:
-        raise ShapeMismatch(
-            f"stage {name}: input width {x.shape[1]} != expected {w.shape[0]}"
-        )
-    return x @ w + params.tensors[name + ".b"]
+    _check_width(name, x.shape[1], w.shape[0])
+    z = x @ w
+    z += params.tensors[name + ".b"]
+    return z
+
+
+def _relu(z):
+    """ReLU in place; `relu(z) > 0` exactly where `z > 0`, so backward
+    takes its mask from the output."""
+    return np.maximum(z, 0.0, out=z)
 
 
 def _as_dtype(a, dtype):
@@ -191,11 +213,30 @@ def _as_dtype(a, dtype):
     return np.asarray(a, dtype=dtype)
 
 
+def _ftm_pool(params, x, cache):
+    """The FTM encoder's (1, width) max pool over cells. With a `cache`,
+    each encoder layer's (input, output) is kept at just the rows that
+    win a channel, the only rows whose gradient is not exactly 0."""
+    n_enc = len(params.arch["ftm_encoder"])
+    hs = [x]
+    for i in range(n_enc):
+        h = _relu(_affine(params, f"ftm.enc{i}", hs[-1]))
+        hs = hs + [h] if cache is not None else [h]
+    arg = np.argmax(h, axis=0)
+    pooled = h[arg, np.arange(h.shape[1])][None, :]
+    if cache is not None:
+        rows, cache["ftm_pool_pos"] = np.unique(arg, return_inverse=True)
+        for i in range(n_enc):
+            cache["acts"][f"ftm.enc{i}"] = (hs[i][rows], hs[i + 1][rows])
+    return pooled
+
+
 def forward(params: NetworkParams, x, adj, want_cache=False):
     """Row-stochastic (N, 2) float64 class probabilities for the (N, C)
     feature array `x`; `adj` is indexed as (A_S, A_L), so an AdjacencyPair
     or a plain pair of sparse or dense matrices. Every layer runs in the
-    weights' dtype.
+    weights' dtype. Only `want_cache=True` keeps the activations that
+    `backward` needs; the probabilities are the same bits either way.
     """
     a_s, a_l = adj[0], adj[1]
     if a_s.shape[0] != x.shape[0]:
@@ -205,28 +246,22 @@ def forward(params: NetworkParams, x, adj, want_cache=False):
     dt = params.dtype
     x, a_s, a_l = _as_dtype(x, dt), _as_dtype(a_s, dt), _as_dtype(a_l, dt)
     arch = params.arch
-    cache = {"x": x, "a_s": a_s, "a_l": a_l, "acts": {}}
-    acts = cache["acts"]
+    cache = {"x": x, "a_s": a_s, "a_l": a_l, "acts": {}} if want_cache else None
 
     def dense_relu(name, h):
-        z = _affine(params, name, h)
-        r = np.maximum(z, 0.0)
-        acts[name] = (h, z)
+        r = _relu(_affine(params, name, h))
+        if want_cache:
+            cache["acts"][name] = (h, r)
         return r
 
     # FTM
-    h = x
-    for i in range(len(arch["ftm_encoder"])):
-        h = dense_relu(f"ftm.enc{i}", h)
-    cache["ftm_pool_arg"] = np.argmax(h, axis=0)
-    g = h[cache["ftm_pool_arg"], np.arange(h.shape[1])][None, :]
+    g = _ftm_pool(params, x, cache)
     for i in range(len(arch["ftm_decoder"])):
         g = dense_relu(f"ftm.dec{i}", g)
-    acts["ftm.out"] = (g, None)
+    if want_cache:
+        cache["acts"]["ftm.out"] = (g, None)
     c = arch["n_channels"]
-    t = _affine(params, "ftm.out", g).reshape(c, c)
-    cache["t"] = t
-    x1 = x @ t
+    x1 = x @ _affine(params, "ftm.out", g).reshape(c, c)
 
     # MLP-1
     h = x1
@@ -235,9 +270,7 @@ def forward(params: NetworkParams, x, adj, want_cache=False):
     out1 = h
 
     # GLM-1
-    pooled1 = a_s @ out1
-    cache["glm1_in"] = np.concatenate([out1, pooled1], axis=1)
-    g1 = dense_relu("glm1.fuse", cache["glm1_in"])
+    g1 = dense_relu("glm1.fuse", np.concatenate([out1, a_s @ out1], axis=1))
 
     # MLP-2
     h = g1
@@ -245,29 +278,43 @@ def forward(params: NetworkParams, x, adj, want_cache=False):
         h = dense_relu(f"mlp2.{i}", h)
     out2 = h
 
-    # GLM-2
-    cache["glm2_in"] = np.concatenate([out2, a_s @ out2, a_l @ out2], axis=1)
-    g2 = dense_relu("glm2.fuse", cache["glm2_in"])
+    # GLM-2: [out2, A_S out2, A_L out2] @ W as three products with W's
+    # row blocks
+    w = params.tensors["glm2.fuse.W"]
+    m2 = out2.shape[1]
+    _check_width("glm2.fuse", 3 * m2, w.shape[0])
+    z = out2 @ w[:m2]
+    z += (a_s @ out2) @ w[m2 : 2 * m2]
+    z += (a_l @ out2) @ w[2 * m2 :]
+    z += params.tensors["glm2.fuse.b"]
+    g2 = _relu(z)
 
-    # global max pool, broadcast back
-    cache["gmp_arg"] = np.argmax(g2, axis=0)
-    global_feat = g2[cache["gmp_arg"], np.arange(g2.shape[1])]
-    broadcast = np.broadcast_to(global_feat, (x.shape[0], g2.shape[1]))
-
-    fused = np.concatenate([out1, g1, g2, broadcast], axis=1)
-    cache["fusion_widths"] = (out1.shape[1], g1.shape[1], g2.shape[1], g2.shape[1])
-    h = fused
-    for i in range(len(arch["mlp3"])):
+    # global max pool; its broadcast to every cell enters MLP-3 as a bias
+    # row, global_feat @ W[k:]
+    gmp_arg = np.argmax(g2, axis=0)
+    global_feat = g2[gmp_arg, np.arange(g2.shape[1])]
+    fused = np.concatenate([out1, g1, g2], axis=1)
+    w = params.tensors["mlp3.0.W"]
+    k = fused.shape[1]
+    _check_width("mlp3.0", k + global_feat.size, w.shape[0])
+    z = fused @ w[:k]
+    z += global_feat @ w[k:] + params.tensors["mlp3.0.b"]
+    h = _relu(z)
+    if want_cache:
+        cache["acts"]["glm2.fuse"] = (out2, g2)
+        cache["acts"]["mlp3.0"] = (fused, h)
+        cache["gmp_arg"] = gmp_arg
+        cache["global_feat"] = global_feat
+    for i in range(1, len(arch["mlp3"])):
         h = dense_relu(f"mlp3.{i}", h)
-    acts["clf"] = (h, None)
+    if want_cache:
+        cache["acts"]["clf"] = (h, None)
     # the (N, 2) softmax runs in float64 whatever the compute dtype
     logits = _affine(params, "clf", h).astype(np.float64)
-    cache["logits"] = logits
 
     z = logits - logits.max(axis=1, keepdims=True)
     e = np.exp(z)
     probs = e / e.sum(axis=1, keepdims=True)
-    cache["probs"] = probs
     if want_cache:
         return probs, cache
     return probs
@@ -288,32 +335,49 @@ def backward(params: NetworkParams, cache, dlogits):
         return dout @ params.tensors[name + ".W"].T
 
     def back_dense_relu(name, dout):
-        z = acts[name][1]
-        return back_affine(name, dout * (z > 0.0))
+        r = acts[name][1]
+        return back_affine(name, dout * (r > 0.0))
 
     dh = back_affine("clf", dlogits)
-    for i in reversed(range(len(arch["mlp3"]))):
+    for i in reversed(range(1, len(arch["mlp3"]))):
         dh = back_dense_relu(f"mlp3.{i}", dh)
 
-    w1, wg1, wg2, wglob = cache["fusion_widths"]
-    dout1_a = dh[:, :w1]
-    dg1_a = dh[:, w1 : w1 + wg1]
-    dg2_a = dh[:, w1 + wg1 : w1 + wg1 + wg2]
-    dbroadcast = dh[:, w1 + wg1 + wg2 :]
+    # MLP-3's first layer, with the global feature as its bias row
+    fused, r = acts["mlp3.0"]
+    d = dh * (r > 0.0)
+    w = params.tensors["mlp3.0.W"]
+    k = fused.shape[1]
+    dsum = d.sum(axis=0)
+    gw = np.empty_like(w)
+    gw[:k] = fused.T @ d
+    gw[k:] = np.outer(cache["global_feat"], dsum)
+    grads["mlp3.0.W"], grads["mlp3.0.b"] = gw, dsum
+    dfused = d @ w[:k].T
+    dglobal = w[k:] @ dsum
 
-    # undo broadcast of the global max pool
-    dglobal = dbroadcast.sum(axis=0)
-    dg2 = dg2_a.copy()
-    dg2[cache["gmp_arg"], np.arange(wg2)] += dglobal
+    w1 = acts[f"mlp1.{len(arch['mlp1']) - 1}"][1].shape[1]
+    wg1 = acts["glm1.fuse"][1].shape[1]
+    dout1_a = dfused[:, :w1]
+    dg1_a = dfused[:, w1 : w1 + wg1]
+    dg2 = dfused[:, w1 + wg1 :].copy()
+    # undo the global max pool
+    dg2[cache["gmp_arg"], np.arange(dg2.shape[1])] += dglobal
 
-    dglm2_in = back_dense_relu("glm2.fuse", dg2)
-    m2 = cache["glm2_in"].shape[1] // 3
-    a_s, a_l = cache["a_s"], cache["a_l"]
-    dout2 = (
-        dglm2_in[:, :m2]
-        + a_s.T @ dglm2_in[:, m2 : 2 * m2]
-        + a_l.T @ dglm2_in[:, 2 * m2 :]
-    )
+    # GLM-2 by W's row blocks: A_S.T and A_L.T each apply once, to d
+    out2, g2 = acts["glm2.fuse"]
+    d = dg2 * (g2 > 0.0)
+    w = params.tensors["glm2.fuse.W"]
+    m2 = out2.shape[1]
+    d_s = cache["a_s"].T @ d
+    d_l = cache["a_l"].T @ d
+    gw = np.empty_like(w)
+    gw[:m2] = out2.T @ d
+    gw[m2 : 2 * m2] = out2.T @ d_s
+    gw[2 * m2 :] = out2.T @ d_l
+    grads["glm2.fuse.W"], grads["glm2.fuse.b"] = gw, d.sum(axis=0)
+    dout2 = d @ w[:m2].T
+    dout2 += d_s @ w[m2 : 2 * m2].T
+    dout2 += d_l @ w[2 * m2 :].T
 
     dh = dout2
     for i in reversed(range(len(arch["mlp2"]))):
@@ -321,8 +385,8 @@ def backward(params: NetworkParams, cache, dlogits):
     dg1 = dh + dg1_a
 
     dglm1_in = back_dense_relu("glm1.fuse", dg1)
-    m1 = cache["glm1_in"].shape[1] // 2
-    dout1 = dglm1_in[:, :m1] + a_s.T @ dglm1_in[:, m1:] + dout1_a
+    m1 = acts["glm1.fuse"][0].shape[1] // 2
+    dout1 = dglm1_in[:, :m1] + cache["a_s"].T @ dglm1_in[:, m1:] + dout1_a
 
     dh = dout1
     for i in reversed(range(len(arch["mlp1"]))):
@@ -330,19 +394,15 @@ def backward(params: NetworkParams, cache, dlogits):
     dx1 = dh
 
     # FTM application x1 = x @ t
-    x = cache["x"]
-    t = cache["t"]
-    dt = x.T @ dx1
+    dt = cache["x"].T @ dx1
     dg = back_affine("ftm.out", dt.reshape(1, -1))
     for i in reversed(range(len(arch["ftm_decoder"]))):
         dg = back_dense_relu(f"ftm.dec{i}", dg)
-    # undo FTM max pool
-    last_enc = f"ftm.enc{len(arch['ftm_encoder']) - 1}"
-    n_enc_out = acts[last_enc][1].shape[1]
-    denc = np.zeros_like(acts[last_enc][1])
-    denc[cache["ftm_pool_arg"], np.arange(n_enc_out)] = dg[0]
-    dh = denc * (acts[last_enc][1] > 0.0)
-    dh = back_affine(last_enc, dh)
-    for i in reversed(range(len(arch["ftm_encoder"]) - 1)):
+    # undo the FTM max pool, on the winning rows the forward kept
+    n_enc = len(arch["ftm_encoder"])
+    r = acts[f"ftm.enc{n_enc - 1}"][1]
+    dh = np.zeros_like(r)
+    dh[cache["ftm_pool_pos"], np.arange(r.shape[1])] = dg[0]
+    for i in reversed(range(n_enc)):
         dh = back_dense_relu(f"ftm.enc{i}", dh)
     return grads

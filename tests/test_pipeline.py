@@ -2,6 +2,8 @@
 
 import csv
 import json
+import shutil
+import threading
 
 import numpy as np
 import pytest
@@ -17,6 +19,7 @@ from marginline.pipeline import (
     stage_evaluate,
     stage_features,
     stage_labels,
+    stage_predict,
     stage_preprocess,
     stage_train,
 )
@@ -203,3 +206,44 @@ def test_saved_checkpoints_reproduce_validation_dice(tmp_path):
             scores.append(metrics.segmentation_metrics(pred, labels)[1])
         recomputed[str(fold)] = float(np.mean(scores))
     assert recomputed == written
+
+
+def test_train_and_predict_do_not_depend_on_the_thread_count(tmp_path, monkeypatch):
+    """Checkpoints, history.csv, validation_dice.json and the predicted
+    probabilities are the same bytes from one thread and from two."""
+    data = tmp_path / "data"
+    manifest = load_manifest(generate_benchmark(data, n_cases=4, seed=5))
+    config = PipelineConfig(
+        target_faces=2000, folds=2, epochs=2, width_scale=0.125,
+        batch_size=4, seed=1,
+    )
+    base = tmp_path / "base"
+    for stage in (stage_preprocess, stage_labels, stage_features):
+        stage(manifest, config, base)
+    real_forward = pipeline.forward
+    outputs = {}
+    for workers in (1, 2):
+        threads = set()
+
+        def recording_forward(*args, **kwargs):
+            threads.add(threading.current_thread())
+            return real_forward(*args, **kwargs)
+
+        monkeypatch.setattr(train_mod, "worker_count", lambda n: min(n, workers))
+        monkeypatch.setattr(pipeline, "forward", recording_forward)
+        run = tmp_path / f"run{workers}"
+        shutil.copytree(base, run)
+        stage_train(manifest, config, run)
+        stage_predict(manifest, config, run)
+        # forward ran off the main thread exactly when two were allowed
+        assert (threads == {threading.main_thread()}) == (workers == 1)
+        outputs[workers] = {
+            p.relative_to(run).as_posix(): p.read_bytes()
+            for sub in ("models", "predict")
+            for p in sorted((run / sub).iterdir())
+        }
+    names = set(outputs[1])
+    assert {"models/fold1.bin", "models/fold2.bin", "models/history.csv",
+            "models/validation_dice.json"} <= names
+    assert sum(n.endswith("_probs.npy") for n in names) == 4
+    assert outputs[1] == outputs[2]

@@ -1,5 +1,7 @@
 import json
 import struct
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -11,7 +13,10 @@ from marginline.segnet import (
     architecture,
     forward,
     kfold_split,
+    thread_map,
     train_fold,
+    train_kfold,
+    write_history_csv,
 )
 from marginline.segnet import train as train_mod
 from marginline.segnet.loss import (
@@ -222,3 +227,145 @@ def test_float32_weights_set_the_compute_dtype():
     # the same float32 weights, computed in float64
     reference = forward(single.astype(np.float64), feats, adj)
     assert np.abs(probs - reference).max() <= 1e-5
+
+
+def test_inference_forward_matches_caching_forward_bit_for_bit():
+    feats, adj, _ = _toy_sample(seed=4)
+    for dtype in (np.float64, np.float32):
+        params = NetworkParams.init(18, 0.125, seed=4).astype(dtype)
+        cached, _ = forward(params, feats, adj, want_cache=True)
+        assert forward(params, feats, adj).tobytes() == cached.tobytes()
+
+
+def _ftm_encoder_output(params, x):
+    h = x
+    for i in range(len(params.arch["ftm_encoder"])):
+        name = f"ftm.enc{i}"
+        h = np.maximum(h @ params.tensors[name + ".W"] + params.tensors[name + ".b"], 0)
+    return h
+
+
+def test_gradient_where_one_cell_wins_several_ftm_channels():
+    """The FTM pool's backward runs on just its winning rows: check it
+    where one cell wins several channels and one channel is <= 0 at every
+    cell (its pool winner is row 0 with value 0, so its gradient is 0)."""
+    feats, adj, labels = _toy_sample(n=30, seed=6)
+    params = NetworkParams.init(18, 0.125, seed=6)
+    rng = np.random.default_rng(6)
+    for v in params.tensors.values():  # zero biases would put kinks at 0
+        v += rng.normal(0.0, 0.05, size=v.shape)
+    feats[4] *= 8.0  # a large-norm cell wins many channels
+    last = f"ftm.enc{len(params.arch['ftm_encoder']) - 1}"
+    params.tensors[last + ".b"][3] = -1e3  # channel 3 is off everywhere
+    enc = _ftm_encoder_output(params, feats)
+    winners = np.argmax(enc, axis=0)
+    assert np.bincount(winners).max() >= 2
+    assert (enc[:, 3] <= 0).all() and winners[3] == 0
+    assert len(np.unique(winners)) < feats.shape[0]
+
+    probs, cache = forward(params, feats, adj, want_cache=True)
+    grads = backward(params, cache, loss_grad_logits(probs, labels))
+    assert not grads[last + ".W"][:, 3].any() and grads[last + ".b"][3] == 0
+    h = 1e-6
+    rng = np.random.default_rng(1)
+    worst = 0.0
+    for name in sorted(grads):
+        flat = params.tensors[name].ravel()
+        for idx in rng.choice(flat.size, size=min(15, flat.size), replace=False):
+            old = flat[idx]
+            flat[idx] = old + h
+            up = loss_value(forward(params, feats, adj), labels)
+            flat[idx] = old - h
+            down = loss_value(forward(params, feats, adj), labels)
+            flat[idx] = old
+            fd = (up - down) / (2 * h)
+            ana = grads[name].ravel()[idx]
+            worst = max(worst, abs(fd - ana) / max(abs(fd), abs(ana), 1e-6))
+    assert worst <= 1e-4
+
+
+def test_thread_map_keeps_item_order_under_contention(monkeypatch):
+    """More threads than CPUs, switching every microsecond: each result
+    lands at its item's index, and the caller runs item 0."""
+    monkeypatch.setattr(train_mod, "worker_count", lambda n: min(n, 5))
+    callers = {}
+
+    def square(k):
+        callers[k] = threading.current_thread()
+        return sum(j * j for j in range(k * 100))
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        out = thread_map(square, range(23))
+    finally:
+        sys.setswitchinterval(interval)
+    assert out == [sum(j * j for j in range(k * 100)) for k in range(23)]
+    assert callers[0] == threading.current_thread()
+    assert all(callers[k] == callers[k % 5] for k in range(23))
+    assert len(set(callers.values())) == 5
+    assert threading.active_count() == 1
+
+
+def test_worker_count_leaves_cpus_to_blas_threads(monkeypatch):
+    nproc = len(train_mod.os.sched_getaffinity(0))
+    for var in train_mod.BLAS_THREAD_VARS:
+        monkeypatch.delenv(var, raising=False)
+    assert train_mod.worker_count(5) == 1  # unpinned BLAS takes every CPU
+    monkeypatch.setenv("OMP_NUM_THREADS", "1")
+    assert train_mod.worker_count(5) == min(5, nproc)
+    assert train_mod.worker_count(1) == 1
+    monkeypatch.setenv("OPENBLAS_NUM_THREADS", str(nproc))  # listed first
+    assert train_mod.worker_count(5) == 1
+
+
+def _kfold_dataset():
+    samples = [_toy_sample(seed=s) for s in range(6)]
+    dataset = {
+        f"s{i}": (f.astype(np.float32), adj, y) for i, (f, adj, y) in enumerate(samples)
+    }
+    return dataset, {f"s{i}": i % 3 + 1 for i in range(6)}
+
+
+def test_train_kfold_does_not_depend_on_the_thread_count(monkeypatch, tmp_path):
+    dataset, fold_of = _kfold_dataset()
+    config = TrainConfig(batch_size=2, epochs=3, width_scale=0.125, seed=2)
+    real_train_fold = train_mod.train_fold
+    files = {}
+    for workers in (1, 2):
+        threads = set()
+
+        def recording_train_fold(*args, **kwargs):
+            threads.add(threading.current_thread())
+            return real_train_fold(*args, **kwargs)
+
+        monkeypatch.setattr(train_mod, "worker_count", lambda n: min(n, workers))
+        monkeypatch.setattr(train_mod, "train_fold", recording_train_fold)
+        models, history = train_kfold(dataset, fold_of, config)
+        assert len(threads) == workers
+        assert sorted(models) == [1, 2, 3]
+        assert [row["fold"] for row in history] == [1] * 3 + [2] * 3 + [3] * 3
+        out = tmp_path / f"w{workers}"
+        out.mkdir()
+        for fold, params in models.items():
+            params.save(out / f"fold{fold}.bin")
+        write_history_csv(out / "history.csv", history)
+        files[workers] = {p.name: p.read_bytes() for p in sorted(out.iterdir())}
+    assert len(files[1]) == 4
+    assert files[1] == files[2]
+
+
+def test_fold_error_in_a_worker_thread_propagates(monkeypatch):
+    """A NaN sample in fold 1 makes folds 2 and 3, which train on it,
+    fail; fold 2 runs on the second thread, and its error is the one a
+    sequential loop raises."""
+    dataset, fold_of = _kfold_dataset()
+    x, adj, y = dataset["s0"]
+    dataset["s0"] = (np.full_like(x, np.nan), adj, y)
+    config = TrainConfig(batch_size=2, epochs=2, width_scale=0.125, seed=2)
+    for workers in (1, 2):
+        monkeypatch.setattr(train_mod, "worker_count", lambda n: min(n, workers))
+        with np.errstate(invalid="ignore"):
+            with pytest.raises(FloatingPointError, match="epoch 1, fold 2"):
+                train_kfold(dataset, fold_of, config)
+        assert threading.active_count() == 1
