@@ -7,11 +7,15 @@ So if some triangle is at distance `ub` from a query q, the closest
 triangle has its centroid within `ub + r` of q. A query therefore runs in
 two passes:
 
-1. the exact distances to the triangles of q's nearest centroids give
-   the upper bound `ub`;
-2. `query_ball_point(q, ub + r)` gathers every triangle that can be
-   closer, and one vectorized `closest_point_on_triangles` call over all
-   (query, candidate) pairs picks the winner.
+1. the exact distance to the triangle of q's nearest centroid in each
+   bucket (see below) gives the upper bound `ub`;
+2. every triangle whose centroid lies within `ub + r` of q, with r the
+   largest radius of its bucket, is gathered as array rows: one k-nearest
+   query per batch and bucket, as wide as the batch's widest query and
+   masked by each query's own radius (rows wider than `_KNN_WIDTH` come
+   from ball lists instead). Triangles farther than `ub` plus their own
+   radius are dropped, and one vectorized `closest_point_on_triangles`
+   call over the remaining (query, candidate) pairs picks the winner.
 
 Triangle sizes vary across a scan (large cap faces beside fine side
 rows), and one radius for all would sweep in far too many small
@@ -33,9 +37,9 @@ import numpy as np
 from scipy.spatial import cKDTree
 
 TIE_MM = 1e-9
-_NEAREST = 4  # centroids per bucket whose triangles set the upper bound
 _MAX_LEVELS = 5  # radius buckets: r_max / 2**k for k < _MAX_LEVELS
 _MAX_PAIRS = 1 << 16  # (query, triangle) pairs per vectorized batch
+_KNN_WIDTH = 128  # widest candidate rows gathered by a k-nearest query
 _SLACK = 1.0 + 1e-9  # keeps rounding in the tree's distances from dropping a face
 
 
@@ -129,6 +133,7 @@ class TriangleBVH:
         radius = np.linalg.norm(self._tri - centroids[:, None], axis=2).max(axis=1)
         rel = np.maximum(radius / (radius.max() or 1.0), 2.0 ** (1 - _MAX_LEVELS))
         level = np.floor(np.log2(rel))
+        self._radius = radius
         self._buckets = []
         for lv in np.unique(level):
             ids = np.flatnonzero(level == lv)
@@ -154,40 +159,46 @@ class TriangleBVH:
         if n == 0:
             return pts, faces, dists
 
-        # pass 1: exact distance to the triangles of the nearest centroids
-        per_query = sum(min(_NEAREST, len(ids)) for _, ids, _ in self._buckets)
+        # pass 1: exact distance to the triangle of each bucket's nearest
+        # centroid
         ub = np.empty(n)
-        for s in _batches(np.full(n, per_query), _MAX_PAIRS):
+        for s in _batches(np.ones((len(self._buckets), n)), _MAX_PAIRS):
             q = queries[s]
-            near = []
-            for tree, ids, _ in self._buckets:
-                _, nn = tree.query(q, k=min(_NEAREST, len(ids)))
-                near.append(ids[nn].reshape(len(q), -1))
-            near = np.hstack(near)
+            near = np.stack(
+                [ids[tree.query(q)[1]] for tree, ids, _ in self._buckets], axis=1
+            )
             qi = np.repeat(np.arange(len(q)), near.shape[1])
             _, _, ub[s] = self._select(q, qi, near.ravel(), None)
 
-        # pass 2: every triangle whose centroid lies within ub + r
+        # pass 2: every triangle whose centroid lies within ub + r, with r
+        # its bucket's largest radius, gathered per bucket in rows as wide
+        # as the batch's widest query; queries go in order of their
+        # candidate count, so that the rows of a batch are of about one
+        # width. Only the triangles that are within ub + r of the query by
+        # their own radius r go on to the exact distance.
         tol = 0.0 if tie_score is None else TIE_MM
-        radii = [(ub + tol + r) * _SLACK for _, _, r in self._buckets]
+        reach = ub + tol
+        radii = np.stack([(reach + r) * _SLACK for _, _, r in self._buckets])
         counts = np.stack(
             [
                 tree.query_ball_point(queries, rad, return_length=True)
                 for (tree, _, _), rad in zip(self._buckets, radii)
             ]
         )
-        for s in _batches(counts.sum(axis=0), _MAX_PAIRS):
-            q = queries[s]
+        order = np.argsort(counts.sum(axis=0), kind="stable")
+        for s in _batches(counts[:, order], _MAX_PAIRS):
+            rows = order[s]
+            q = queries[rows]
             qi, fi = [], []
             for (tree, ids, _), rad, cnt in zip(self._buckets, radii, counts):
-                hits = tree.query_ball_point(q, rad[s])
-                total = int(cnt[s].sum())
-                flat = np.fromiter(
-                    itertools.chain.from_iterable(hits), dtype=np.int64, count=total
-                )
-                qi.append(np.repeat(np.arange(len(q)), cnt[s]))
-                fi.append(ids[flat])
-            pts[s], faces[s], dists[s] = self._select(
+                if not cnt[rows].any():
+                    continue
+                row, node, d = _within(tree, q, rad[rows], cnt[rows])
+                face = ids[node]
+                keep = d <= (reach[rows][row] + self._radius[face]) * _SLACK
+                qi.append(row[keep])
+                fi.append(face[keep])
+            pts[rows], faces[rows], dists[rows] = self._select(
                 q, np.concatenate(qi), np.concatenate(fi), tie_score
             )
         return pts, faces, dists
@@ -212,13 +223,42 @@ def _run_starts(sorted_keys):
     return np.flatnonzero(np.r_[True, sorted_keys[1:] != sorted_keys[:-1]])
 
 
-def _batches(cost, cap):
-    """Consecutive slices of the queries whose summed cost stays within
-    `cap`; a slice always holds at least one query."""
-    end = np.cumsum(cost)
+def _within(tree, q, rad, counts):
+    """(row of q, tree index, distance) of every centroid within rad[row]
+    of q[row]; row i holds counts[i] of them.
+
+    Rows up to `_KNN_WIDTH` wide come from one k-nearest query as wide as
+    the widest row, masked by each row's radius. Wider rows come from
+    ball lists: a k-nearest query sorts its candidates, and on a few
+    hundred per row that costs more than building the lists."""
+    width = int(counts.max())
+    if width <= _KNN_WIDTH:
+        d, node = tree.query(q, k=width, distance_upper_bound=rad.max())
+        d, node = d.reshape(len(q), width), node.reshape(len(q), width)
+        hit = d <= rad[:, None]
+        return np.nonzero(hit)[0], node[hit], d[hit]
+    hits = tree.query_ball_point(q, rad, return_sorted=False)
+    node = np.fromiter(
+        itertools.chain.from_iterable(hits), dtype=np.int64, count=int(counts.sum())
+    )
+    row = np.repeat(np.arange(len(q)), counts)
+    return row, node, np.linalg.norm(tree.data[node] - q[row], axis=1)
+
+
+def _batches(widths, cap):
+    """Consecutive slices of the queries, given each query's width per
+    row of `widths` ((n,) or (rows, n)): a slice's queries times the sum
+    over rows of its widest query stays within `cap`, and a slice always
+    holds at least one query."""
+    widths = np.atleast_2d(widths)
+    n = widths.shape[1]
     start = 0
-    while start < len(cost):
-        base = end[start - 1] if start else 0
-        stop = max(start + 1, int(np.searchsorted(end, base + cap, side="right")))
+    while start < n:
+        # widths only grow along a slice, so `cap` bounds its length
+        first = widths[:, start].sum()
+        window = widths[:, start : start + int(cap // max(first, 1)) + 1]
+        padded = np.maximum.accumulate(window, axis=1).sum(axis=0)
+        padded = padded * np.arange(1, window.shape[1] + 1)
+        stop = start + max(1, int(np.searchsorted(padded, cap, side="right")))
         yield slice(start, stop)
         start = stop

@@ -69,21 +69,15 @@ def vertex_normals(mesh):
     return n / np.where(norm > 0, norm, 1.0)
 
 
-def compute_mean_curvature(mesh: TriangleMesh, smoothing_radius=None):
-    """Per-vertex discrete mean curvature in 1/mm, convex positive.
-
-    Cotangent Laplace-Beltrami with mixed Voronoi areas, then averaged
-    over all vertices within `smoothing_radius` (default: the maximum
-    edge length of the mesh). Boundary vertices use the one-sided sums
-    from their incident wedges.
-    """
+def _vertex_mean_curvature(mesh: TriangleMesh):
+    """Unsmoothed per-vertex mean curvature: cotangent Laplace-Beltrami
+    over mixed Voronoi areas, projected on the vertex normal."""
     cots = _cotangents(mesh)
     if np.any(mesh.face_areas <= 1e-30):
         warnings.warn("zero-area triangle(s): contributing zero weight")
     f = mesh.faces
     v = mesh.vertices
-    nv = mesh.n_vertices
-    K = np.zeros((nv, 3))
+    K = np.zeros((mesh.n_vertices, 3))
     # angle at corner i weights the opposite edge (j, k)
     for i in range(3):
         j, k = (i + 1) % 3, (i + 2) % 3
@@ -94,13 +88,37 @@ def compute_mean_curvature(mesh: TriangleMesh, smoothing_radius=None):
     area = _mixed_voronoi_areas(mesh, cots)
     safe = np.where(area > 1e-30, area, 1.0)
     K /= 2.0 * safe[:, None]
-    H = 0.5 * np.einsum("ij,ij->i", K, vertex_normals(mesh))
+    return 0.5 * np.einsum("ij,ij->i", K, vertex_normals(mesh))
+
+
+def _radius_average(points, values, radius):
+    """Mean of `values` over the points within `radius` of each point,
+    the point itself included: sums and counts over the point pairs
+    within the radius, taken with `np.bincount`."""
+    n = len(points)
+    pairs = cKDTree(points).query_pairs(radius, output_type="ndarray")
+    i, j = pairs[:, 0], pairs[:, 1]
+    sums = values + np.bincount(i, values[j], n) + np.bincount(j, values[i], n)
+    counts = 1 + np.bincount(i, minlength=n) + np.bincount(j, minlength=n)
+    return sums / counts
+
+
+def compute_mean_curvature(mesh: TriangleMesh, smoothing_radius=None):
+    """Per-vertex discrete mean curvature in 1/mm, convex positive.
+
+    Cotangent Laplace-Beltrami with mixed Voronoi areas, then averaged
+    over all vertices within `smoothing_radius` (default: the maximum
+    edge length of the mesh), the vertex itself included. Boundary
+    vertices use the one-sided sums from their incident wedges.
+
+    The average sums over vertex pairs, so it differs from a per-vertex
+    mean over the same neighbours only in summation order (a few ulp).
+    """
     if smoothing_radius is None:
         smoothing_radius = float(mesh.edge_lengths.max())
-    tree = cKDTree(v)
-    neighbors = tree.query_ball_point(v, smoothing_radius)
-    smoothed = np.array([H[idx].mean() for idx in neighbors])
-    return smoothed
+    return _radius_average(
+        mesh.vertices, _vertex_mean_curvature(mesh), smoothing_radius
+    )
 
 
 N_CHANNELS = 18

@@ -72,7 +72,7 @@ class MarginLine:
         return {
             "case_id": self.case_id,
             "n": int(self.n_points),
-            "points": [[float(x) for x in p] for p in self.points],
+            "points": np.asarray(self.points, dtype=np.float64).tolist(),
             "closed": True,
         }
 
@@ -82,10 +82,11 @@ class MarginLine:
         )
 
     def save_obj(self, path):
-        lines = [f"v {p[0]:.9g} {p[1]:.9g} {p[2]:.9g}" for p in self.points]
         n = self.n_points
-        lines.append("l " + " ".join(str(i) for i in range(1, n + 1)) + " 1")
-        Path(path).write_text("\n".join(lines) + "\n")
+        flat = np.asarray(self.points, dtype=np.float64).ravel().tolist()
+        loop = " ".join(map(str, range(1, n + 1)))
+        body = ("v %.9g %.9g %.9g\n" * n) % tuple(flat)
+        Path(path).write_text(body + f"l {loop} 1\n")
 
 
 def load_margin_json(path):

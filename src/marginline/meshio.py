@@ -196,17 +196,20 @@ def save_stl_binary(mesh, path):
         fh.write(rec.tobytes())
 
 
+_STL_FACET = (
+    "facet normal %.9e %.9e %.9e\n  outer loop\n"
+    + "    vertex %.9e %.9e %.9e\n" * 3
+    + "  endloop\nendfacet\n"
+)
+
+
 def save_stl_ascii(mesh, path):
-    buf = io.StringIO()
-    buf.write("solid mesh\n")
-    for tri, n in zip(mesh.vertices[mesh.faces], mesh.face_normals):
-        buf.write(f"facet normal {n[0]:.9e} {n[1]:.9e} {n[2]:.9e}\n")
-        buf.write("  outer loop\n")
-        for v in tri:
-            buf.write(f"    vertex {v[0]:.9e} {v[1]:.9e} {v[2]:.9e}\n")
-        buf.write("  endloop\nendfacet\n")
-    buf.write("endsolid mesh\n")
-    Path(path).write_text(buf.getvalue())
+    # one %-format over the flat (normal, 3 vertices) rows of every facet
+    rows = np.concatenate(
+        [mesh.face_normals, mesh.vertices[mesh.faces].reshape(-1, 9)], axis=1
+    )
+    body = (_STL_FACET * len(rows)) % tuple(rows.ravel().tolist())
+    Path(path).write_text("solid mesh\n" + body + "endsolid mesh\n")
 
 
 def save_ply(mesh, path, labels=None):
@@ -221,13 +224,17 @@ def save_ply(mesh, path, labels=None):
         buf.write("property int label\n")
         buf.write("property uchar red\nproperty uchar green\nproperty uchar blue\n")
     buf.write("end_header\n")
-    for v in mesh.vertices:
-        buf.write(f"{v[0]:.9g} {v[1]:.9g} {v[2]:.9g}\n")
+    buf.write(
+        ("%.9g %.9g %.9g\n" * mesh.n_vertices) % tuple(mesh.vertices.ravel().tolist())
+    )
     if labels is None:
-        for f in mesh.faces:
-            buf.write(f"3 {f[0]} {f[1]} {f[2]}\n")
+        rows, fmt = mesh.faces, "3 %d %d %d\n"
     else:
-        for f, lab in zip(mesh.faces, labels):
-            r, g, b = _LABEL_COLORS.get(int(lab), (255, 255, 255))
-            buf.write(f"3 {f[0]} {f[1]} {f[2]} {int(lab)} {r} {g} {b}\n")
+        labels = np.asarray(labels).astype(np.int64)
+        colors = np.full((mesh.n_faces, 3), 255, dtype=np.int64)
+        for label, rgb in _LABEL_COLORS.items():
+            colors[labels == label] = rgb
+        rows = np.column_stack([mesh.faces, labels, colors])
+        fmt = "3 %d %d %d %d %d %d %d\n"
+    buf.write((fmt * len(rows)) % tuple(rows.ravel().tolist()))
     Path(path).write_text(buf.getvalue())

@@ -213,6 +213,14 @@ def _as_dtype(a, dtype):
     return np.asarray(a, dtype=dtype)
 
 
+def _column_argmax(h):
+    """Row of each column's first maximum, as `np.argmax(h, axis=0)` but
+    in two passes along the rows of `h`, which on a tall activation beat
+    its strided scan down each column. A column that holds a NaN gives
+    row 0 rather than the NaN's row."""
+    return (h == h.max(axis=0)).argmax(axis=0)
+
+
 def _ftm_pool(params, x, cache):
     """The FTM encoder's (1, width) max pool over cells. With a `cache`,
     each encoder layer's (input, output) is kept at just the rows that
@@ -222,7 +230,7 @@ def _ftm_pool(params, x, cache):
     for i in range(n_enc):
         h = _relu(_affine(params, f"ftm.enc{i}", hs[-1]))
         hs = hs + [h] if cache is not None else [h]
-    arg = np.argmax(h, axis=0)
+    arg = _column_argmax(h)
     pooled = h[arg, np.arange(h.shape[1])][None, :]
     if cache is not None:
         rows, cache["ftm_pool_pos"] = np.unique(arg, return_inverse=True)
@@ -291,7 +299,7 @@ def forward(params: NetworkParams, x, adj, want_cache=False):
 
     # global max pool; its broadcast to every cell enters MLP-3 as a bias
     # row, global_feat @ W[k:]
-    gmp_arg = np.argmax(g2, axis=0)
+    gmp_arg = _column_argmax(g2)
     global_feat = g2[gmp_arg, np.arange(g2.shape[1])]
     fused = np.concatenate([out1, g1, g2], axis=1)
     w = params.tensors["mlp3.0.W"]

@@ -39,6 +39,14 @@ def standard_die():
 
 
 @pytest.fixture(scope="session")
+def hires_die():
+    """A ~40k-face `frustum_die` at 4x the default row counts: the size
+    of a full-resolution scan."""
+    die, _ = frustum_die(segments=208, rows_below=56, rows_above=40)
+    return die
+
+
+@pytest.fixture(scope="session")
 def labeled_die_case():
     """One registered + decimated synthetic case with its crown shell,
     shared by labeling and margin tests."""

@@ -1,7 +1,10 @@
+import itertools
+
 import numpy as np
 import pytest
 
-from marginline.bvh import TriangleBVH, _batches, brute_force_closest
+import marginline.bvh as bvh_mod
+from marginline.bvh import TIE_MM, TriangleBVH, _batches, brute_force_closest
 from marginline.mesh import TriangleMesh
 from marginline.shapes import frustum_die, icosphere
 
@@ -90,8 +93,6 @@ def test_batches_respect_pair_cap():
 
 
 def test_tiny_pair_cap_keeps_answers(mixed_die, monkeypatch):
-    import marginline.bvh as bvh_mod
-
     rng = np.random.default_rng(10)
     queries = rng.uniform(-30.0, 30.0, size=(30, 3))
     expected = mixed_die.bvh().closest_points(queries)
@@ -123,3 +124,95 @@ def test_distance_to_unit_sphere_surface():
     # center: distance approaches the radius
     _, _, d = bvh.closest_point(np.zeros(3))
     assert abs(d - 1.0) < 5e-3
+
+
+def _list_closest_points(bvh, queries, tie_score=None, nearest=4, chunk=32):
+    """Reference: the list-based query. The upper bound comes from each
+    bucket's `nearest` centroids; then every triangle whose centroid lies
+    within ub + r of the query comes from `query_ball_point` lists."""
+    out = []
+    for start in range(0, len(queries), chunk):
+        q = queries[start : start + chunk]
+        near = np.hstack(
+            [
+                ids[tree.query(q, k=min(nearest, len(ids)))[1]].reshape(len(q), -1)
+                for tree, ids, _ in bvh._buckets
+            ]
+        )
+        qi = np.repeat(np.arange(len(q)), near.shape[1])
+        _, _, ub = bvh._select(q, qi, near.ravel(), None)
+        tol = 0.0 if tie_score is None else TIE_MM
+        qi, fi = [], []
+        for tree, ids, r in bvh._buckets:
+            hits = tree.query_ball_point(q, (ub + tol + r) * bvh_mod._SLACK)
+            qi.append(np.repeat(np.arange(len(q)), [len(h) for h in hits]))
+            flat = np.fromiter(itertools.chain.from_iterable(hits), dtype=np.int64)
+            fi.append(ids[flat])
+        out.append(bvh._select(q, np.concatenate(qi), np.concatenate(fi), tie_score))
+    return tuple(np.concatenate(parts) for parts in zip(*out))
+
+
+def _query_sets(mesh, seed):
+    """Near-surface, far, vertex and edge-midpoint queries."""
+    rng = np.random.default_rng(seed)
+    tri = mesh.vertices[mesh.faces[rng.choice(mesh.n_faces, 300)]]
+    w = rng.dirichlet(np.ones(3), size=300)
+    on_surface = np.einsum("ij,ijk->ik", w, tri)
+    lo, hi = mesh.bounding_box()
+    size = float(np.linalg.norm(hi - lo))
+    directions = rng.normal(size=(12, 3))
+    directions /= np.linalg.norm(directions, axis=1, keepdims=True)
+    edges = mesh.vertices[mesh.faces[rng.choice(mesh.n_faces, 200)]]
+    return {
+        "near": on_surface + rng.normal(0.0, 0.03, size=on_surface.shape),
+        "off": on_surface + rng.normal(0.0, 0.5, size=on_surface.shape),
+        "far": 0.5 * (lo + hi) + 10.0 * size * directions,
+        "vertex": mesh.vertices[rng.choice(mesh.n_vertices, 200, replace=False)],
+        "edge": 0.5 * (edges[:, 0] + edges[:, 1]),
+    }
+
+
+def _assert_same_bits(got, expected):
+    for a, b in zip(got, expected):
+        assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
+@pytest.mark.parametrize("die", ["mixed_die", "hires_die"])
+def test_array_candidates_match_list_reference(die, request):
+    """Points, faces and distances bit for bit equal to the list-based
+    query's, with and without a tie score."""
+    mesh = request.getfixturevalue(die)
+    bvh = TriangleBVH(mesh.vertices, mesh.faces)
+    score = mesh.barycenters[:, 2]
+    for queries in _query_sets(mesh, seed=11).values():
+        for tie_score in (None, score):
+            _assert_same_bits(
+                bvh.closest_points(queries, tie_score),
+                _list_closest_points(bvh, queries, tie_score),
+            )
+
+
+def test_gather_paths_agree(mixed_die, monkeypatch):
+    """Rows gathered all by k-nearest queries or all by ball lists give
+    the same answers."""
+    queries = np.vstack(list(_query_sets(mixed_die, seed=12).values()))
+    bvh = TriangleBVH(mixed_die.vertices, mixed_die.faces)
+    answers = []
+    for width in (0, 10**9):
+        monkeypatch.setattr(bvh_mod, "_KNN_WIDTH", width)
+        answers.append(bvh.closest_points(queries, mixed_die.barycenters[:, 2]))
+    _assert_same_bits(*answers)
+
+
+def test_batches_cap_padded_width():
+    """A slice's query count times its widest row per bucket stays within
+    the cap."""
+    rng = np.random.default_rng(3)
+    widths = rng.integers(0, 40, size=(3, 200))
+    slices = list(_batches(widths, 100))
+    assert np.array_equal(
+        np.concatenate([np.arange(200)[s] for s in slices]), np.arange(200)
+    )
+    for s in slices:
+        padded = (s.stop - s.start) * widths[:, s].max(axis=1).sum()
+        assert padded <= 100 or s.stop - s.start == 1

@@ -2,8 +2,11 @@ import struct
 
 import numpy as np
 import pytest
+from scipy.spatial import cKDTree
 
+from marginline.decimate import decimate
 from marginline.features import (
+    _vertex_mean_curvature,
     assemble_features,
     build_adjacency,
     compute_mean_curvature,
@@ -11,6 +14,7 @@ from marginline.features import (
     save_feature_cache,
 )
 from marginline.shapes import grid_patch, icosphere, open_cylinder
+from marginline.synthetic import generate_case
 
 
 def test_sphere_curvature():
@@ -33,6 +37,51 @@ def test_plane_curvature_zero():
     patch = grid_patch(n=12, spacing=0.5)
     h = compute_mean_curvature(patch)
     assert np.abs(h).max() < 1e-9
+
+
+def _loop_smoothing(points, values, radius):
+    """Reference: one mean per point over its ball-query neighbour list.
+    Returns (means, neighbour lists)."""
+    neighbors = cKDTree(points).query_ball_point(points, radius)
+    return np.array([values[idx].mean() for idx in neighbors]), neighbors
+
+
+def _smoothing_meshes():
+    return {
+        "sphere": lambda: icosphere(subdivisions=3, radius=10.0),
+        "cylinder": lambda: open_cylinder(
+            radius=5.0, height=20.0, segments=64, rings=40
+        ),
+        "case_die": lambda: generate_case("c", np.random.default_rng(5)).die,
+    }
+
+
+@pytest.mark.parametrize("name", [*_smoothing_meshes(), "hires_decimated"])
+def test_pair_smoothing_matches_per_vertex_loop(name, request):
+    """The pair-sum average has the per-vertex loop's neighbour sets and
+    its values to 1e-12 of the field's largest magnitude (values near 0
+    differ in their last digits only by summation order)."""
+    if name == "hires_decimated":
+        mesh = decimate(request.getfixturevalue("hires_die"), 10000)
+    else:
+        mesh = _smoothing_meshes()[name]()
+    radius = float(mesh.edge_lengths.max())
+    expected, neighbors = _loop_smoothing(
+        mesh.vertices, _vertex_mean_curvature(mesh), radius
+    )
+    n = mesh.n_vertices
+    pairs = cKDTree(mesh.vertices).query_pairs(radius, output_type="ndarray")
+    self_pairs = np.repeat(np.arange(n), 2).reshape(-1, 2)
+    got_sets = np.concatenate([pairs, pairs[:, ::-1], self_pairs])
+    counts = [len(i) for i in neighbors]
+    ref_sets = np.column_stack(
+        [np.repeat(np.arange(n), counts), np.concatenate(neighbors)]
+    )
+    assert np.array_equal(np.unique(got_sets, axis=0), np.unique(ref_sets, axis=0))
+    assert len(got_sets) == len(ref_sets)
+    got = compute_mean_curvature(mesh)
+    scale = np.abs(expected).max()
+    np.testing.assert_allclose(got, expected, rtol=0, atol=1e-12 * scale)
 
 
 def test_feature_channel_layout(unit_sphere):

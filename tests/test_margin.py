@@ -107,6 +107,34 @@ def test_obj_export(tmp_path):
     assert len(indices) == 101
 
 
+def _loop_json_and_obj(line):
+    """Reference: the per-point JSON dict and OBJ f-string writers; returns
+    (JSON text, OBJ text)."""
+    data = {
+        "case_id": line.case_id,
+        "n": int(line.n_points),
+        "points": [[float(x) for x in p] for p in line.points],
+        "closed": True,
+    }
+    lines = [f"v {p[0]:.9g} {p[1]:.9g} {p[2]:.9g}" for p in line.points]
+    n = line.n_points
+    lines.append("l " + " ".join(str(i) for i in range(1, n + 1)) + " 1")
+    return json.dumps(data, separators=(",", ":")), "\n".join(lines) + "\n"
+
+
+def test_writers_match_loop_reference(tmp_path):
+    rng = np.random.default_rng(4)
+    scale = rng.choice([1e-8, 1.0, 1e5], size=(1000, 1))
+    points = rng.normal(size=(1000, 3)) * scale
+    points[0, 2] = -0.0
+    line = MarginLine(points=points, spline=None, case_id="die07")
+    line.save_json(tmp_path / "m.json")
+    line.save_obj(tmp_path / "m.obj")
+    ref_json, ref_obj = _loop_json_and_obj(line)
+    assert (tmp_path / "m.json").read_bytes() == ref_json.encode()
+    assert (tmp_path / "m.obj").read_bytes() == ref_obj.encode()
+
+
 def _self_intersects_loop(points):
     """Pairwise-loop reference for `_self_intersects_2d`: the chords
     between every step-th loop point, step = ceil(n / 200)."""

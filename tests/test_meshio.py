@@ -1,8 +1,13 @@
+import io
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 from marginline.errors import MeshParseError
+from marginline.mesh import TriangleMesh
 from marginline.meshio import (
+    _LABEL_COLORS,
     WELD_TOL,
     _weld,
     load_mesh,
@@ -115,3 +120,71 @@ def test_weld_matches_row_unique_reference():
     assert len(vertices) < len(soup)
     assert np.array_equal(vertices, ref_vertices)
     assert np.array_equal(inverse, ref_inverse)
+
+
+def _loop_save_ply(mesh, path, labels=None):
+    """Reference: the per-row f-string PLY writer."""
+    buf = io.StringIO()
+    buf.write("ply\nformat ascii 1.0\n")
+    buf.write(f"element vertex {mesh.n_vertices}\n")
+    buf.write("property float x\nproperty float y\nproperty float z\n")
+    buf.write(f"element face {mesh.n_faces}\n")
+    buf.write("property list uchar int vertex_indices\n")
+    if labels is not None:
+        buf.write("property int label\n")
+        buf.write("property uchar red\nproperty uchar green\nproperty uchar blue\n")
+    buf.write("end_header\n")
+    for v in mesh.vertices:
+        buf.write(f"{v[0]:.9g} {v[1]:.9g} {v[2]:.9g}\n")
+    if labels is None:
+        for f in mesh.faces:
+            buf.write(f"3 {f[0]} {f[1]} {f[2]}\n")
+    else:
+        for f, lab in zip(mesh.faces, labels):
+            r, g, b = _LABEL_COLORS.get(int(lab), (255, 255, 255))
+            buf.write(f"3 {f[0]} {f[1]} {f[2]} {int(lab)} {r} {g} {b}\n")
+    Path(path).write_text(buf.getvalue())
+
+
+def _loop_save_stl_ascii(mesh, path):
+    """Reference: the per-facet f-string ASCII STL writer."""
+    buf = io.StringIO()
+    buf.write("solid mesh\n")
+    for tri, n in zip(mesh.vertices[mesh.faces], mesh.face_normals):
+        buf.write(f"facet normal {n[0]:.9e} {n[1]:.9e} {n[2]:.9e}\n")
+        buf.write("  outer loop\n")
+        for v in tri:
+            buf.write(f"    vertex {v[0]:.9e} {v[1]:.9e} {v[2]:.9e}\n")
+        buf.write("  endloop\nendfacet\n")
+    buf.write("endsolid mesh\n")
+    Path(path).write_text(buf.getvalue())
+
+
+@pytest.fixture(scope="module")
+def awkward_mesh():
+    """A sphere whose coordinates span many magnitudes and signs,
+    including -0.0."""
+    sphere = icosphere(subdivisions=2, radius=3.0)
+    rng = np.random.default_rng(8)
+    scale = rng.choice([1e-7, 1.0, 1234.5678, -1e6], size=(sphere.n_vertices, 1))
+    vertices = sphere.vertices * scale
+    vertices[0, 0] = -0.0
+    return TriangleMesh(vertices, sphere.faces)
+
+
+@pytest.mark.parametrize("labeling", ["none", "binary", "outside"])
+def test_ply_writer_matches_loop_reference(tmp_path, awkward_mesh, labeling):
+    labels = {
+        "none": None,
+        "binary": (awkward_mesh.barycenters[:, 2] > 0).astype(np.int64),
+        "outside": np.arange(awkward_mesh.n_faces) % 4 - 1,  # -1, 0, 1, 2
+    }[labeling]
+    save_ply(awkward_mesh, tmp_path / "got.ply", labels)
+    _loop_save_ply(awkward_mesh, tmp_path / "ref.ply", labels)
+    assert (tmp_path / "got.ply").read_bytes() == (tmp_path / "ref.ply").read_bytes()
+
+
+def test_ascii_stl_writer_matches_loop_reference(tmp_path, awkward_mesh):
+    save_stl_ascii(awkward_mesh, tmp_path / "got.stl")
+    _loop_save_stl_ascii(awkward_mesh, tmp_path / "ref.stl")
+    assert (tmp_path / "got.stl").read_bytes() == (tmp_path / "ref.stl").read_bytes()

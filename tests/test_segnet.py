@@ -18,6 +18,7 @@ from marginline.segnet import (
     train_kfold,
     write_history_csv,
 )
+from marginline.segnet import network as network_mod
 from marginline.segnet import train as train_mod
 from marginline.segnet.loss import (
     cross_entropy,
@@ -369,3 +370,18 @@ def test_fold_error_in_a_worker_thread_propagates(monkeypatch):
             with pytest.raises(FloatingPointError, match="epoch 1, fold 2"):
                 train_kfold(dataset, fold_of, config)
         assert threading.active_count() == 1
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_column_argmax_is_first_max_row(dtype):
+    """The max pools' two-pass index equals `np.argmax(h, axis=0)`:
+    ties go to the first row, and an all-zero ReLU column to row 0."""
+    rng = np.random.default_rng(6)
+    h = np.maximum(rng.normal(size=(500, 24)), 0.0).astype(dtype)
+    h[:, 3] = 0.0  # a dead ReLU channel
+    h[[7, 40, 300], 5] = h[:, 5].max() + 1.0  # a three-way tie
+    h[:, 9] = np.round(h[:, 9])  # many ties at small integers
+    h[-1, 11] = h[:, 11].max() + 1.0  # the last row wins
+    arg = network_mod._column_argmax(h)
+    assert np.array_equal(arg, np.argmax(h, axis=0))
+    assert arg[3] == 0 and arg[5] == 7 and arg[11] == 499
