@@ -31,23 +31,42 @@ def combine_max_probability(fields):
 
 
 def combine_democracy(fields):
-    """Majority vote over per-model argmax labels; ties broken by the
-    larger summed probability of the tied classes."""
+    """Majority vote over per-model argmax labels, ties broken by the larger
+    mean probability. Returns (labels, field): the field holds the vote
+    shares, and the mean field on tied faces, so its argmax is the label."""
     stack = _stack(fields)
-    votes = stack.argmax(axis=2)  # (M, N)
-    ones = votes.sum(axis=0)
     m = stack.shape[0]
-    labels = np.where(ones * 2 > m, 1, 0)
+    ones = stack.argmax(axis=2).sum(axis=0)
+    field = np.stack([m - ones, ones], axis=1) / m
     tied = ones * 2 == m
-    if np.any(tied):
-        sums = stack.sum(axis=0)  # (N, 2)
-        labels[tied] = (sums[tied, 1] > sums[tied, 0]).astype(int)
-    return labels.astype(np.int64)
+    field[tied] = stack[:, tied].mean(axis=0)
+    return field.argmax(axis=1), field
+
+
+def strategy_fold(strategy, n_models):
+    """None for a named strategy, K for "fold-K" (model K alone,
+    1 <= K <= n_models); anything else raises ValueError."""
+    if strategy in STRATEGIES:
+        return None
+    k = strategy.removeprefix("fold-")
+    if k == strategy or not k.isdecimal() or not 1 <= int(k) <= n_models:
+        raise ValueError(
+            f"ensemble {strategy!r}: not {STRATEGIES} or fold-K, K in 1..{n_models}"
+        )
+    return int(k)
+
+
+def combined_field(fields, strategy):
+    """One (N, 2) field from the per-model fields under `strategy`
+    ("max_probability", "democracy" or "fold-K"); its argmax is the
+    strategy's label on every face."""
+    if strategy == "max_probability":
+        return combine_max_probability(fields)[1]
+    if strategy == "democracy":
+        return combine_democracy(fields)[1]
+    return _stack(fields)[strategy_fold(strategy, len(fields)) - 1]
 
 
 def combine(fields, strategy):
-    if strategy == "max_probability":
-        return combine_max_probability(fields)[0]
-    if strategy == "democracy":
-        return combine_democracy(fields)
-    raise ValueError(f"unknown ensemble strategy {strategy!r}")
+    """Per-face labels under `strategy`: the argmax of `combined_field`."""
+    return combined_field(fields, strategy).argmax(axis=1)

@@ -4,7 +4,6 @@ matrices A_S / A_L."""
 
 from __future__ import annotations
 
-import struct
 import warnings
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -13,6 +12,7 @@ import numpy as np
 import scipy.sparse as sp
 from scipy.spatial import cKDTree
 
+from .archive import load_archive, save_archive
 from .mesh import TriangleMesh
 
 DEFAULT_R_SMALL = 0.1
@@ -188,64 +188,48 @@ def build_adjacency(
 
 # -- train-time cache -----------------------------------------------------
 
-_MAGIC = b"MLFC\x01"
-# the header's channel-group bits: vertex coords, barycenter, normal,
-# curvature, all present in the one layout `assemble_features` builds
-_ALL_GROUPS = 0b1111
-
-
-def _write_sparse(fh, m):
-    coo = m.tocoo()
-    fh.write(struct.pack("<q", coo.nnz))
-    fh.write(coo.row.astype("<i8").tobytes())
-    fh.write(coo.col.astype("<i8").tobytes())
-    fh.write(coo.data.astype("<f8").tobytes())
-
-
-def _read_sparse(fh, n):
-    (nnz,) = struct.unpack("<q", fh.read(8))
-    rows = np.frombuffer(fh.read(8 * nnz), dtype="<i8")
-    cols = np.frombuffer(fh.read(8 * nnz), dtype="<i8")
-    vals = np.frombuffer(fh.read(8 * nnz), dtype="<f8")
-    return sp.csr_matrix((vals, (rows, cols)), shape=(n, n))
+_CSR_PARTS = ("data", "indices", "indptr")
 
 
 def save_feature_cache(path, features: CellFeatures, adj: AdjacencyPair, labels=None):
-    """Binary container: dims header, row-major float64 features, sparse
-    triplets for A_S and A_L, optional int64 labels."""
-    with open(path, "wb") as fh:
-        fh.write(_MAGIC)
-        n, c = features.matrix.shape
-        has_labels = 1 if labels is not None else 0
-        fh.write(struct.pack("<qqqq", n, c, _ALL_GROUPS, has_labels))
-        fh.write(struct.pack("<dd", adj.r_small, adj.r_large))
-        fh.write(np.ascontiguousarray(features.matrix, dtype="<f8").tobytes())
-        _write_sparse(fh, adj.a_small)
-        _write_sparse(fh, adj.a_large)
-        if labels is not None:
-            fh.write(np.ascontiguousarray(labels, dtype="<i8").tobytes())
+    """An archive (see `marginline.archive`) of the float64 features, A_S
+    and A_L as CSR arrays, the two radii, and int64 labels when known."""
+    arrays = {
+        "features": np.asarray(features.matrix, dtype=np.float64),
+        "radii": np.array([adj.r_small, adj.r_large]),
+    }
+    for name in ("a_small", "a_large"):
+        m = sp.csr_matrix(getattr(adj, name))
+        arrays.update((f"{name}.{part}", getattr(m, part)) for part in _CSR_PARTS)
+    if labels is not None:
+        arrays["labels"] = np.asarray(labels, dtype=np.int64)
+    save_archive(path, arrays)
+
+
+def _parse_feature_cache(members):
+    matrix = members["features"]
+    if matrix.ndim != 2 or matrix.shape[1] != N_CHANNELS:
+        raise ValueError(
+            f"features of shape {matrix.shape} are not the "
+            f"{N_CHANNELS}-channel layout"
+        )
+    n = len(matrix)
+    adj = []
+    for name in ("a_small", "a_large"):
+        m = sp.csr_matrix(
+            tuple(members[f"{name}.{part}"] for part in _CSR_PARTS), shape=(n, n)
+        )
+        m.check_format(full_check=True)
+        # sorted columns, so each row's pooling sum has one fixed order
+        m.sum_duplicates()
+        adj.append(m)
+    labels = members.get("labels")
+    if labels is not None and labels.shape != (n,):
+        raise ValueError(f"{labels.shape} labels for {n} cells")
+    r_small, r_large = map(float, members["radii"])
+    return CellFeatures(matrix), AdjacencyPair(*adj, r_small, r_large), labels
 
 
 def load_feature_cache(path):
     """Returns (CellFeatures, AdjacencyPair, labels-or-None)."""
-    with open(path, "rb") as fh:
-        if fh.read(len(_MAGIC)) != _MAGIC:
-            raise ValueError(f"{path}: not a feature cache file")
-        n, c, group_bits, has_labels = struct.unpack("<qqqq", fh.read(32))
-        if group_bits != _ALL_GROUPS or c != N_CHANNELS:
-            raise ValueError(
-                f"{path}: channel groups {group_bits:#b} and {c} channels are "
-                f"not the {N_CHANNELS}-channel layout"
-            )
-        r_s, r_l = struct.unpack("<dd", fh.read(16))
-        mat = np.frombuffer(fh.read(8 * n * c), dtype="<f8").reshape(n, c)
-        a_s = _read_sparse(fh, n)
-        a_l = _read_sparse(fh, n)
-        labels = None
-        if has_labels:
-            labels = np.frombuffer(fh.read(8 * n), dtype="<i8")
-    return (
-        CellFeatures(mat.copy()),
-        AdjacencyPair(a_s, a_l, r_s, r_l),
-        None if labels is None else labels.copy(),
-    )
+    return load_archive(path, _parse_feature_cache, "feature cache")

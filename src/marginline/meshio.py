@@ -74,6 +74,16 @@ def _load_stl_binary(data):
     return soup_to_mesh(tris)
 
 
+def _numbers(tok, count, lineno, parse=float):
+    """The tokens `tok` of line `lineno`, which must be `count` numbers."""
+    try:
+        if len(tok) == count:
+            return [parse(t) for t in tok]
+    except ValueError:
+        pass
+    raise MeshParseError(f"expected {count} numbers at line {lineno}", offset=lineno)
+
+
 def _load_stl_ascii(text):
     tris = []
     cur = []
@@ -82,16 +92,7 @@ def _load_stl_ascii(text):
         if not tok:
             continue
         if tok[0] == "vertex":
-            if len(tok) != 4:
-                raise MeshParseError(
-                    f"malformed vertex record at line {lineno}", offset=lineno
-                )
-            try:
-                cur.append([float(t) for t in tok[1:4]])
-            except ValueError:
-                raise MeshParseError(
-                    f"non-numeric vertex at line {lineno}", offset=lineno
-                ) from None
+            cur.append(_numbers(tok[1:], 3, lineno))
         elif tok[0] == "endfacet":
             if len(cur) != 3:
                 raise MeshParseError(
@@ -111,44 +112,40 @@ def _load_ply_ascii(text):
     lines = text.splitlines()
     if not lines or lines[0].strip() != "ply":
         raise MeshParseError("missing 'ply' magic line", offset=1)
-    n_vert = n_face = None
-    i = 1
-    elements = []  # (name, count)
-    while i < len(lines):
-        tok = lines[i].split()
-        i += 1
-        if not tok:
-            continue
-        if tok[0] == "format" and tok[1] != "ascii":
-            raise MeshParseError("only ASCII PLY is supported", offset=i)
-        if tok[0] == "element":
-            elements.append((tok[1], int(tok[2])))
-        if tok[0] == "end_header":
+    counts = {}
+    # i ends as end_header's line number: the index of the line after it
+    for i, tok in enumerate(map(str.split, lines), 1):
+        head = tok[0] if tok else None
+        if head == "end_header":
             break
+        if head == "format" and tok[1:2] != ["ascii"]:
+            raise MeshParseError(f"line {i}: only ASCII PLY is supported", offset=i)
+        if head == "element":
+            if len(tok) < 3 or not tok[2].isdecimal():
+                raise MeshParseError(f"element line {i} has no count", offset=i)
+            counts[tok[1]] = int(tok[2])
     else:
         raise MeshParseError("PLY header without end_header")
-    counts = dict(elements)
     n_vert = counts.get("vertex", 0)
     n_face = counts.get("face", 0)
     if n_face == 0:
         raise EmptyMeshError("PLY declares zero faces")
-    body = [l for l in lines[i:] if l.strip()]
+    # (line number, tokens) of each non-blank body line
+    body = [(k, tok) for k, tok in enumerate(map(str.split, lines[i:]), i + 1) if tok]
     if len(body) < n_vert + n_face:
         raise MeshParseError(
             f"PLY body truncated ({len(body)} rows, need {n_vert + n_face})",
             offset=i + len(body),
         )
-    verts = np.array(
-        [[float(x) for x in body[j].split()[:3]] for j in range(n_vert)]
-    )
-    faces = []
-    for j in range(n_vert, n_vert + n_face):
-        tok = body[j].split()
-        k = int(tok[0])
-        if k != 3:
-            raise MeshParseError(f"non-triangular PLY face at row {j}", offset=j)
-        faces.append([int(t) for t in tok[1:4]])
-    return TriangleMesh(verts, np.asarray(faces))
+    verts = [_numbers(tok[:3], 3, k) for k, tok in body[:n_vert]]
+    faces = [_numbers(tok[:4], 4, k, int) for k, tok in body[n_vert : n_vert + n_face]]
+    for (lineno, _), (corners, *face) in zip(body[n_vert:], faces):
+        if corners != 3 or not all(0 <= v < n_vert for v in face):
+            raise MeshParseError(
+                f"face at line {lineno} is not a triangle of listed vertices",
+                offset=lineno,
+            )
+    return TriangleMesh(np.reshape(verts, (-1, 3)), np.asarray(faces)[:, 1:])
 
 
 def load_mesh(source, fmt=None):

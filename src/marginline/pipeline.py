@@ -21,7 +21,7 @@ import numpy as np
 
 from . import metrics as metrics_mod
 from .decimate import decimate
-from .ensemble import STRATEGIES, combine, combine_max_probability
+from .ensemble import combined_field, strategy_fold
 from .errors import ManifestError
 from .features import (
     assemble_features,
@@ -73,19 +73,33 @@ class PipelineConfig:
     threshold_um: float = 200.0
     seed: int = 0
 
+    def train_config(self):
+        # every TrainConfig field is a field of this config, by the same name
+        names = TrainConfig.__dataclass_fields__
+        return TrainConfig(**{name: getattr(self, name) for name in names})
+
+    def graph_cut_config(self):
+        return GraphCutConfig(
+            smoothness=self.smoothness, dihedral_sigma=self.dihedral_sigma
+        )
+
     def validate(self):
-        if self.target_faces < 4:
-            raise ValueError("target_faces must be at least 4")
-        if self.folds < 2:
-            raise ValueError("need at least 2 folds")
-        if self.ensemble not in STRATEGIES and not self.ensemble.startswith("fold-"):
-            raise ValueError(
-                f"ensemble must be one of {sorted(STRATEGIES)} or 'fold-K'"
-            )
-        if self.n_samples < 8:
-            raise ValueError("n_samples must be at least 8")
-        if self.smoothness < 0 or self.threshold_um <= 0:
-            raise ValueError("smoothness must be >= 0 and threshold positive")
+        """Refuses every field value that a later stage would fail on, so
+        a bad config stops before any stage runs."""
+        for ok, message in (
+            (self.target_faces >= 4, "target_faces must be at least 4"),
+            (0 < self.r_small <= self.r_large, "need 0 < r_small <= r_large"),
+            (self.augment_per_die >= 0, "augment_per_die must be >= 0"),
+            (self.folds >= 2, "need at least 2 folds"),
+            (self.n_samples >= 8, "n_samples must be at least 8"),
+            (self.threshold_um > 0, "threshold_um must be positive"),
+            (self.seed >= 0, "seed must be >= 0"),
+        ):
+            if not ok:
+                raise ValueError(message)
+        strategy_fold(self.ensemble, self.folds)
+        self.train_config().validate()
+        self.graph_cut_config().validate()
 
     @staticmethod
     def from_json(path):
@@ -232,14 +246,7 @@ def stage_train(manifest: DatasetManifest, config: PipelineConfig, run_dir):
     folds = kfold_split(base_ids, k=config.folds, seed=config.seed)
     # every #augK variant trains and validates in its base case's fold
     fold_of = {s: folds[base_case_id(s)] for s in dataset}
-    tc = TrainConfig(
-        learning_rate=config.learning_rate,
-        batch_size=config.batch_size,
-        epochs=config.epochs,
-        width_scale=config.width_scale,
-        seed=config.seed,
-    )
-    models, history = train_kfold(dataset, fold_of, tc)
+    models, history = train_kfold(dataset, fold_of, config.train_config())
     for fold, params in models.items():
         params.save(out / f"fold{fold}.bin")
     (out / "folds.json").write_text(json.dumps(folds, indent=1))
@@ -271,31 +278,18 @@ def stage_predict(manifest: DatasetManifest, config: PipelineConfig, run_dir):
     feat_dir = Path(run_dir) / "features"
     model_dir = Path(run_dir) / "models"
     out = _stage_dir(run_dir, "predict")
-    models = {}
-    for fold in range(1, config.folds + 1):
-        models[fold] = NetworkParams.load(model_dir / f"fold{fold}.bin")
-    dtype = models[1].dtype
+    folds = range(1, config.folds + 1)
+    models = [NetworkParams.load(model_dir / f"fold{k}.bin") for k in folds]
+    dtype = models[0].dtype
     for case in _prediction_cases(manifest):
         feats, adj, _ = load_feature_cache(feat_dir / f"{case.case_id}.mlfc")
         # cast once, not once per fold thread
         x = feats.matrix.astype(dtype)
         adj = (adj.a_small.astype(dtype), adj.a_large.astype(dtype))
-        fields = thread_map(
-            lambda fold: forward(models[fold], x, adj), sorted(models)
-        )
-        if config.ensemble.startswith("fold-"):
-            k = int(config.ensemble.split("-", 1)[1])
-            if k not in models:
-                raise ValueError(f"no fold {k} among {sorted(models)}")
-            combined = fields[k - 1]
-            labels = np.argmax(combined, axis=1)
-        elif config.ensemble == "democracy":
-            labels = combine(fields, "democracy")
-            combined = np.mean(fields, axis=0)
-        else:
-            labels, combined = combine_max_probability(fields)
-        np.save(out / f"{case.case_id}_probs.npy", combined)
-        np.save(out / f"{case.case_id}_labels.npy", labels)
+        fields = thread_map(lambda params: forward(params, x, adj), models)
+        # refine cuts this field, whose argmax is the ensemble's label
+        field = combined_field(fields, config.ensemble)
+        np.save(out / f"{case.case_id}_probs.npy", field)
     return out
 
 
@@ -304,9 +298,7 @@ def stage_refine(manifest: DatasetManifest, config: PipelineConfig, run_dir):
     pre = Path(run_dir) / "preprocess"
     pred = Path(run_dir) / "predict"
     out = _stage_dir(run_dir, "refine")
-    gc = GraphCutConfig(
-        smoothness=config.smoothness, dihedral_sigma=config.dihedral_sigma
-    )
+    gc = config.graph_cut_config()
     for case in _prediction_cases(manifest):
         mesh = load_mesh(pre / f"{case.case_id}_decimated.stl")
         probs = np.load(pred / f"{case.case_id}_probs.npy")

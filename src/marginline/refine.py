@@ -44,9 +44,9 @@ class GraphCutConfig:
     prob_floor: float = 1e-6
 
     def validate(self):
-        if self.smoothness < 0:
+        if not self.smoothness >= 0:  # NaN fails these tests too
             raise ValueError("smoothness must be >= 0")
-        if self.dihedral_sigma <= 0:
+        if not self.dihedral_sigma > 0:
             raise ValueError("dihedral_sigma must be > 0")
         if not (0 < self.prob_floor < 0.5):
             raise ValueError("prob_floor must be in (0, 0.5)")

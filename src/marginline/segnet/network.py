@@ -27,11 +27,12 @@ activations at all.
 from __future__ import annotations
 
 import json
-import struct
 from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
+
+from ..archive import load_archive, save_archive
 
 
 def _w(base, scale):
@@ -88,10 +89,6 @@ def _dense_shapes(arch):
     return shapes
 
 
-CHECKPOINT_V1 = "marginline-checkpoint-v1"  # every tensor float64
-CHECKPOINT_V2 = "marginline-checkpoint-v2"  # each tensor's dtype in the header
-
-
 @dataclass
 class NetworkParams:
     arch: dict
@@ -136,51 +133,22 @@ class NetworkParams:
         return {k: np.zeros_like(v) for k, v in self.tensors.items()}
 
     def save(self, path):
-        """Versioned container: JSON architecture header, listing each
-        tensor's name, shape and dtype, then the raw little-endian
-        tensors as they are."""
-        names = sorted(self.tensors)
-        dtypes = {n: self.tensors[n].dtype.newbyteorder("<") for n in names}
-        header = {
-            "format": CHECKPOINT_V2,
-            "arch": self.arch,
-            "tensors": [
-                {
-                    "name": n,
-                    "shape": list(self.tensors[n].shape),
-                    "dtype": dtypes[n].str,
-                }
-                for n in names
-            ],
-        }
-        blob = json.dumps(header, sort_keys=True).encode()
-        with open(path, "wb") as fh:
-            fh.write(struct.pack("<q", len(blob)))
-            fh.write(blob)
-            for n in names:
-                fh.write(self.tensors[n].astype(dtypes[n], copy=False).tobytes())
+        """An archive (see `marginline.archive`) of the architecture as a
+        JSON string and every tensor in its own dtype."""
+        arch = np.array(json.dumps(self.arch, sort_keys=True))
+        save_archive(path, {"arch": arch, **self.tensors})
 
     @staticmethod
     def load(path):
-        """Tensors in the dtypes a v2 header lists; a v1 file carries none
-        and is all float64."""
-        with open(path, "rb") as fh:
-            (hlen,) = struct.unpack("<q", fh.read(8))
-            header = json.loads(fh.read(hlen).decode())
-            fmt = header.get("format")
-            if fmt not in (CHECKPOINT_V1, CHECKPOINT_V2):
-                raise ValueError(f"{path}: unknown checkpoint format")
-            tensors = {}
-            for entry in header["tensors"]:
-                code = entry["dtype"] if fmt == CHECKPOINT_V2 else "<f8"
-                if code not in ("<f4", "<f8"):
-                    raise ValueError(f"{path}: tensor dtype {code!r} is not float")
-                shape = tuple(entry["shape"])
-                size = int(np.prod(shape)) if shape else 1
-                dtype = np.dtype(code)
-                data = np.frombuffer(fh.read(dtype.itemsize * size), dtype=dtype)
-                tensors[entry["name"]] = data.reshape(shape).copy()
-        return NetworkParams(header["arch"], tensors)
+        return load_archive(path, _parse_checkpoint, "network checkpoint")
+
+
+def _parse_checkpoint(members):
+    tensors = {name: a for name, a in members.items() if name != "arch"}
+    for name, tensor in tensors.items():
+        if tensor.dtype not in (np.float32, np.float64):
+            raise ValueError(f"tensor {name!r} of dtype {tensor.dtype} is not float")
+    return NetworkParams(json.loads(str(members["arch"])), tensors)
 
 
 class ShapeMismatch(ValueError):

@@ -23,7 +23,8 @@ class TrainConfig:
     seed: int = 0
 
     def validate(self):
-        if min(self.learning_rate, self.batch_size, self.epochs) <= 0:
+        values = (self.learning_rate, self.batch_size, self.epochs, self.width_scale)
+        if not all(v > 0 for v in values):  # NaN fails too
             raise ValueError("hyperparameters must be positive")
 
 

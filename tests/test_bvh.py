@@ -126,6 +126,28 @@ def test_distance_to_unit_sphere_surface():
     assert abs(d - 1.0) < 5e-3
 
 
+def test_tie_reach_gathers_a_runner_up_beyond_the_bound():
+    """A tie score widens pass 2's reach by TIE_MM. Face 1's nearest
+    point, a vertex, lies 0.65 * TIE_MM beyond face 0's distance `ub`, so
+    it ties and its higher score wins; but its centroid lies one radius r
+    farther still, beyond the `ub + r` (times the tree's slack) that
+    gathers candidates without a tie score."""
+    ub, r, gap = 0.2, 0.1, 0.65 * TIE_MM
+    turns = np.deg2rad([0.0, 120.0, 240.0])
+    ring = np.stack([np.cos(turns), np.sin(turns), np.zeros(3)], axis=1) * r
+    # face 0 faces the query (the origin) from above; face 1 points its
+    # first vertex at the query from -x
+    face0 = ring + [0.0, 0.0, ub]
+    face1 = ring[:, [0, 2, 1]] + [-(ub + gap + r), 0.0, 0.0]
+    bvh = TriangleBVH(np.vstack([face0, face1]), [[0, 1, 2], [3, 4, 5]])
+    centroid1 = face1.mean(axis=0)
+    assert np.linalg.norm(centroid1) > (ub + r) * bvh_mod._SLACK
+    _, faces, dists = bvh.closest_points(np.zeros((1, 3)))
+    assert faces[0] == 0 and abs(dists[0] - ub) <= 1e-15
+    _, faces, dists = bvh.closest_points(np.zeros((1, 3)), tie_score=np.array([0, 1]))
+    assert faces[0] == 1 and 0 < dists[0] - ub <= TIE_MM
+
+
 def _list_closest_points(bvh, queries, tie_score=None, nearest=4, chunk=32):
     """Reference: the list-based query. The upper bound comes from each
     bucket's `nearest` centroids; then every triangle whose centroid lies

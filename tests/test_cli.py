@@ -114,3 +114,16 @@ def test_bad_config_value_exit_1(tmp_path, capsys):
     )
     assert code == 1
     capsys.readouterr()
+
+
+def test_bad_config_stops_before_any_stage(tmp_path, capsys):
+    """A value only refine would trip on is refused up front: exit 1 and
+    no stage directory."""
+    (tmp_path / "a_die.stl").write_bytes(b"\0" * 84)
+    run = tmp_path / "run"
+    code = main(
+        ["pipeline", "--manifest", str(tmp_path), "--run-dir", str(run), "--sigma", "0"]
+    )
+    assert code == 1
+    assert "dihedral_sigma" in capsys.readouterr().err
+    assert not (run / "preprocess").exists()

@@ -3,8 +3,10 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
-from marginline.errors import MeshParseError
+from marginline.errors import MarginlineError, MeshParseError
 from marginline.mesh import TriangleMesh
 from marginline.meshio import (
     _LABEL_COLORS,
@@ -57,6 +59,39 @@ def test_ascii_parse_error_reports_line(tmp_path):
     path.write_text("solid x\nfacet normal 0 0 1\nouter loop\nvertex 0 0\n")
     with pytest.raises(MeshParseError):
         load_mesh(path)
+
+
+_PLY_HEADER = (
+    "ply\nformat ascii 1.0\nelement vertex 3\n"
+    "property float x\nproperty float y\nproperty float z\n"
+    "element face 1\nproperty list uchar int vertex_indices\nend_header\n"
+)
+
+
+@pytest.mark.parametrize(
+    "text, line",
+    [
+        ("ply\nformat ascii 1.0\nelement vertex\nend_header\n", 3),
+        ("ply\nformat\nelement vertex 3\nend_header\n", 2),
+        ("ply\nformat ascii 1.0\nelement face -1\nend_header\n", 3),
+        (_PLY_HEADER + "0 0 0\n1 0\n0 1 0\n3 0 1 2\n", 11),
+        (_PLY_HEADER + "0 0 0\n1 0 0\n0 1 x\n3 0 1 2\n", 12),
+        (_PLY_HEADER + "0 0 0\n1 0 0\n\n0 1 0\n3 0 1\n", 14),
+        (_PLY_HEADER + "0 0 0\n1 0 0\n0 1 0\n3 0 1 7\n", 13),
+        (_PLY_HEADER + "0 0 0\n1 0 0\n0 1 0\n4 0 1 2 0\n", 13),
+    ],
+)
+def test_ply_parse_errors_carry_their_line(text, line):
+    with pytest.raises(MeshParseError) as info:
+        load_mesh(text.encode())
+    assert info.value.offset == line
+    assert f"line {line}" in str(info.value)
+
+
+def test_minimal_ply_loads():
+    """The valid form of the broken files above."""
+    mesh = load_mesh((_PLY_HEADER + "0 0 0\n1 0 0\n0 1 0\n3 0 1 2\n").encode())
+    assert mesh.n_faces == 1
 
 
 def test_ply_face_rows_carry_labels(tmp_path, unit_sphere):
@@ -188,3 +223,47 @@ def test_ascii_stl_writer_matches_loop_reference(tmp_path, awkward_mesh):
     save_stl_ascii(awkward_mesh, tmp_path / "got.stl")
     _loop_save_stl_ascii(awkward_mesh, tmp_path / "ref.stl")
     assert (tmp_path / "got.stl").read_bytes() == (tmp_path / "ref.stl").read_bytes()
+
+
+@pytest.fixture(scope="module")
+def mesh_files(tmp_path_factory):
+    """Small valid files of every format `load_mesh` reads."""
+    root = tmp_path_factory.mktemp("valid")
+    mesh = icosphere(subdivisions=0)
+    save_ply(mesh, root / "plain.ply")
+    save_ply(mesh, root / "labeled.ply", np.arange(mesh.n_faces) % 2)
+    save_stl_ascii(mesh, root / "ascii.stl")
+    save_stl_binary(mesh, root / "binary.stl")
+    return [p.read_bytes() for p in sorted(root.iterdir())]
+
+
+_EDIT = st.tuples(
+    st.floats(0.0, 1.0, exclude_max=True),
+    st.sampled_from(("overwrite", "insert", "delete")),
+    st.sampled_from(b"0123456789 -.\nex" + bytes(range(0, 256, 37))),
+)
+
+
+@pytest.mark.filterwarnings("ignore:invalid value encountered in cast")
+@given(st.integers(0, 3), st.lists(_EDIT, min_size=1, max_size=6))
+@settings(
+    max_examples=300, deadline=None,
+    suppress_health_check=[HealthCheck.function_scoped_fixture],
+)
+def test_mutated_mesh_bytes_raise_only_package_errors(mesh_files, which, edits):
+    """Bytes from a valid PLY or STL with characters overwritten,
+    inserted or deleted either load or raise a MarginlineError or
+    ValueError, never an IndexError or other internal failure."""
+    data = bytearray(mesh_files[which])
+    for where, op, byte in edits:
+        at = int(where * len(data))
+        if op == "overwrite":
+            data[at] = byte
+        elif op == "insert":
+            data.insert(at, byte)
+        else:
+            del data[at]
+    try:
+        load_mesh(bytes(data))
+    except (MarginlineError, ValueError):
+        pass

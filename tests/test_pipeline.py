@@ -10,8 +10,19 @@ import pytest
 
 from marginline import metrics, pipeline
 from marginline.errors import ManifestError
-from marginline.features import load_feature_cache
-from marginline.manifest import load_manifest, save_manifest
+from marginline.features import (
+    assemble_features,
+    build_adjacency,
+    load_feature_cache,
+    save_feature_cache,
+)
+from marginline.manifest import (
+    CaseEntry,
+    DatasetManifest,
+    load_manifest,
+    save_manifest,
+)
+from marginline.meshio import load_mesh, save_stl_binary
 from marginline.pipeline import (
     PipelineConfig,
     base_case_id,
@@ -21,10 +32,12 @@ from marginline.pipeline import (
     stage_labels,
     stage_predict,
     stage_preprocess,
+    stage_refine,
     stage_train,
 )
 from marginline.segnet import NetworkParams, forward
 from marginline.segnet import train as train_mod
+from marginline.shapes import icosphere
 from marginline.synthetic import generate_benchmark
 
 
@@ -247,3 +260,69 @@ def test_train_and_predict_do_not_depend_on_the_thread_count(tmp_path, monkeypat
             "models/validation_dice.json"} <= names
     assert sum(n.endswith("_probs.npy") for n in names) == 4
     assert outputs[1] == outputs[2]
+
+
+def test_democracy_vote_reaches_refine(tmp_path, monkeypatch):
+    """Under `democracy`, refine cuts a field whose argmax is the vote.
+    On the band 0 < z <= 0.5 two of three folds call 1 with little
+    confidence and one calls 0 with much: the vote is 1, the mean 0.37.
+    At smoothness 0 the cut keeps each face's argmax."""
+    run = tmp_path / "run"
+    for sub in ("preprocess", "features", "models"):
+        (run / sub).mkdir(parents=True)
+    stl = run / "preprocess" / "die_decimated.stl"
+    save_stl_binary(icosphere(subdivisions=2), stl)
+    mesh = load_mesh(stl)
+    feats = assemble_features(mesh, np.zeros(mesh.n_vertices))
+    save_feature_cache(
+        run / "features" / "die.mlfc", feats, build_adjacency(mesh.barycenters)
+    )
+    for fold in (1, 2, 3):
+        params = NetworkParams.init(18, 0.125, seed=fold)
+        params.tensors["clf.b"][:] = fold  # tells the folds apart below
+        params.save(run / "models" / f"fold{fold}.bin")
+
+    z = mesh.barycenters[:, 2]
+    top, band = z > 0.5, (z > 0.0) & (z <= 0.5)
+    assert top.any() and band.any()
+
+    def fold_field(params, x, adj, want_cache=False):
+        fold = int(params.tensors["clf.b"][0])
+        p1 = np.where(top, 0.9, 0.1)
+        p1[band] = 0.01 if fold == 3 else 0.55
+        return np.stack([1.0 - p1, p1], axis=1)
+
+    monkeypatch.setattr(pipeline, "forward", fold_field)
+    case = CaseEntry("die", tmp_path / "die.stl", None, "upper", 11, None, "test")
+    config = PipelineConfig(folds=3, ensemble="democracy", smoothness=0.0)
+    manifest = DatasetManifest([case])
+    stage_predict(manifest, config, run)
+    stage_refine(manifest, config, run)
+    refined = np.load(run / "refine" / "die_labels.npy")
+    assert np.array_equal(refined, (z > 0.0).astype(np.int64))
+    assert sorted(p.name for p in (run / "predict").iterdir()) == ["die_probs.npy"]
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [
+        ("dihedral_sigma", 0.0),
+        ("epochs", 0),
+        ("batch_size", 0),
+        ("learning_rate", -1.0),
+        ("r_small", 0.3),  # above the default r_large = 0.2
+        ("width_scale", 0.0),
+        ("augment_per_die", -1),
+        ("ensemble", "fold-9"),  # 5 folds
+        ("ensemble", "fold-x"),
+        ("seed", -1),
+        ("learning_rate", float("nan")),
+        ("width_scale", float("nan")),
+        ("smoothness", float("nan")),
+        ("dihedral_sigma", float("nan")),
+    ],
+)
+def test_validate_refuses_values_a_later_stage_fails_on(field, value):
+    PipelineConfig().validate()
+    with pytest.raises(ValueError):
+        PipelineConfig(**{field: value}).validate()
