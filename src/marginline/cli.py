@@ -18,34 +18,55 @@ from .errors import MarginlineError
 from .manifest import load_manifest
 from .synthetic import generate_benchmark
 
+# PipelineConfig field -> (flag, type, help)
+FLAGS = {
+    "target_faces": ("--target-faces", int, "face budget after decimation"),
+    "augment_per_die": ("--augment", int, "augmented copies per training die"),
+    "folds": ("--folds", int, "number of folds, one model each"),
+    "epochs": ("--epochs", int, "training epochs per fold"),
+    "width_scale": ("--scale", float, "network width scale"),
+    "ensemble": ("--ensemble", str, "max_probability, democracy, or fold-K"),
+    "smoothness": ("--smoothness", float, "graph-cut pairwise weight"),
+    "dihedral_sigma": ("--sigma", float, "graph-cut dihedral falloff (radians)"),
+    "n_samples": ("--samples", int, "points sampled on each margin line"),
+    "threshold_um": ("--threshold-um", float, "success threshold in micrometres"),
+    "seed": ("--seed", int, "seed of folds, weights and augmentation"),
+}
 
-def _add_common(parser):
-    parser.add_argument("--manifest", required=True, help="manifest JSON or dataset directory")
-    parser.add_argument("--run-dir", required=True, help="artifact directory")
-    parser.add_argument("--config", help="pipeline config JSON")
+# command -> (stage function, help, the PipelineConfig fields it takes)
+COMMANDS = {
+    "preprocess": (
+        pl.stage_preprocess, "register and decimate the dies", ("target_faces",)
+    ),
+    "label": (pl.stage_labels, "transfer crown-bottom labels onto dies", ()),
+    "featurize": (
+        pl.stage_features, "cache per-case feature matrices", ("augment_per_die",)
+    ),
+    "train": (
+        pl.stage_train,
+        "train the k-fold segmentation ensemble",
+        ("folds", "epochs", "width_scale", "seed"),
+    ),
+    "predict": (
+        pl.stage_predict, "run the ensemble on the dataset", ("ensemble", "folds")
+    ),
+    "refine": (
+        pl.stage_refine, "graph-cut label refinement", ("smoothness", "dihedral_sigma")
+    ),
+    "extract": (pl.stage_extract, "fit and sample the margin lines", ("n_samples",)),
+    "evaluate": (
+        pl.stage_evaluate, "score predictions against truth", ("threshold_um",)
+    ),
+    "pipeline": (pl.run_pipeline, "run every stage in order", tuple(FLAGS)),
+}
 
 
 def _build_config(args):
     config = (
-        pl.PipelineConfig.from_json(args.config)
-        if getattr(args, "config", None)
-        else pl.PipelineConfig()
+        pl.PipelineConfig.from_json(args.config) if args.config else pl.PipelineConfig()
     )
-    overrides = {
-        "target_faces": "target_faces",
-        "folds": "folds",
-        "epochs": "epochs",
-        "scale": "width_scale",
-        "augment": "augment_per_die",
-        "ensemble": "ensemble",
-        "smoothness": "smoothness",
-        "sigma": "dihedral_sigma",
-        "samples": "n_samples",
-        "threshold_um": "threshold_um",
-        "seed": "seed",
-    }
-    for arg_name, field in overrides.items():
-        value = getattr(args, arg_name, None)
+    for field in COMMANDS[args.command][2]:
+        value = getattr(args, field)
         if value is not None:
             setattr(config, field, value)
     config.validate()
@@ -64,74 +85,18 @@ def build_parser():
     p.add_argument("--cases", type=int, default=20)
     p.add_argument("--seed", type=int, default=7)
 
-    p = sub.add_parser("preprocess", help="register and decimate the dies")
-    _add_common(p)
-    p.add_argument("--target-faces", dest="target_faces", type=int)
-
-    p = sub.add_parser("label", help="transfer crown-bottom labels onto dies")
-    _add_common(p)
-
-    p = sub.add_parser("featurize", help="cache per-case feature matrices")
-    _add_common(p)
-    p.add_argument("--augment", type=int, help="augmented copies per training die")
-
-    p = sub.add_parser("train", help="train the k-fold segmentation ensemble")
-    _add_common(p)
-    p.add_argument("--folds", type=int)
-    p.add_argument("--epochs", type=int)
-    p.add_argument("--scale", type=float, help="network width scale")
-    p.add_argument("--seed", type=int)
-
-    p = sub.add_parser("predict", help="run the ensemble on the dataset")
-    _add_common(p)
-    p.add_argument(
-        "--ensemble",
-        help="max_probability, democracy, or fold-K for a single model",
-    )
-    p.add_argument("--folds", type=int)
-
-    p = sub.add_parser("refine", help="graph-cut label refinement")
-    _add_common(p)
-    p.add_argument("--smoothness", type=float, help="pairwise weight")
-    p.add_argument("--sigma", type=float, help="dihedral falloff")
-
-    p = sub.add_parser("extract", help="fit and sample the margin lines")
-    _add_common(p)
-    p.add_argument("--samples", type=int)
-
-    p = sub.add_parser("evaluate", help="score predictions against truth")
-    _add_common(p)
-    p.add_argument("--threshold-um", dest="threshold_um", type=float)
-
-    p = sub.add_parser("pipeline", help="run every stage in order")
-    _add_common(p)
-    p.add_argument("--target-faces", dest="target_faces", type=int)
-    p.add_argument("--augment", type=int)
-    p.add_argument("--folds", type=int)
-    p.add_argument("--epochs", type=int)
-    p.add_argument("--scale", type=float)
-    p.add_argument("--ensemble")
-    p.add_argument("--smoothness", type=float)
-    p.add_argument("--sigma", type=float)
-    p.add_argument("--samples", type=int)
-    p.add_argument("--threshold-um", dest="threshold_um", type=float)
-    p.add_argument("--seed", type=int)
+    for command, (_, help_text, fields) in COMMANDS.items():
+        p = sub.add_parser(command, help=help_text)
+        p.add_argument("--manifest", required=True, help="manifest JSON or dataset directory")
+        p.add_argument("--run-dir", required=True, help="artifact directory")
+        p.add_argument("--config", help="pipeline config JSON")
+        for field in fields:
+            flag, kind, field_help = FLAGS[field]
+            p.add_argument(flag, dest=field, type=kind, help=field_help)
 
     p = sub.add_parser("report", help="print the evaluation summary")
     p.add_argument("--run-dir", required=True)
     return parser
-
-
-_STAGE_OF = {
-    "preprocess": pl.stage_preprocess,
-    "label": pl.stage_labels,
-    "featurize": pl.stage_features,
-    "train": pl.stage_train,
-    "predict": pl.stage_predict,
-    "refine": pl.stage_refine,
-    "extract": pl.stage_extract,
-    "evaluate": pl.stage_evaluate,
-}
 
 
 def _run(args):
@@ -152,17 +117,10 @@ def _run(args):
     config = _build_config(args)
     run_dir = Path(args.run_dir)
     run_dir.mkdir(parents=True, exist_ok=True)
-    if args.command == "pipeline":
-        out = pl.run_pipeline(manifest, config, run_dir)
-    else:
-        config.save(run_dir / "config.json")
-        out = _STAGE_OF[args.command](manifest, config, run_dir)
+    config.save(run_dir / "config.json")
+    out = COMMANDS[args.command][0](manifest, config, run_dir)
     print(f"{args.command}: artifacts in {out}")
     return 0
-
-
-def _error_json(kind, message):
-    print(json.dumps({"error": kind, "message": message}), file=sys.stderr)
 
 
 def main(argv=None):
@@ -173,11 +131,11 @@ def main(argv=None):
         return 2 if exc.code not in (0, None) else 0
     try:
         return _run(args)
-    except (MarginlineError, ValueError, FileNotFoundError) as exc:
-        _error_json(type(exc).__name__, str(exc))
-        return 1
-    except Exception as exc:  # pragma: no cover - defensive
-        _error_json(type(exc).__name__, str(exc))
+    except Exception as exc:
+        error = {"error": type(exc).__name__, "message": str(exc)}
+        print(json.dumps(error), file=sys.stderr)
+        if isinstance(exc, (MarginlineError, ValueError, FileNotFoundError)):
+            return 1
         traceback.print_exc()
         return 3
 

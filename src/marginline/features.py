@@ -15,6 +15,7 @@ from scipy.spatial import cKDTree
 from .archive import load_archive, save_archive
 from .mesh import TriangleMesh
 
+# MeshSegNet's pooling radii, in normalized coordinates
 DEFAULT_R_SMALL = 0.1
 DEFAULT_R_LARGE = 0.2
 
@@ -103,21 +104,21 @@ def _radius_average(points, values, radius):
     return sums / counts
 
 
-def compute_mean_curvature(mesh: TriangleMesh, smoothing_radius=None):
+def compute_mean_curvature(mesh: TriangleMesh):
     """Per-vertex discrete mean curvature in 1/mm, convex positive.
 
     Cotangent Laplace-Beltrami with mixed Voronoi areas, then averaged
-    over all vertices within `smoothing_radius` (default: the maximum
-    edge length of the mesh), the vertex itself included. Boundary
-    vertices use the one-sided sums from their incident wedges.
+    over all vertices within the maximum edge length of the mesh, the
+    vertex itself included. Boundary vertices use the one-sided sums
+    from their incident wedges.
 
     The average sums over vertex pairs, so it differs from a per-vertex
     mean over the same neighbours only in summation order (a few ulp).
     """
-    if smoothing_radius is None:
-        smoothing_radius = float(mesh.edge_lengths.max())
     return _radius_average(
-        mesh.vertices, _vertex_mean_curvature(mesh), smoothing_radius
+        mesh.vertices,
+        _vertex_mean_curvature(mesh),
+        float(mesh.edge_lengths.max()),
     )
 
 
@@ -155,8 +156,6 @@ class AdjacencyPair(NamedTuple):
 
     a_small: sp.csr_matrix
     a_large: sp.csr_matrix
-    r_small: float
-    r_large: float
 
 
 def _radius_matrix(barycenters, radius):
@@ -179,10 +178,7 @@ def build_adjacency(
         raise ValueError("radii must satisfy 0 < r_small <= r_large")
     barycenters = np.asarray(barycenters, dtype=np.float64)
     return AdjacencyPair(
-        _radius_matrix(barycenters, r_small),
-        _radius_matrix(barycenters, r_large),
-        float(r_small),
-        float(r_large),
+        _radius_matrix(barycenters, r_small), _radius_matrix(barycenters, r_large)
     )
 
 
@@ -192,12 +188,10 @@ _CSR_PARTS = ("data", "indices", "indptr")
 
 
 def save_feature_cache(path, features: CellFeatures, adj: AdjacencyPair, labels=None):
-    """An archive (see `marginline.archive`) of the float64 features, A_S
-    and A_L as CSR arrays, the two radii, and int64 labels when known."""
-    arrays = {
-        "features": np.asarray(features.matrix, dtype=np.float64),
-        "radii": np.array([adj.r_small, adj.r_large]),
-    }
+    """An archive (see `marginline.archive`) of the features and of A_S
+    and A_L as CSR arrays, each in the dtype it is given in, plus int64
+    labels when known."""
+    arrays = {"features": features.matrix}
     for name in ("a_small", "a_large"):
         m = sp.csr_matrix(getattr(adj, name))
         arrays.update((f"{name}.{part}", getattr(m, part)) for part in _CSR_PARTS)
@@ -226,8 +220,7 @@ def _parse_feature_cache(members):
     labels = members.get("labels")
     if labels is not None and labels.shape != (n,):
         raise ValueError(f"{labels.shape} labels for {n} cells")
-    r_small, r_large = map(float, members["radii"])
-    return CellFeatures(matrix), AdjacencyPair(*adj, r_small, r_large), labels
+    return CellFeatures(matrix), AdjacencyPair(*adj), labels
 
 
 def load_feature_cache(path):

@@ -53,29 +53,42 @@ class DatasetManifest:
         raise ManifestError(f"unknown case id {case_id!r}")
 
 
+def _existing_file(base, value, where, what):
+    if not isinstance(value, str):
+        raise ManifestError(f"{where}: {what} path {value!r} is not a string")
+    path = base / value
+    try:
+        path = path.resolve()
+        if path.is_file():
+            return path
+    except (OSError, ValueError):  # e.g. a name too long, or a NUL byte
+        pass
+    raise ManifestError(f"{where}: {what} path {path} is not a file")
+
+
 def _validate_entry(raw, base, index):
     where = f"manifest entry {index}"
+    if not isinstance(raw, dict):
+        raise ManifestError(f"{where}: {raw!r} is not a JSON object")
     for key in ("case_id", "die_path", "arch"):
         if key not in raw:
             raise ManifestError(f"{where}: missing required key {key!r}")
     if raw["arch"] not in ("upper", "lower"):
         raise ManifestError(f"{where}: arch must be 'upper' or 'lower'")
-    pos = int(raw.get("tooth_position", 11))
+    pos = raw.get("tooth_position", 11)
     if pos not in TOOTH_POSITIONS:
         raise ManifestError(
-            f"{where}: tooth_position {pos} not in {TOOTH_POSITIONS}"
+            f"{where}: tooth_position {pos!r} not in {TOOTH_POSITIONS}"
         )
     rating = raw.get("rating")
-    if rating is not None and not (1 <= float(rating) <= 4):
-        raise ManifestError(f"{where}: rating {rating} outside [1, 4]")
-    die = (base / raw["die_path"]).resolve()
-    if not die.exists():
-        raise ManifestError(f"{where}: die path {die} does not exist")
+    if rating is not None and not (
+        isinstance(rating, (int, float)) and 1 <= rating <= 4
+    ):
+        raise ManifestError(f"{where}: rating {rating!r} is not a number in [1, 4]")
+    die = _existing_file(base, raw["die_path"], where, "die")
     crown = raw.get("crown_bottom_path")
     if crown is not None:
-        crown = (base / crown).resolve()
-        if not crown.exists():
-            raise ManifestError(f"{where}: crown path {crown} does not exist")
+        crown = _existing_file(base, crown, where, "crown")
     split = raw.get("split", "train")
     if split not in ("train", "test"):
         raise ManifestError(f"{where}: split must be 'train' or 'test'")
@@ -88,7 +101,7 @@ def _validate_entry(raw, base, index):
         die_path=die,
         crown_bottom_path=crown,
         arch=raw["arch"],
-        tooth_position=pos,
+        tooth_position=int(pos),
         rating=None if rating is None else float(rating),
         split=split,
         extra={k: v for k, v in raw.items() if k not in known},
@@ -100,7 +113,11 @@ def load_manifest(path) -> DatasetManifest:
     if path.is_dir():
         return scan_directory(path)
     raw = json.loads(path.read_text())
-    entries = raw["cases"] if isinstance(raw, dict) else raw
+    entries = raw.get("cases") if isinstance(raw, dict) else raw
+    if not isinstance(entries, list):
+        raise ManifestError(
+            f"{path}: expected a list of cases or an object with a 'cases' list"
+        )
     cases = [
         _validate_entry(e, path.parent, i) for i, e in enumerate(entries)
     ]

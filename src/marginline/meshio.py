@@ -17,6 +17,9 @@ from .errors import EmptyMeshError, MeshParseError
 from .mesh import TriangleMesh
 
 WELD_TOL = 1e-6  # mm
+# coordinates must be finite and small enough that their weld keys fit
+# in int64
+_MAX_COORD = 2.0**62 * WELD_TOL
 
 _LABEL_COLORS = {0: (170, 170, 170), 1: (170, 60, 190)}
 
@@ -36,11 +39,18 @@ def _weld(raw_vertices):
     return raw_vertices[order[new]], inverse
 
 
+def _check_coordinates(vertices):
+    # NaN fails the comparison too
+    if not np.all(np.abs(vertices) < _MAX_COORD):
+        raise MeshParseError("non-finite or out-of-range vertex coordinate")
+
+
 def soup_to_mesh(raw_vertices):
     """Indexed mesh from an (3F, 3) triangle soup, welding duplicates."""
     raw_vertices = np.asarray(raw_vertices, dtype=np.float64).reshape(-1, 3)
     if len(raw_vertices) == 0:
         raise EmptyMeshError("no triangles in input")
+    _check_coordinates(raw_vertices)
     vertices, inverse = _weld(raw_vertices)
     faces = inverse.reshape(-1, 3)
     keep = ~(
@@ -137,7 +147,8 @@ def _load_ply_ascii(text):
             f"PLY body truncated ({len(body)} rows, need {n_vert + n_face})",
             offset=i + len(body),
         )
-    verts = [_numbers(tok[:3], 3, k) for k, tok in body[:n_vert]]
+    verts = np.reshape([_numbers(tok[:3], 3, k) for k, tok in body[:n_vert]], (-1, 3))
+    _check_coordinates(verts)
     faces = [_numbers(tok[:4], 4, k, int) for k, tok in body[n_vert : n_vert + n_face]]
     for (lineno, _), (corners, *face) in zip(body[n_vert:], faces):
         if corners != 3 or not all(0 <= v < n_vert for v in face):
@@ -145,19 +156,18 @@ def _load_ply_ascii(text):
                 f"face at line {lineno} is not a triangle of listed vertices",
                 offset=lineno,
             )
-    return TriangleMesh(np.reshape(verts, (-1, 3)), np.asarray(faces)[:, 1:])
+    return TriangleMesh(verts, np.asarray(faces)[:, 1:])
 
 
-def load_mesh(source, fmt=None):
-    """Load a mesh from a path or bytes. fmt: 'stl' | 'ply' | None (sniff)."""
-    if isinstance(source, (str, Path)):
-        data = Path(source).read_bytes()
-        if fmt is None:
-            fmt = Path(source).suffix.lstrip(".").lower() or None
-    elif isinstance(source, bytes):
-        data = source
+def load_mesh(source):
+    """Load a mesh from a path, whose suffix names the format ('stl' or
+    'ply'), or from bytes, whose format is sniffed (as for a path
+    without a suffix)."""
+    if isinstance(source, bytes):
+        data, fmt = source, None
     else:
-        data = source.read()
+        data = Path(source).read_bytes()
+        fmt = Path(source).suffix.lstrip(".").lower() or None
     if fmt is None:
         fmt = "ply" if data[:3] == b"ply" else "stl"
     if fmt == "ply":

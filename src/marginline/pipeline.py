@@ -24,6 +24,8 @@ from .decimate import decimate
 from .ensemble import combined_field, strategy_fold
 from .errors import ManifestError
 from .features import (
+    AdjacencyPair,
+    CellFeatures,
     assemble_features,
     build_adjacency,
     compute_mean_curvature,
@@ -58,8 +60,6 @@ from .segnet import (
 @dataclass
 class PipelineConfig:
     target_faces: int = 10000
-    r_small: float = 0.1
-    r_large: float = 0.2
     augment_per_die: int = 0
     folds: int = 5
     epochs: int = 200
@@ -88,7 +88,6 @@ class PipelineConfig:
         a bad config stops before any stage runs."""
         for ok, message in (
             (self.target_faces >= 4, "target_faces must be at least 4"),
-            (0 < self.r_small <= self.r_large, "need 0 < r_small <= r_large"),
             (self.augment_per_die >= 0, "augment_per_die must be >= 0"),
             (self.folds >= 2, "need at least 2 folds"),
             (self.n_samples >= 8, "n_samples must be at least 8"),
@@ -176,16 +175,18 @@ def stage_labels(manifest: DatasetManifest, config: PipelineConfig, run_dir):
     return out
 
 
-def _featurize(mesh: TriangleMesh, config: PipelineConfig):
+def _featurize(mesh: TriangleMesh):
     """Feature matrix plus adjacency for one decimated die (mm frame in,
-    normalized coordinates out)."""
+    normalized coordinates out), cast once to the network's compute
+    dtype, so neither training nor prediction has to."""
     curvature = compute_mean_curvature(mesh)
     normalized, _ = normalize(mesh)
     feats = assemble_features(normalized, curvature)
-    adj = build_adjacency(
-        normalized.barycenters, r_small=config.r_small, r_large=config.r_large
+    adj = build_adjacency(normalized.barycenters)
+    return (
+        CellFeatures(feats.matrix.astype(COMPUTE_DTYPE)),
+        AdjacencyPair(*(a.astype(COMPUTE_DTYPE) for a in adj)),
     )
-    return feats, adj
 
 
 def stage_features(manifest: DatasetManifest, config: PipelineConfig, run_dir):
@@ -206,7 +207,7 @@ def stage_features(manifest: DatasetManifest, config: PipelineConfig, run_dir):
                 variants = augment(variants[0], spec, sample_index=index)
             samples = [(v.mesh, v.labels) for v in variants]
         for k, (mesh, labels) in enumerate(samples):
-            feats, adj = _featurize(mesh, config)
+            feats, adj = _featurize(mesh)
             name = case.case_id if k == 0 else f"{case.case_id}#aug{k}"
             save_feature_cache(out / f"{name}.mlfc", feats, adj, labels=labels)
     return out
@@ -228,14 +229,8 @@ def stage_train(manifest: DatasetManifest, config: PipelineConfig, run_dir):
         if base_case_id(sample_id) not in train_ids:
             continue
         feats, adj, labels = load_feature_cache(path)
-        if labels is None:
-            continue
-        # cast once here, so no forward or backward pass has to
-        adj = adj._replace(
-            a_small=adj.a_small.astype(COMPUTE_DTYPE),
-            a_large=adj.a_large.astype(COMPUTE_DTYPE),
-        )
-        dataset[sample_id] = (feats.matrix.astype(COMPUTE_DTYPE), adj, labels)
+        if labels is not None:
+            dataset[sample_id] = (feats.matrix, adj, labels)
     base_ids = sorted({base_case_id(s) for s in dataset})
     # folds split cases, not samples: #augK variants do not fill a fold
     if len(base_ids) < config.folds:
@@ -280,13 +275,9 @@ def stage_predict(manifest: DatasetManifest, config: PipelineConfig, run_dir):
     out = _stage_dir(run_dir, "predict")
     folds = range(1, config.folds + 1)
     models = [NetworkParams.load(model_dir / f"fold{k}.bin") for k in folds]
-    dtype = models[0].dtype
     for case in _prediction_cases(manifest):
         feats, adj, _ = load_feature_cache(feat_dir / f"{case.case_id}.mlfc")
-        # cast once, not once per fold thread
-        x = feats.matrix.astype(dtype)
-        adj = (adj.a_small.astype(dtype), adj.a_large.astype(dtype))
-        fields = thread_map(lambda params: forward(params, x, adj), models)
+        fields = thread_map(lambda params: forward(params, feats.matrix, adj), models)
         # refine cuts this field, whose argmax is the ensemble's label
         field = combined_field(fields, config.ensemble)
         np.save(out / f"{case.case_id}_probs.npy", field)

@@ -60,12 +60,16 @@ class NormalizationTransform:
         return np.asarray(points) * self.std + self.mean
 
 
+# ranges augmented copies draw their rotations (degrees) and per-axis
+# scales from, uniformly
+ROT_X_DEG = (-45.0, 45.0)
+ROT_Y_DEG = (-45.0, 45.0)
+ROT_Z_DEG = (-180.0, 180.0)
+SCALE_RANGE = (0.9, 1.1)
+
+
 @dataclass
 class AugmentationSpec:
-    rot_x_deg: tuple = (-45.0, 45.0)
-    rot_y_deg: tuple = (-45.0, 45.0)
-    rot_z_deg: tuple = (-180.0, 180.0)
-    scale: tuple = (0.9, 1.1)
     samples_per_die: int = 20
     seed: int = 0
 
@@ -143,13 +147,13 @@ def normalize(mesh: TriangleMesh):
     return TriangleMesh(transform.apply(mesh.vertices), mesh.faces), transform
 
 
-def _augment_transform(rng, spec):
+def _augment_transform(rng):
     rx, ry, rz = (
-        np.deg2rad(rng.uniform(*spec.rot_x_deg)),
-        np.deg2rad(rng.uniform(*spec.rot_y_deg)),
-        np.deg2rad(rng.uniform(*spec.rot_z_deg)),
+        np.deg2rad(rng.uniform(*ROT_X_DEG)),
+        np.deg2rad(rng.uniform(*ROT_Y_DEG)),
+        np.deg2rad(rng.uniform(*ROT_Z_DEG)),
     )
-    scale = rng.uniform(spec.scale[0], spec.scale[1], size=3)
+    scale = rng.uniform(*SCALE_RANGE, size=3)
     return rotation_xyz(rx, ry, rz), scale
 
 
@@ -163,7 +167,7 @@ def augment(sample, spec: AugmentationSpec, sample_index=0):
     out = [sample]
     for k in range(spec.samples_per_die):
         rng = np.random.default_rng([spec.seed, sample_index, k])
-        rotation, scale = _augment_transform(rng, spec)
+        rotation, scale = _augment_transform(rng)
         mesh = sample.mesh.transformed(rotation=rotation, scale=scale)
         out.append(type(sample)(mesh=mesh, labels=sample.labels.copy()))
     return out

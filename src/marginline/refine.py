@@ -24,6 +24,7 @@ above 1e-12; what it still reaches is label 1.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import ClassVar
 
 import numpy as np
 from scipy.sparse import coo_matrix, csr_matrix
@@ -41,15 +42,14 @@ _MAX_PHASES = 64
 class GraphCutConfig:
     smoothness: float = 2.0  # lambda
     dihedral_sigma: float = 0.5  # radians
-    prob_floor: float = 1e-6
+    # probabilities are clipped here before the -log unary
+    prob_floor: ClassVar[float] = 1e-6
 
     def validate(self):
         if not self.smoothness >= 0:  # NaN fails these tests too
             raise ValueError("smoothness must be >= 0")
         if not self.dihedral_sigma > 0:
             raise ValueError("dihedral_sigma must be > 0")
-        if not (0 < self.prob_floor < 0.5):
-            raise ValueError("prob_floor must be in (0, 0.5)")
 
 
 def _pairwise_terms(mesh: TriangleMesh, config: GraphCutConfig):

@@ -144,7 +144,7 @@ def _gcv_solve(design, penalty, targets):
     return solve, stats, best_lam
 
 
-def fit_smoothing_spline(points, n_coef=None) -> SmoothingSpline:
+def fit_smoothing_spline(points) -> SmoothingSpline:
     """Fit a periodic cubic smoothing spline through an ordered closed
     loop of >= 8 points. The total squared residual never exceeds the
     bound s = 0.005 (N - sqrt(2N)) by more than 5%."""
@@ -156,9 +156,7 @@ def fit_smoothing_spline(points, n_coef=None) -> SmoothingSpline:
     if np.count_nonzero(sv > 1e-9 * max(sv[0], 1e-30)) < 2:
         raise SplineFitError("degenerate (collinear) input points")
     t, chord = chord_length_params(points)
-    if n_coef is None:
-        n_coef = int(np.clip(n // 2, 8, 256))
-    n_coef = min(n_coef, n)
+    n_coef = int(np.clip(n // 2, 8, 256))  # at most n, as n >= 8
     bound = smoothness_bound(n)
 
     while True:

@@ -19,6 +19,8 @@ from .mesh import TriangleMesh
 from .meshio import save_stl_binary, soup_to_mesh
 from .shapes import crease_circle, frustum_die
 
+TRUTH_POINTS = 2048  # samples of each case's analytic crease
+
 
 @dataclass
 class SyntheticCase:
@@ -42,7 +44,7 @@ def _rotate_z(points, angle):
     return points @ rot.T
 
 
-def generate_case(case_id, rng, n_truth=2048) -> SyntheticCase:
+def generate_case(case_id, rng) -> SyntheticCase:
     # squat proportions keep the variance ordering x > y > z unambiguous
     # for the canonical-pose registration
     base_radius = rng.uniform(5.8, 6.5)
@@ -63,7 +65,7 @@ def generate_case(case_id, rng, n_truth=2048) -> SyntheticCase:
         segments=segments,
     )
     crown = _crown_shell(die, crease)
-    truth = crease_circle(crease, n_truth)
+    truth = crease_circle(crease, TRUTH_POINTS)
 
     die = TriangleMesh(_rotate_z(die.vertices, spin) + shift, die.faces)
     crown = TriangleMesh(_rotate_z(crown.vertices, spin) + shift, crown.faces)
@@ -72,7 +74,7 @@ def generate_case(case_id, rng, n_truth=2048) -> SyntheticCase:
     return SyntheticCase(case_id, die, crown, crease, truth)
 
 
-def generate_benchmark(out_dir, n_cases=20, seed=7, n_truth=2048):
+def generate_benchmark(out_dir, n_cases=20, seed=7):
     """Write a full synthetic dataset and return its manifest path."""
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -82,7 +84,7 @@ def generate_benchmark(out_dir, n_cases=20, seed=7, n_truth=2048):
     entries = []
     for i in range(n_cases):
         rng = np.random.default_rng([seed, i])
-        case = generate_case(f"synth{i:03d}", rng, n_truth=n_truth)
+        case = generate_case(f"synth{i:03d}", rng)
         die_name = f"{case.case_id}_die.stl"
         crown_name = f"{case.case_id}_crown_bottom.stl"
         save_stl_binary(case.die, out_dir / die_name)

@@ -40,7 +40,7 @@ def _parent_feature_cache(feats, adj):
     """The retired MLFC container: magic, struct header, COO triplets."""
     n, c = feats.matrix.shape
     out = [b"MLFC\x01", struct.pack("<qqqq", n, c, 0b1111, 0)]
-    out.append(struct.pack("<dd", adj.r_small, adj.r_large))
+    out.append(struct.pack("<dd", 0.5, 1.0))  # the radii `cache_parts` used
     out.append(feats.matrix.astype("<f8").tobytes())
     for m in (adj.a_small.tocoo(), adj.a_large.tocoo()):
         out.append(struct.pack("<q", m.nnz))

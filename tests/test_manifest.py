@@ -3,6 +3,8 @@
 import json
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from marginline.errors import ManifestError
 from marginline.manifest import load_manifest, save_manifest
@@ -119,3 +121,87 @@ def test_extra_keys_preserved(tmp_path):
     path = tmp_path / "m.json"
     path.write_text(json.dumps([_entry(crown_bottom_path=None, scanner="lab-3")]))
     assert load_manifest(path).by_id("a").extra == {"scanner": "lab-3"}
+
+
+@pytest.mark.parametrize(
+    "raw, names",
+    [
+        ({"x": 1}, "'cases' list"),
+        (5, "'cases' list"),
+        (["case_id die_path arch"], "manifest entry 0"),
+        ([_entry(crown_bottom_path=None), _entry(die_path=3)], "manifest entry 1"),
+        ([_entry(crown_bottom_path=7)], "manifest entry 0"),
+        ([_entry(tooth_position=None, crown_bottom_path=None)], "manifest entry 0"),
+        ([_entry(rating=[3], crown_bottom_path=None)], "manifest entry 0"),
+        ([_entry(die_path="", crown_bottom_path=None)], "manifest entry 0"),
+        ([_entry(die_path="x" * 300, crown_bottom_path=None)], "manifest entry 0"),
+    ],
+)
+def test_malformed_json_is_a_manifest_error(tmp_path, raw, names):
+    (tmp_path / "a_die.stl").touch()
+    (tmp_path / "a_crown_bottom.stl").touch()
+    path = tmp_path / "m.json"
+    path.write_text(json.dumps(raw))
+    with pytest.raises(ManifestError, match=names):
+        load_manifest(path)
+
+
+_JSON = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=8),
+    lambda inner: st.lists(inner, max_size=4)
+    | st.dictionaries(st.text(max_size=8), inner, max_size=4),
+    max_leaves=12,
+)
+
+
+_DELETE = object()
+
+
+def _load_or_refuse(tmp_path, raw):
+    """`load_manifest` reads `raw` or raises ManifestError or ValueError;
+    nothing else may escape."""
+    path = tmp_path / "m.json"
+    path.write_text(json.dumps(raw))
+    try:
+        load_manifest(path)
+    except (ManifestError, ValueError):
+        pass
+
+
+@given(_JSON)
+@settings(
+    max_examples=300, deadline=None,
+    suppress_health_check=[HealthCheck.function_scoped_fixture],
+)
+def test_arbitrary_json_is_read_or_refused(tmp_path, raw):
+    _load_or_refuse(tmp_path, raw)
+
+
+@given(
+    st.lists(
+        st.tuples(
+            st.sampled_from(sorted(_entry()) + ["extra"]),
+            st.just(_DELETE) | _JSON,
+        ),
+        min_size=1,
+        max_size=4,
+    ),
+    st.booleans(),
+)
+@settings(
+    max_examples=300, deadline=None,
+    suppress_health_check=[HealthCheck.function_scoped_fixture],
+)
+def test_mutated_manifests_are_read_or_refused(tmp_path, edits, wrapped):
+    """A valid two-case manifest with keys of its second entry set to
+    arbitrary JSON values or deleted."""
+    (tmp_path / "a_die.stl").touch()
+    (tmp_path / "a_crown_bottom.stl").touch()
+    entry = _entry(case_id="b")
+    for key, value in edits:
+        if value is _DELETE:
+            entry.pop(key, None)
+        else:
+            entry[key] = value
+    cases = [_entry(), entry]
+    _load_or_refuse(tmp_path, {"cases": cases} if wrapped else cases)

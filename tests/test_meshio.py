@@ -88,6 +88,25 @@ def test_ply_parse_errors_carry_their_line(text, line):
     assert f"line {line}" in str(info.value)
 
 
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf, 1e30])
+def test_binary_stl_refuses_non_finite_or_huge_coordinates(tmp_path, value):
+    path = tmp_path / "bad.stl"
+    save_stl_binary(icosphere(subdivisions=0), path)
+    data = bytearray(path.read_bytes())
+    # the first facet's second vertex's y: header, count, normal, vertex
+    data[84 + 12 + 12 + 4 : 84 + 12 + 12 + 8] = np.float32(value).tobytes()
+    path.write_bytes(bytes(data))
+    with pytest.raises(MeshParseError, match="non-finite or out-of-range"):
+        load_mesh(path)
+
+
+@pytest.mark.parametrize("row", ["nan 0 0", "1 inf 0", "0 0 -inf", "1e300 0 0"])
+def test_ply_refuses_non_finite_or_huge_coordinates(row):
+    text = _PLY_HEADER + f"0 0 0\n{row}\n0 1 0\n3 0 1 2\n"
+    with pytest.raises(MeshParseError, match="non-finite or out-of-range"):
+        load_mesh(text.encode())
+
+
 def test_minimal_ply_loads():
     """The valid form of the broken files above."""
     mesh = load_mesh((_PLY_HEADER + "0 0 0\n1 0 0\n0 1 0\n3 0 1 2\n").encode())
@@ -244,7 +263,7 @@ _EDIT = st.tuples(
 )
 
 
-@pytest.mark.filterwarnings("ignore:invalid value encountered in cast")
+@pytest.mark.filterwarnings("error:invalid value encountered in cast")
 @given(st.integers(0, 3), st.lists(_EDIT, min_size=1, max_size=6))
 @settings(
     max_examples=300, deadline=None,

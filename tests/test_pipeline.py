@@ -310,7 +310,6 @@ def test_democracy_vote_reaches_refine(tmp_path, monkeypatch):
         ("epochs", 0),
         ("batch_size", 0),
         ("learning_rate", -1.0),
-        ("r_small", 0.3),  # above the default r_large = 0.2
         ("width_scale", 0.0),
         ("augment_per_die", -1),
         ("ensemble", "fold-9"),  # 5 folds
