@@ -7,10 +7,10 @@ penalty quadrics. Topology is guarded by the link condition, so the
 number of boundary loops and the genus never change.
 
 The work runs in passes over numpy arrays. Each pass ranks every live
-edge at once (quadric cost, optimal position, stable cost order), then
+edge (quadric cost, optimal position, stable cost order), then
 takes the greedy vertex-disjoint matching of collapses in that order: the
 cheapest edge first, skipping any edge that touches a vertex already
-taken. The whole batch is checked at once, each collapse against the
+taken. The whole batch is checked together, each collapse against the
 mesh as the cheaper collapses of its batch leave it: the link condition
 (common-neighbour count equals the number of third vertices of the shared
 faces), no surviving face may flip, and afterwards no edge may carry more
@@ -18,7 +18,9 @@ than two faces. A collapse that fails is dropped and the rest checked
 again; edges its vertices blocked get a further matching in the same
 pass. The face budget is met by cutting the batch to its cheapest prefix.
 When no check fails, a pass collapses exactly the edges that a
-one-collapse-at-a-time loop over the same ranking would.
+one-collapse-at-a-time loop over the same ranking would. Edges are
+costed, and collapses checked, in fixed-size blocks, so the temporaries
+of both steps do not grow with the mesh; the blocks change no result.
 """
 
 from __future__ import annotations
@@ -30,6 +32,8 @@ import numpy as np
 from .mesh import TriangleMesh
 
 _BOUNDARY_WEIGHT = 1000.0
+_RANK_BLOCK = 1 << 13  # edges costed per vectorized block
+_CHECK_BLOCK = 1 << 9  # collapses checked per vectorized block
 
 # packed symmetric 4x4 quadric layout:
 # [xx, xy, xz, xd, yy, yz, yd, zz, zd, dd]
@@ -65,17 +69,16 @@ def _initial_state(mesh: TriangleMesh):
     counts = np.where(adjacency.edge_faces[:, 1] >= 0, 2, 1)
     bedges, bfaces = adjacency.boundary_edges()
 
-    quadrics = np.empty((nv, 10))
-    normals = mesh.face_normals
-    v0 = mesh.vertices[mesh.faces[:, 0]]
-    d = -np.einsum("ij,ij->i", normals, v0)
-    planes = np.concatenate([normals, d[:, None]], axis=1)
-    packed = _plane_quadrics(planes, mesh.face_areas)
+    normals, areas = mesh.face_normals, mesh.face_areas
+    d = -np.einsum("ij,ij->i", normals, mesh.vertices[mesh.faces[:, 0]])
+    plane = (*normals.T, d)
     corners = mesh.faces.T.ravel()
-    for j in range(10):  # per vertex, in corner order: as np.add.at would
-        quadrics[:, j] = np.bincount(
-            corners, weights=np.tile(packed[:, j], 3), minlength=nv
-        )
+    quadrics = np.empty((nv, 10))
+    # one packed column at a time, summed per vertex in corner order (as
+    # np.add.at would)
+    for j, (a, b) in enumerate(_PACK):
+        weights = np.tile(plane[a] * plane[b] * areas, 3)
+        quadrics[:, j] = np.bincount(corners, weights, minlength=nv)
     boundary = np.zeros(nv, dtype=bool)
     if len(bedges):
         boundary[bedges.ravel()] = True
@@ -108,10 +111,33 @@ def _rank_edges(codes, counts, points, quadrics, boundary):
 
     codes/counts is the sorted edge table. Returns (u, v, position,
     face count) arrays in stable cost order; edges joining two boundary
-    vertices through the interior are dropped."""
+    vertices through the interior are dropped. Costs and positions are
+    worked out _RANK_BLOCK edges at a time, so the temporaries stay the
+    same size on any mesh."""
     nv = len(points)
     u, v = codes // nv, codes % nv
-    qt = np.ascontiguousarray(quadrics.T)
+    cost = np.empty(len(u))
+    pos = np.empty((len(u), 3))
+    keep = np.ones(len(u), dtype=bool)
+    for lo in range(0, len(u), _RANK_BLOCK):
+        s = slice(lo, lo + _RANK_BLOCK)
+        _collapse_targets(
+            u[s], v[s], counts[s], points, quadrics, boundary,
+            cost[s], pos[s], keep[s],
+        )
+    keep = np.flatnonzero(keep)
+    order = keep[np.argsort(cost[keep], kind="stable")]
+    return u[order], v[order], pos[order], counts[order]
+
+
+def _collapse_targets(
+    u, v, counts, points, quadrics, boundary, cost, pos, keep
+):
+    """Write into cost and pos the cost and position of the cheapest
+    collapse of each edge (u, v) with `counts` faces; clear keep for two
+    boundary ends joined through the interior. Writing into the caller's
+    arrays keeps a block's results from being allocated twice."""
+    qt = quadrics.T
     q = qt[:, u] + qt[:, v]
     a, b, c = q[0], q[1], q[2]
     d, e, f = q[4], q[5], q[7]
@@ -131,15 +157,15 @@ def _rank_edges(codes, counts, points, quadrics, boundary):
         iy * rx + jy * ry + jz * rz,
         iz * rx + jz * ry + kz * rz,
     )
-    cost = _quadric_cost(q, *opt)
-    pos = np.stack(opt, axis=1)
+    cost[:] = _quadric_cost(q, *opt)
+    for k, x in enumerate(opt):
+        pos[:, k] = x
     bu, bv = boundary[u], boundary[v]
     fix = np.flatnonzero(bu | bv | ~solvable)
     if len(fix):
         # singular quadric: best of mid/endpoints; a boundary endpoint is
         # kept in place, and of two boundary endpoints the cheaper is kept
-        pt = np.ascontiguousarray(points.T)
-        pu, pv = pt[:, u[fix]], pt[:, v[fix]]
+        pu, pv = points[u[fix]].T, points[v[fix]].T
         cands = np.stack([0.5 * (pu + pv), pu, pv])
         qf = q[:, fix]
         costs = np.stack([_quadric_cost(qf, *p) for p in cands])
@@ -153,13 +179,7 @@ def _rank_edges(codes, counts, points, quadrics, boundary):
         cost[fix] = costs[pick, cols]
         pos[fix] = cands[pick, :, cols]
         both = fix[both]
-        keep = np.ones(len(u), dtype=bool)
         keep[both[counts[both] != 1]] = False  # two boundary ends, interior edge
-        keep = np.flatnonzero(keep)
-        order = keep[np.argsort(cost[keep], kind="stable")]
-    else:
-        order = np.argsort(cost, kind="stable")
-    return u[order], v[order], pos[order], counts[order]
 
 
 def _greedy_matching(u, v, nv):
@@ -167,10 +187,12 @@ def _greedy_matching(u, v, nv):
     edge touches."""
     used = bytearray(nv)
     picked = []
-    for i, (a, b) in enumerate(zip(u.tolist(), v.tolist())):
-        if not (used[a] or used[b]):
-            used[a] = used[b] = 1
-            picked.append(i)
+    for lo in range(0, len(u), _RANK_BLOCK):  # Python ints for one block
+        s = slice(lo, lo + _RANK_BLOCK)
+        for i, (a, b) in enumerate(zip(u[s].tolist(), v[s].tolist()), lo):
+            if not (used[a] or used[b]):
+                used[a] = used[b] = 1
+                picked.append(i)
     return np.asarray(picked, dtype=np.int64)
 
 
@@ -194,6 +216,54 @@ def _normals(coords, tri):
     )
 
 
+def _check_block(F, corners, midx, img, coords, u, v, lo, hi):
+    """Link and flip checks of collapses lo..hi-1 of a batch (see
+    _Decimator._check): F the live faces, corners the batch index of
+    each face corner's vertex, midx/img each vertex's batch index and
+    image, coords the (3, V + b) positions before and after."""
+    nv, b = len(img), len(u)
+    # one row per (collapse, face around u or v)
+    sel = np.flatnonzero((corners >= lo) & (corners < hi))
+    rs = corners[sel]
+    tri = F[sel // 3]
+    on_v = F.ravel()[sel] == v[rs]
+    mt = midx[tri]
+    rd = np.full(len(sel), b)  # step at which the face collapses away
+    for i, j in ((0, 1), (1, 2), (0, 2)):
+        rd = np.where(mt[:, i] == mt[:, j], np.minimum(rd, mt[:, i]), rd)
+    alive = rd >= rs
+    moved = mt < rs[:, None]
+    hit = (tri == u[rs][:, None]) | (tri == v[rs][:, None])
+
+    # link condition: |N(u) & N(v)| == distinct third vertices of the
+    # shared faces, neighbours renamed by the earlier collapses
+    key = (rs - lo)[:, None] * nv + np.where(moved, img[tri], tri)
+    other = alive[:, None] & ~hit
+    sides = _distinct((2 * key + on_v[:, None])[other]) // 2
+    common = sides[1:][sides[1:] == sides[:-1]]
+    shared = (rd == rs) & ~on_v
+    third = _distinct(key[shared][other[shared]])
+    n_shared = np.bincount(rs[shared] - lo, minlength=hi - lo)
+    ok = (
+        (n_shared >= 1)
+        & (n_shared <= 2)
+        & (np.bincount(common // nv, minlength=hi - lo)
+           == np.bincount(third // nv, minlength=hi - lo))
+    )
+
+    # flip test on every surviving face around u and v: corner ids
+    # index coords, nv + k for a vertex that collapse k moved
+    keep = rd > rs
+    tri, mt, hit, rs = tri[keep], mt[keep], hit[keep], rs[keep]
+    cur = np.where(mt < rs[:, None], nv + mt, tri)
+    new = np.where(hit, nv + rs[:, None], cur)
+    n0x, n0y, n0z = _normals(coords, cur)
+    n1x, n1y, n1z = _normals(coords, new)
+    flips = n0x * n1x + n0y * n1y + n0z * n1z <= 0
+    ok[rs[flips] - lo] = False
+    return ok
+
+
 class _Decimator:
     """Live faces, vertex positions, quadrics and boundary flags, with the
     current edge table; collapsed in batches by run()."""
@@ -210,7 +280,9 @@ class _Decimator:
     def _check(self, u, v, pos, first):
         """Link and flip checks of collapses first..b-1 of the batch, each
         on the mesh that collapses 0..k-1 leave. (b,) bool; collapses
-        before `first` are taken as passed."""
+        before `first` are taken as passed. The collapses are checked
+        _CHECK_BLOCK at a time; each check reads only its own rows, so the
+        blocks do not change the outcome."""
         F, P = self.faces, self.points
         nv, b = len(P), len(u)
         midx = np.full(nv, b)  # batch index of each vertex, b when free
@@ -218,48 +290,14 @@ class _Decimator:
         midx[v] = np.arange(b)
         img = np.arange(nv)
         img[v] = u
-        # one row per (collapse, face around u or v)
         corners = midx[F.ravel()]
-        sel = np.flatnonzero((corners >= first) & (corners < b))
-        rs = corners[sel]
-        tri = F[sel // 3]
-        on_v = F.ravel()[sel] == v[rs]
-        mt = midx[tri]
-        rd = np.full(len(sel), b)  # step at which the face collapses away
-        for i, j in ((0, 1), (1, 2), (0, 2)):
-            rd = np.where(mt[:, i] == mt[:, j], np.minimum(rd, mt[:, i]), rd)
-        alive = rd >= rs
-        moved = mt < rs[:, None]
-        hit = (tri == u[rs][:, None]) | (tri == v[rs][:, None])
-
-        # link condition: |N(u) & N(v)| == distinct third vertices of the
-        # shared faces, neighbours renamed by the earlier collapses
-        key = rs[:, None] * nv + np.where(moved, img[tri], tri)
-        other = alive[:, None] & ~hit
-        sides = _distinct((2 * key + on_v[:, None])[other]) // 2
-        common = sides[1:][sides[1:] == sides[:-1]]
-        shared = (rd == rs) & ~on_v
-        third = _distinct(key[shared][other[shared]])
-        n_shared = np.bincount(rs[shared], minlength=b)
-        ok = (
-            (n_shared >= 1)
-            & (n_shared <= 2)
-            & (np.bincount(common // nv, minlength=b)
-               == np.bincount(third // nv, minlength=b))
-        )
-        ok[:first] = True
-
-        # flip test on every surviving face around u and v: corner ids
-        # index P, or nv + k for a vertex that collapse k moved
-        keep = rd > rs
-        tri, mt, hit, rs = tri[keep], mt[keep], hit[keep], rs[keep]
-        cur = np.where(mt < rs[:, None], nv + mt, tri)
-        new = np.where(hit, nv + rs[:, None], cur)
         coords = np.concatenate([P, pos]).T.copy()
-        n0x, n0y, n0z = _normals(coords, cur)
-        n1x, n1y, n1z = _normals(coords, new)
-        flips = n0x * n1x + n0y * n1y + n0z * n1z <= 0
-        ok[rs[flips]] = False
+        ok = np.ones(b, dtype=bool)
+        for lo in range(first, b, _CHECK_BLOCK):
+            hi = min(lo + _CHECK_BLOCK, b)
+            ok[lo:hi] = _check_block(
+                F, corners, midx, img, coords, u, v, lo, hi
+            )
         return ok
 
     def _collapse_batch(self, u, v, pos, dead, target_faces):

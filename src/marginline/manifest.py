@@ -66,6 +66,18 @@ def _existing_file(base, value, where, what):
     raise ManifestError(f"{where}: {what} path {path} is not a file")
 
 
+def _check_case_id(case_id, where):
+    """A case id names the stages' files, and `#` starts the suffix of an
+    augmented sample (`pipeline.base_case_id`): refuse one that is not a
+    plain file name or that holds a `#`."""
+    if case_id in ("", ".", "..") or any(c in case_id for c in "/\\#"):
+        raise ManifestError(
+            f"{where}: case id {case_id!r} must be a file name without "
+            "'/', '\\' or '#'"
+        )
+    return case_id
+
+
 def _validate_entry(raw, base, index):
     where = f"manifest entry {index}"
     if not isinstance(raw, dict):
@@ -73,6 +85,7 @@ def _validate_entry(raw, base, index):
     for key in ("case_id", "die_path", "arch"):
         if key not in raw:
             raise ManifestError(f"{where}: missing required key {key!r}")
+    case_id = _check_case_id(str(raw["case_id"]), where)
     if raw["arch"] not in ("upper", "lower"):
         raise ManifestError(f"{where}: arch must be 'upper' or 'lower'")
     pos = raw.get("tooth_position", 11)
@@ -97,7 +110,7 @@ def _validate_entry(raw, base, index):
         "tooth_position", "rating", "split",
     }
     return CaseEntry(
-        case_id=str(raw["case_id"]),
+        case_id=case_id,
         die_path=die,
         crown_bottom_path=crown,
         arch=raw["arch"],
@@ -133,7 +146,7 @@ def scan_directory(directory) -> DatasetManifest:
     directory = Path(directory)
     cases = []
     for die in sorted(directory.glob("*_die.stl")):
-        case_id = die.name[: -len("_die.stl")]
+        case_id = _check_case_id(die.name[: -len("_die.stl")], str(die))
         crown = directory / f"{case_id}_crown_bottom.stl"
         cases.append(
             CaseEntry(

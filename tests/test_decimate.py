@@ -1,4 +1,5 @@
 import importlib
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -187,13 +188,31 @@ def test_full_resolution_die_keeps_topology_and_orientation():
     assert np.mean(dots > 0.5) > 0.999
 
 
+def test_working_set_stays_bounded_on_a_full_resolution_die():
+    """Peak traced allocation of decimating the 39 728-face die: 36.8 MB
+    with the whole edge table ranked and every collapse of a batch
+    checked at once, 14.1 MB with both done in fixed-size blocks."""
+    die, _ = frustum_die(segments=208, rows_below=56, rows_above=40)
+    tracing = tracemalloc.is_tracing()
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        before = tracemalloc.get_traced_memory()[0]
+        decimate(die, 10000)
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        if not tracing:
+            tracemalloc.stop()
+    assert peak < 20e6
+
+
 def _registered_case(seed):
     case = generate_case(f"dec{seed}", np.random.default_rng([seed, 0]))
     registered, _ = obb_register(case.die)
     return registered
 
 
-@pytest.mark.parametrize(
+REFERENCE_MESHES = pytest.mark.parametrize(
     "mesh, target",
     [
         (icosphere(subdivisions=4, radius=10.0), 1000),
@@ -205,11 +224,25 @@ def _registered_case(seed):
     ],
     ids=["ico4", "ico3", "cylinder", "die1", "die2", "die3"],
 )
+
+
+@REFERENCE_MESHES
 def test_batched_matches_sequential_reference(mesh, target):
     expected = SequentialDecimator(mesh).run(target)
     out = decimate(mesh, target)
     assert np.array_equal(out.faces, expected.faces)
     assert np.array_equal(out.vertices, expected.vertices)
+
+
+@REFERENCE_MESHES
+def test_tiny_blocks_decimate_byte_identical(mesh, target, monkeypatch):
+    # each of these meshes fits in one block of either kind by default
+    expected = decimate(mesh, target)
+    monkeypatch.setattr(decimate_module, "_RANK_BLOCK", 5)
+    monkeypatch.setattr(decimate_module, "_CHECK_BLOCK", 3)
+    out = decimate(mesh, target)
+    assert out.faces.tobytes() == expected.faces.tobytes()
+    assert out.vertices.tobytes() == expected.vertices.tobytes()
 
 
 def _scanned_die(segments, squash, spin):
@@ -296,6 +329,25 @@ def test_batch_checks_match_stepwise_reference(mesh):
         n_link += sum(not link for link, _ in expected.values())
         n_flip += sum(flip for _, flip in expected.values())
     assert n_link > 0 and n_flip > 0  # both checks were exercised
+
+
+@COARSE
+def test_checks_in_tiny_blocks_after_first_match_stepwise_reference(
+    mesh, monkeypatch
+):
+    # collapses before `first` are taken as passed; the rest are checked
+    # three at a time, so a batch's checks cross many block edges
+    monkeypatch.setattr(decimate_module, "_CHECK_BLOCK", 3)
+    rng = np.random.default_rng(10)
+    for _ in range(25):
+        u, v, pos = _random_matching(mesh, rng, noise=0.4)
+        first = int(rng.integers(1, len(u)))
+        ok = decimate_module._Decimator(mesh)._check(u, v, pos, first)
+        expected = _stepwise_checks(mesh, u, v, pos)
+        assert ok.tolist() == [
+            k < first or (link and not flip)
+            for k, (link, flip) in expected.items()
+        ]
 
 
 @COARSE

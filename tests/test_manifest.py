@@ -1,6 +1,7 @@
 """Tests for dataset manifest loading, validation and directory scan."""
 
 import json
+import re
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -84,6 +85,39 @@ def test_validation_errors(tmp_path):
         path.write_text(json.dumps([entry]))
         with pytest.raises(ManifestError):
             load_manifest(path)
+
+
+# a case id names the stages' files, and `#` marks an augmented sample;
+# a scanned file name cannot hold '/'
+BAD_SCANNED_IDS = {
+    "empty": "", "dot": ".", "dotdot": "..",
+    "backslash": "a\\b", "hash": "x#1",
+}
+BAD_IDS = {**BAD_SCANNED_IDS, "slash": "a/b"}
+
+
+@pytest.mark.parametrize("case_id", BAD_IDS.values(), ids=BAD_IDS.keys())
+def test_case_id_that_is_not_a_plain_file_name_is_rejected(tmp_path, case_id):
+    (tmp_path / "a_die.stl").touch()
+    path = tmp_path / "m.json"
+    good = _entry(crown_bottom_path=None)
+    bad = _entry(case_id=case_id, crown_bottom_path=None)
+    path.write_text(json.dumps([good, bad]))
+    with pytest.raises(ManifestError, match=r"^manifest entry 1: case id"):
+        load_manifest(path)
+
+
+@pytest.mark.parametrize(
+    "case_id", BAD_SCANNED_IDS.values(), ids=BAD_SCANNED_IDS.keys()
+)
+def test_scanned_case_id_that_is_not_a_plain_file_name_is_rejected(
+    tmp_path, case_id
+):
+    die = tmp_path / f"{case_id}_die.stl"
+    die.touch()
+    where = re.escape(str(die))
+    with pytest.raises(ManifestError, match=f"^{where}: case id"):
+        load_manifest(tmp_path)
 
 
 def test_duplicate_ids_rejected(tmp_path):
