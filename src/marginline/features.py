@@ -159,16 +159,25 @@ class AdjacencyPair(NamedTuple):
 
 
 def _radius_matrix(barycenters, radius):
+    """A_S or A_L straight in canonical CSR: row i holds 1/count_i at
+    each point within `radius` of point i (itself included), count_i
+    being their number, in ascending column order: entries are sorted as
+    the codes row * n + col."""
     n = len(barycenters)
-    tree = cKDTree(barycenters)
-    pairs = tree.query_pairs(radius, output_type="ndarray")
-    rows = np.concatenate([pairs[:, 0], pairs[:, 1], np.arange(n)])
-    cols = np.concatenate([pairs[:, 1], pairs[:, 0], np.arange(n)])
-    vals = np.ones(len(rows))
-    m = sp.csr_matrix((vals, (rows, cols)), shape=(n, n))
-    row_sums = np.asarray(m.sum(axis=1)).ravel()
-    inv = sp.diags(1.0 / row_sums)
-    return (inv @ m).tocsr()
+    pairs = cKDTree(barycenters).query_pairs(radius, output_type="ndarray")
+    codes = np.empty(2 * len(pairs) + n, dtype=np.int64)
+    # each pair in both directions, then the self-loops
+    for part, (i, j) in zip(np.split(codes[:-n], 2), ((0, 1), (1, 0))):
+        np.multiply(pairs[:, i], n, out=part)
+        part += pairs[:, j]
+    del pairs
+    codes[-n:] = np.arange(n) * (n + 1)
+    codes.sort()
+    indptr = np.searchsorted(codes, np.arange(n + 1) * n)
+    np.remainder(codes, n, out=codes)  # now the column indices
+    counts = np.diff(indptr)
+    data = np.repeat(1.0 / counts, counts)
+    return sp.csr_matrix((data, codes, indptr), shape=(n, n))
 
 
 def build_adjacency(

@@ -65,17 +65,20 @@ class TriangleMesh:
     def n_faces(self):
         return len(self.faces)
 
-    def _cross(self):
+    def _normals_and_areas(self):
+        """Fills both caches from one cross product: an area is half the
+        norm that its face's normal is divided by."""
         tri = self.vertices[self.faces]
-        return np.cross(tri[:, 1] - tri[:, 0], tri[:, 2] - tri[:, 0])
+        c = np.cross(tri[:, 1] - tri[:, 0], tri[:, 2] - tri[:, 0])
+        del tri
+        norm = np.linalg.norm(c, axis=1, keepdims=True)
+        self._face_areas = 0.5 * norm[:, 0]
+        self._face_normals = c / np.where(norm > 0.0, norm, 1.0)
 
     @property
     def face_normals(self):
         if self._face_normals is None:
-            c = self._cross()
-            norm = np.linalg.norm(c, axis=1, keepdims=True)
-            safe = np.where(norm > 0.0, norm, 1.0)
-            self._face_normals = c / safe
+            self._normals_and_areas()
         return self._face_normals
 
     @property
@@ -87,7 +90,7 @@ class TriangleMesh:
     @property
     def face_areas(self):
         if self._face_areas is None:
-            self._face_areas = 0.5 * np.linalg.norm(self._cross(), axis=1)
+            self._normals_and_areas()
         return self._face_areas
 
     @property

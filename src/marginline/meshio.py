@@ -23,25 +23,45 @@ _MAX_COORD = 2.0**62 * WELD_TOL
 
 _LABEL_COLORS = {0: (170, 170, 170), 1: (170, 60, 190)}
 
+# one binary STL facet: normal, three vertices, attribute; 50 bytes packed
+_STL_RECORD = np.dtype([("n", "<f4", 3), ("v", "<f4", (3, 3)), ("attr", "<u2")])
+
 
 def _weld(raw_vertices):
     """Merge vertices within WELD_TOL; returns (vertices, index_map).
 
     Welded vertices come in lexicographic order of their rounded keys,
     each at the position of its first occurrence."""
-    key = np.round(raw_vertices / WELD_TOL).astype(np.int64)
-    order = np.lexsort(key.T[::-1])
-    key = key[order]
-    new = np.ones(len(key), dtype=bool)
-    new[1:] = np.any(key[1:] != key[:-1], axis=1)
-    inverse = np.empty(len(key), dtype=np.int64)
-    inverse[order] = np.cumsum(new) - 1
+    # one row of int64 keys per coordinate, built and compared a row at a
+    # time; rint is what np.round does at 0 decimals
+    n = len(raw_vertices)
+    key = np.empty((3, n), dtype=np.int64)
+    for k in range(3):
+        np.rint(raw_vertices[:, k] / WELD_TOL, out=key[k], casting="unsafe")
+    order = np.lexsort(key[::-1])
+    # a sorted key starts a new vertex where any row differs from the key
+    # before it
+    new = np.zeros(n, dtype=bool)
+    new[0] = True
+    sorted_row = np.empty(n, dtype=np.int64)
+    for k in range(3):
+        # mode="clip" writes straight into `out`; every index is in range
+        np.take(key[k], order, out=sorted_row, mode="clip")
+        new[1:] |= sorted_row[1:] != sorted_row[:-1]
+    del key, sorted_row
+    vertex_of_sorted = np.cumsum(new)
+    vertex_of_sorted -= 1
+    inverse = np.empty(n, dtype=np.int64)
+    inverse[order] = vertex_of_sorted
     return raw_vertices[order[new]], inverse
 
 
 def _check_coordinates(vertices):
-    # NaN fails the comparison too
-    if not np.all(np.abs(vertices) < _MAX_COORD):
+    # NaN fails the comparisons too: max and min propagate it
+    if not (
+        vertices.max(initial=0.0) < _MAX_COORD
+        and vertices.min(initial=0.0) > -_MAX_COORD
+    ):
         raise MeshParseError("non-finite or out-of-range vertex coordinate")
 
 
@@ -77,11 +97,8 @@ def _load_stl_binary(data):
         )
     if count == 0:
         raise EmptyMeshError("binary STL declares zero facets")
-    rec = np.frombuffer(data, dtype=np.uint8, count=50 * count, offset=84)
-    rec = rec.reshape(count, 50)[:, :48].copy()
-    floats = rec.view("<f4").reshape(count, 12)
-    tris = floats[:, 3:12].astype(np.float64).reshape(-1, 3)
-    return soup_to_mesh(tris)
+    rec = np.frombuffer(data, dtype=_STL_RECORD, count=count, offset=84)
+    return soup_to_mesh(rec["v"].astype(np.float64).reshape(-1, 3))
 
 
 def _numbers(tok, count, lineno, parse=float):
@@ -189,12 +206,7 @@ def load_mesh(source):
 def save_stl_binary(mesh, path):
     tris = mesh.vertices[mesh.faces].astype("<f4")
     normals = mesh.face_normals.astype("<f4")
-    rec = np.zeros(
-        len(tris),
-        dtype=np.dtype(
-            [("n", "<f4", 3), ("v", "<f4", (3, 3)), ("attr", "<u2")]
-        ),
-    )
+    rec = np.zeros(len(tris), dtype=_STL_RECORD)
     rec["n"] = normals
     rec["v"] = tris
     with open(path, "wb") as fh:

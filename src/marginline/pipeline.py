@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import csv
 import json
+import numbers
 from dataclasses import asdict, dataclass
 from pathlib import Path
 
@@ -57,6 +58,15 @@ from .segnet import (
 )
 
 
+# a config field's annotation -> the type its values must have, and that
+# type's name in an error; bool is an Integral but is refused
+_FIELD_KINDS = {
+    "int": (numbers.Integral, "an integer"),
+    "float": (numbers.Real, "a real number"),
+    "str": (str, "a string"),
+}
+
+
 @dataclass
 class PipelineConfig:
     target_faces: int = 10000
@@ -86,6 +96,11 @@ class PipelineConfig:
     def validate(self):
         """Refuses every field value that a later stage would fail on, so
         a bad config stops before any stage runs."""
+        for name, field in self.__dataclass_fields__.items():
+            value = getattr(self, name)
+            kind, kind_name = _FIELD_KINDS[field.type]
+            if isinstance(value, bool) or not isinstance(value, kind):
+                raise ValueError(f"{name} must be {kind_name}, not {value!r}")
         for ok, message in (
             (self.target_faces >= 4, "target_faces must be at least 4"),
             (self.augment_per_die >= 0, "augment_per_die must be >= 0"),

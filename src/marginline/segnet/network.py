@@ -237,10 +237,9 @@ def forward(params: NetworkParams, x, adj, want_cache=False):
     if want_cache:
         cache["acts"]["ftm.out"] = (g, None)
     c = arch["n_channels"]
-    x1 = x @ _affine(params, "ftm.out", g).reshape(c, c)
 
-    # MLP-1
-    h = x1
+    # MLP-1, on x1 = x @ t, which only a cache keeps past its first layer
+    h = x @ _affine(params, "ftm.out", g).reshape(c, c)
     for i in range(len(arch["mlp1"])):
         h = dense_relu(f"mlp1.{i}", h)
     out1 = h
@@ -264,6 +263,10 @@ def forward(params: NetworkParams, x, adj, want_cache=False):
     z += (a_l @ out2) @ w[2 * m2 :]
     z += params.tensors["glm2.fuse.b"]
     g2 = _relu(z)
+    if want_cache:
+        cache["acts"]["glm2.fuse"] = (out2, g2)
+    # past GLM-2 only a cache needs out2 (also bound as h)
+    del out2, h
 
     # global max pool; its broadcast to every cell enters MLP-3 as a bias
     # row, global_feat @ W[k:]
@@ -277,7 +280,6 @@ def forward(params: NetworkParams, x, adj, want_cache=False):
     z += global_feat @ w[k:] + params.tensors["mlp3.0.b"]
     h = _relu(z)
     if want_cache:
-        cache["acts"]["glm2.fuse"] = (out2, g2)
         cache["acts"]["mlp3.0"] = (fused, h)
         cache["gmp_arg"] = gmp_arg
         cache["global_feat"] = global_feat

@@ -69,22 +69,10 @@ def icosphere(subdivisions=3, radius=1.0):
 
 def open_cylinder(radius=1.0, height=2.0, segments=32, rings=8):
     """Tube without caps; two boundary loops with `segments` vertices each."""
-    theta = np.linspace(0.0, 2 * np.pi, segments, endpoint=False)
     zs = np.linspace(0.0, height, rings + 1)
-    verts = []
-    for z in zs:
-        for t in theta:
-            verts.append([radius * np.cos(t), radius * np.sin(t), z])
-    faces = []
-    for r in range(rings):
-        for s in range(segments):
-            a = r * segments + s
-            b = r * segments + (s + 1) % segments
-            c = (r + 1) * segments + s
-            d = (r + 1) * segments + (s + 1) % segments
-            faces.append([a, b, d])
-            faces.append([a, d, c])
-    return TriangleMesh(np.asarray(verts, dtype=np.float64), np.asarray(faces))
+    return lathe(
+        np.column_stack([np.full(rings + 1, radius), zs]), segments, cap_top=False
+    )
 
 
 def grid_patch(n=10, spacing=1.0):
@@ -112,29 +100,26 @@ def lathe(profile_rz, segments, scale_xy=(1.0, 1.0), cap_top=True):
     profile_rz = np.asarray(profile_rz, dtype=np.float64)
     theta = np.linspace(0.0, 2 * np.pi, segments, endpoint=False)
     sx, sy = scale_xy
-    verts = []
     n_rows = len(profile_rz) - (1 if cap_top else 0)
-    for r, z in profile_rz[:n_rows]:
-        for t in theta:
-            verts.append([sx * r * np.cos(t), sy * r * np.sin(t), z])
-    faces = []
-    for row in range(n_rows - 1):
-        for s in range(segments):
-            a = row * segments + s
-            b = row * segments + (s + 1) % segments
-            c = (row + 1) * segments + s
-            d = (row + 1) * segments + (s + 1) % segments
-            faces.append([a, b, d])
-            faces.append([a, d, c])
+    r, z = profile_rz[:n_rows, 0, None], profile_rz[:n_rows, 1, None]
+    # one row of `segments` vertices per profile point, row after row
+    verts = np.stack(
+        np.broadcast_arrays(sx * r * np.cos(theta), sy * r * np.sin(theta), z), axis=-1
+    ).reshape(-1, 3)
+    # the quad (a, b, d, c) between rows `row` and `row + 1` at segment s
+    # splits into [a, b, d] and [a, d, c]
+    s = np.arange(segments)
+    s_next = (s + 1) % segments
+    row = np.arange(n_rows - 1)[:, None] * segments
+    a, b = row + s, row + s_next
+    c, d = a + segments, b + segments
+    faces = np.stack([a, b, d, a, d, c], axis=-1).reshape(-1, 3)
     if cap_top:
-        apex = len(verts)
-        verts.append([0.0, 0.0, profile_rz[-1, 1]])
-        row = n_rows - 1
-        for s in range(segments):
-            a = row * segments + s
-            b = row * segments + (s + 1) % segments
-            faces.append([a, b, apex])
-    return TriangleMesh(np.asarray(verts), np.asarray(faces, dtype=np.int64))
+        apex = np.full(segments, len(verts))
+        verts = np.vstack([verts, [0.0, 0.0, profile_rz[-1, 1]]])
+        top = (n_rows - 1) * segments
+        faces = np.vstack([faces, np.column_stack([top + s, top + s_next, apex])])
+    return TriangleMesh(verts, faces)
 
 
 def frustum_die(

@@ -47,6 +47,12 @@ def hires_die():
 
 
 @pytest.fixture(scope="session")
+def decimated_hires_die(hires_die):
+    """`hires_die` at the 10 000-face working budget."""
+    return decimate(hires_die, 10000)
+
+
+@pytest.fixture(scope="session")
 def labeled_die_case():
     """One registered + decimated synthetic case with its crown shell,
     shared by labeling and margin tests."""

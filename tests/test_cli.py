@@ -118,6 +118,28 @@ def test_bad_config_value_exit_1(tmp_path, capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize(
+    "command, config", [("preprocess", {"folds": "5"}), ("pipeline", {"epochs": 2.5})]
+)
+def test_config_value_of_the_wrong_type_exit_1(tmp_path, capsys, command, config):
+    """Refused as a bad value (exit 1) before any stage runs, not a
+    TypeError from a comparison or a failure in training (exit 3)."""
+    (tmp_path / "a_die.stl").write_bytes(b"\0" * 84)
+    (tmp_path / "config.json").write_text(json.dumps(config))
+    run = tmp_path / "run"
+    code = main(
+        [
+            command,
+            "--manifest", str(tmp_path),
+            "--run-dir", str(run),
+            "--config", str(tmp_path / "config.json"),
+        ]
+    )
+    assert code == 1
+    assert next(iter(config)) in capsys.readouterr().err
+    assert not (run / "preprocess").exists()
+
+
 def test_bad_config_stops_before_any_stage(tmp_path, capsys):
     """A value only refine would trip on is refused up front: exit 1 and
     no stage directory."""

@@ -1,8 +1,9 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from scipy.spatial import cKDTree
 
-from marginline.decimate import decimate
 from marginline.features import (
     CellFeatures,
     _vertex_mean_curvature,
@@ -12,6 +13,7 @@ from marginline.features import (
     load_feature_cache,
     save_feature_cache,
 )
+from marginline.preprocess import normalize
 from marginline.shapes import grid_patch, icosphere, open_cylinder
 from marginline.synthetic import generate_case
 
@@ -61,7 +63,7 @@ def test_pair_smoothing_matches_per_vertex_loop(name, request):
     its values to 1e-12 of the field's largest magnitude (values near 0
     differ in their last digits only by summation order)."""
     if name == "hires_decimated":
-        mesh = decimate(request.getfixturevalue("hires_die"), 10000)
+        mesh = request.getfixturevalue("decimated_hires_die")
     else:
         mesh = _smoothing_meshes()[name]()
     radius = float(mesh.edge_lengths.max())
@@ -100,6 +102,48 @@ def test_adjacency_row_stochastic_with_self_loops(unit_sphere):
         assert (a.diagonal() > 0).all()
     # the larger radius reaches at least as many neighbours
     assert adj.a_large.nnz >= adj.a_small.nnz
+
+
+def _dense_adjacency(points, radius):
+    """Reference: every pairwise distance, each row divided by its count."""
+    d = np.linalg.norm(points[:, None] - points[None], axis=2)
+    within = (d <= radius).astype(np.float64)
+    return within / within.sum(axis=1, keepdims=True)
+
+
+def test_adjacency_matches_dense_oracle(tmp_path):
+    rng = np.random.default_rng(5)
+    points = rng.normal(size=(400, 3))
+    points[300:] = points[rng.integers(0, 300, size=100)]  # duplicates
+    adj = build_adjacency(points, 0.3, 0.6)
+    for a, radius in zip(adj, (0.3, 0.6)):
+        assert a.has_canonical_format
+        assert a.indices.dtype == a.indptr.dtype == np.int32
+        assert np.array_equal(a.toarray(), _dense_adjacency(points, radius))
+    path = tmp_path / "case.mlfc"
+    save_feature_cache(path, CellFeatures(np.zeros((400, 18))), adj)
+    _, loaded, _ = load_feature_cache(path)
+    for a, b in zip(adj, loaded):
+        for part in ("data", "indices", "indptr"):
+            assert np.array_equal(getattr(a, part), getattr(b, part))
+
+
+def test_adjacency_working_set_stays_bounded(decimated_hires_die):
+    """Peak traced allocation of both matrices on the 10 000-face
+    decimation of the 39 728-face die: 22.0 MB with COO triplets scaled
+    by a diagonal matrix's product, 9.9 MB built straight into CSR."""
+    barycenters = normalize(decimated_hires_die)[0].barycenters
+    tracing = tracemalloc.is_tracing()
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        before = tracemalloc.get_traced_memory()[0]
+        build_adjacency(barycenters)
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        if not tracing:
+            tracemalloc.stop()
+    assert peak <= 14e6
 
 
 def test_feature_cache_round_trip(tmp_path, unit_sphere):

@@ -23,6 +23,21 @@ def test_counts_and_derived_quantities(unit_sphere):
     assert 0.98 * 4 * np.pi < total < 4 * np.pi
 
 
+@pytest.mark.parametrize("normals_first", [True, False])
+def test_normals_and_areas_match_their_own_formulas(hires_die, normals_first):
+    """Both come from one cross product, with the bits of each one's own
+    formula, whichever is read first."""
+    mesh = TriangleMesh(hires_die.vertices, hires_die.faces)
+    tri = mesh.vertices[mesh.faces]
+    c = np.cross(tri[:, 1] - tri[:, 0], tri[:, 2] - tri[:, 0])
+    norm = np.linalg.norm(c, axis=1)
+    normals = c / np.where(norm > 0.0, norm, 1.0)[:, None]
+    order = ["face_normals", "face_areas"][:: 1 if normals_first else -1]
+    got = {name: getattr(mesh, name) for name in order}
+    assert got["face_normals"].tobytes() == normals.tobytes()
+    assert got["face_areas"].tobytes() == (0.5 * norm).tobytes()
+
+
 def test_validation_errors():
     with pytest.raises(EmptyMeshError):
         TriangleMesh(np.zeros((0, 3)), np.zeros((0, 3), dtype=int))

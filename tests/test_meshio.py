@@ -150,6 +150,23 @@ def test_weld_tolerance_collapses_near_duplicates():
     assert soup_to_mesh(tri).n_vertices == 4
 
 
+@pytest.mark.parametrize("shifted_first", [False, True])
+def test_weld_keeps_the_first_occurrence(shifted_first):
+    """Copies 0.4 of the welding grid (0.4 nm) apart weld into one vertex
+    at the position that comes first in the soup."""
+    shift = np.array([0.4, -0.4, 0.4]) * WELD_TOL
+    a, b = np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]])
+    first, later = (a + shift, b + shift), (a, b)
+    if not shifted_first:
+        first, later = later, first
+    soup = np.array([[0.0, 0.0, 0.0], *first, [1.0, 1.0, 0.0], later[1], later[0]])
+    mesh = soup_to_mesh(soup)
+    assert mesh.n_vertices == 4
+    # the second triangle reuses the first one's vertices, where they are
+    assert np.array_equal(mesh.faces[1, 1:], mesh.faces[0, [2, 1]])
+    assert mesh.vertices[mesh.faces[0, 1:]].tobytes() == np.array(first).tobytes()
+
+
 def _weld_loop(raw_vertices):
     """Reference weld: row-wise unique keys, first occurrence by a loop."""
     key = np.round(raw_vertices / WELD_TOL).astype(np.int64)

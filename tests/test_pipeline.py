@@ -325,3 +325,32 @@ def test_validate_refuses_values_a_later_stage_fails_on(field, value):
     PipelineConfig().validate()
     with pytest.raises(ValueError):
         PipelineConfig(**{field: value}).validate()
+
+
+_WRONG_TYPES = {
+    "int": ["5", 2.5, 5.0, True, None],
+    "float": ["2", True, None, [1.0]],
+    "str": [3, None, True],
+}
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [
+        (name, value)
+        for name, f in PipelineConfig.__dataclass_fields__.items()
+        for value in _WRONG_TYPES[f.type]
+    ],
+)
+def test_validate_refuses_values_of_the_wrong_type(field, value):
+    with pytest.raises(ValueError, match=field):
+        PipelineConfig(**{field: value}).validate()
+
+
+def test_validate_takes_numpy_and_integer_numbers():
+    PipelineConfig(
+        folds=np.int64(3),
+        epochs=np.int32(2),
+        smoothness=2,
+        learning_rate=np.float32(0.5),
+    ).validate()
