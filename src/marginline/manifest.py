@@ -5,9 +5,10 @@ Schema (one entry per case):
      "arch": "upper"|"lower", "tooth_position": 11|21|31|41,
      "rating": float|null, "split": "train"|"test"}
 
-Paths are resolved relative to the manifest file. A directory without a
-manifest can be scanned instead: `<case>_die.stl` plus optional
-`<case>_crown_bottom.stl` pairs are picked up with default metadata.
+Paths are resolved relative to the manifest file. A directory stands for
+the `manifest.json` in it; one without a manifest is scanned instead:
+`<case>_die.stl` plus optional `<case>_crown_bottom.stl` pairs are
+picked up with default metadata.
 """
 
 from __future__ import annotations
@@ -124,7 +125,9 @@ def _validate_entry(raw, base, index):
 def load_manifest(path) -> DatasetManifest:
     path = Path(path)
     if path.is_dir():
-        return scan_directory(path)
+        if not (path / "manifest.json").is_file():
+            return scan_directory(path)
+        path = path / "manifest.json"
     raw = json.loads(path.read_text())
     entries = raw.get("cases") if isinstance(raw, dict) else raw
     if not isinstance(entries, list):

@@ -49,7 +49,6 @@ from .refine import GraphCutConfig, cleanup_components, graph_cut_refine
 from .segnet import (
     COMPUTE_DTYPE,
     NetworkParams,
-    TrainConfig,
     forward,
     kfold_split,
     thread_map,
@@ -74,7 +73,6 @@ class PipelineConfig:
     folds: int = 5
     epochs: int = 200
     width_scale: float = 1.0
-    learning_rate: float = 1e-3
     batch_size: int = 10
     ensemble: str = "max_probability"
     smoothness: float = 2.0
@@ -82,11 +80,6 @@ class PipelineConfig:
     n_samples: int = 5000
     threshold_um: float = 200.0
     seed: int = 0
-
-    def train_config(self):
-        # every TrainConfig field is a field of this config, by the same name
-        names = TrainConfig.__dataclass_fields__
-        return TrainConfig(**{name: getattr(self, name) for name in names})
 
     def graph_cut_config(self):
         return GraphCutConfig(
@@ -105,6 +98,10 @@ class PipelineConfig:
             (self.target_faces >= 4, "target_faces must be at least 4"),
             (self.augment_per_die >= 0, "augment_per_die must be >= 0"),
             (self.folds >= 2, "need at least 2 folds"),
+            (self.epochs > 0, "epochs must be positive"),
+            (self.batch_size > 0, "batch_size must be positive"),
+            # NaN fails too
+            (self.width_scale > 0, "width_scale must be positive"),
             (self.n_samples >= 8, "n_samples must be at least 8"),
             (self.threshold_um > 0, "threshold_um must be positive"),
             (self.seed >= 0, "seed must be >= 0"),
@@ -112,12 +109,13 @@ class PipelineConfig:
             if not ok:
                 raise ValueError(message)
         strategy_fold(self.ensemble, self.folds)
-        self.train_config().validate()
         self.graph_cut_config().validate()
 
     @staticmethod
     def from_json(path):
         raw = json.loads(Path(path).read_text())
+        if not isinstance(raw, dict):
+            raise ValueError(f"{path}: a config must be a JSON object, not {raw!r}")
         known = {f for f in PipelineConfig.__dataclass_fields__}
         unknown = set(raw) - known
         if unknown:
@@ -151,6 +149,14 @@ def _load_transform(path):
     )
 
 
+def _registered(mesh: TriangleMesh, pre, case_id):
+    """`mesh` moved by the registration that preprocess saved in `pre`
+    for the case. The JSON round trip is exact, so a die comes out bit
+    for bit as `obb_register` returned it."""
+    transform = _load_transform(pre / f"{case_id}_transform.json")
+    return TriangleMesh(transform.apply(mesh.vertices), mesh.faces)
+
+
 def stage_preprocess(manifest: DatasetManifest, config: PipelineConfig, run_dir):
     """Register every die to the canonical pose and decimate it."""
     out = _stage_dir(run_dir, "preprocess")
@@ -158,7 +164,6 @@ def stage_preprocess(manifest: DatasetManifest, config: PipelineConfig, run_dir)
         die = load_mesh(case.die_path)
         registered, transform = obb_register(die, arch=case.arch)
         decimated = decimate(registered, config.target_faces)
-        save_stl_binary(registered, out / f"{case.case_id}_registered.stl")
         save_stl_binary(decimated, out / f"{case.case_id}_decimated.stl")
         _save_transform(
             out / f"{case.case_id}_transform.json",
@@ -175,9 +180,7 @@ def stage_labels(manifest: DatasetManifest, config: PipelineConfig, run_dir):
     for case in manifest:
         if case.crown_bottom_path is None:
             continue
-        transform = _load_transform(pre / f"{case.case_id}_transform.json")
-        crown = load_mesh(case.crown_bottom_path)
-        crown = TriangleMesh(transform.apply(crown.vertices), crown.faces)
+        crown = _registered(load_mesh(case.crown_bottom_path), pre, case.case_id)
         decimated = load_mesh(pre / f"{case.case_id}_decimated.stl")
         labeled = label_die(decimated, crown)
         np.save(out / f"{case.case_id}_labels.npy", labeled.labels)
@@ -256,7 +259,7 @@ def stage_train(manifest: DatasetManifest, config: PipelineConfig, run_dir):
     folds = kfold_split(base_ids, k=config.folds, seed=config.seed)
     # every #augK variant trains and validates in its base case's fold
     fold_of = {s: folds[base_case_id(s)] for s in dataset}
-    models, history = train_kfold(dataset, fold_of, config.train_config())
+    models, history = train_kfold(dataset, fold_of, config)
     for fold, params in models.items():
         params.save(out / f"fold{fold}.bin")
     (out / "folds.json").write_text(json.dumps(folds, indent=1))
@@ -323,7 +326,7 @@ def stage_extract(manifest: DatasetManifest, config: PipelineConfig, run_dir):
     for case in _prediction_cases(manifest):
         decimated = load_mesh(pre / f"{case.case_id}_decimated.stl")
         labels = np.load(ref / f"{case.case_id}_labels.npy")
-        original = load_mesh(pre / f"{case.case_id}_registered.stl")
+        original = _registered(load_mesh(case.die_path), pre, case.case_id)
         line = extract_margin_line(
             LabeledMesh(decimated, labels),
             original,

@@ -2,8 +2,8 @@ from .loss import cross_entropy, generalized_dice_loss, loss_grad_logits, loss_v
 from .network import NetworkParams, ShapeMismatch, architecture, backward, forward
 from .train import (
     COMPUTE_DTYPE,
+    LEARNING_RATE,
     Adam,
-    TrainConfig,
     evaluate_loss,
     kfold_split,
     sample_loss_and_grads,

@@ -6,26 +6,11 @@ import csv
 import ctypes
 import os
 import threading
-from dataclasses import dataclass
 
 import numpy as np
 
 from .loss import loss_grad_logits, loss_value
 from .network import NetworkParams, backward, forward
-
-
-@dataclass
-class TrainConfig:
-    learning_rate: float = 1e-3
-    batch_size: int = 10
-    epochs: int = 200
-    width_scale: float = 1.0
-    seed: int = 0
-
-    def validate(self):
-        values = (self.learning_rate, self.batch_size, self.epochs, self.width_scale)
-        if not all(v > 0 for v in values):  # NaN fails too
-            raise ValueError("hyperparameters must be positive")
 
 
 def kfold_split(case_ids, k=5, seed=0):
@@ -121,15 +106,16 @@ def thread_map(fn, items):
     return results
 
 
-# Adam's moment decay rates and denominator guard (Kingma & Ba's defaults)
+# Adam's step, moment decay rates and denominator guard (Kingma & Ba's
+# defaults)
+LEARNING_RATE = 1e-3
 BETA1 = 0.9
 BETA2 = 0.999
 EPS = 1e-8
 
 
 class Adam:
-    def __init__(self, params: NetworkParams, config: TrainConfig):
-        self.config = config
+    def __init__(self, params: NetworkParams):
         self.m = params.zeros_like()
         self.v = params.zeros_like()
         self.t = 0
@@ -145,9 +131,7 @@ class Adam:
             m += (1 - BETA1) * g
             v *= BETA2
             v += (1 - BETA2) * g * g
-            params.tensors[name] -= (
-                self.config.learning_rate * (m / b1t) / (np.sqrt(v / b2t) + EPS)
-            )
+            params.tensors[name] -= LEARNING_RATE * (m / b1t) / (np.sqrt(v / b2t) + EPS)
 
 
 def sample_loss_and_grads(params, sample):
@@ -183,18 +167,20 @@ def evaluate_loss(params, samples):
     )
 
 
-def train_fold(train_samples, val_samples, config: TrainConfig, fold=1, seed=None):
+def train_fold(train_samples, val_samples, config, fold=1):
     """Train one model; returns (best params by validation loss, history).
 
-    History rows: dicts with epoch, fold, train_loss, val_loss.
-    Deterministic: fixed batch order shuffled by a seeded generator.
+    `config` is a `pipeline.PipelineConfig`; its epochs, batch_size,
+    width_scale and seed are read. History rows: dicts with epoch, fold,
+    train_loss, val_loss. Deterministic: the weights start from, and
+    batches are shuffled by, generators seeded with config.seed + fold.
     """
     config.validate()
     n_channels = train_samples[0][0].shape[1]
-    seed = config.seed if seed is None else seed
+    seed = config.seed + fold
     params = NetworkParams.init(n_channels, config.width_scale, seed=seed)
     params = params.astype(COMPUTE_DTYPE)
-    opt = Adam(params, config)
+    opt = Adam(params)
     rng = np.random.default_rng([seed, fold])
     best = params.copy()
     best_val = np.inf
@@ -225,7 +211,7 @@ def train_fold(train_samples, val_samples, config: TrainConfig, fold=1, seed=Non
     return best, history
 
 
-def train_kfold(dataset, fold_of, config: TrainConfig):
+def train_kfold(dataset, fold_of, config):
     """dataset: dict sample_id -> (features, adjacency, labels); fold_of:
     dict sample_id -> fold in 1..k. Trains one model per fold (validating
     on that fold), folds side by side on threads; returns (models,
@@ -238,7 +224,6 @@ def train_kfold(dataset, fold_of, config: TrainConfig):
             [dataset[s] for s in sorted(dataset) if fold_of[s] == fold],
             config,
             fold=fold,
-            seed=config.seed + fold,
         )
 
     folds = range(1, max(fold_of.values()) + 1)

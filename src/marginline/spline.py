@@ -87,7 +87,7 @@ class SmoothingSpline:
         k = DEGREE
         return np.arange(-k, self.n_coef + k + 1) / self.n_coef
 
-    def __call__(self, t, nu=0):
+    def __call__(self, t):
         """Evaluate at parameters t in [0, 1) (wrapped); (len(t), 3)."""
         k = DEGREE
         wrapped = np.mod(np.asarray(t, dtype=np.float64), 1.0)

@@ -241,6 +241,26 @@ def test_removed_radius_key_in_config_exit_1(tmp_path, capsys):
     assert not (tmp_path / "run").exists()
 
 
+@pytest.mark.parametrize("raw", [5, None, ["folds"], "abc"])
+def test_config_that_is_not_an_object_exit_1(tmp_path, capsys, raw):
+    (tmp_path / "a_die.stl").write_bytes(b"\0" * 84)
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps(raw))
+    code = main(
+        [
+            "preprocess",
+            "--manifest", str(tmp_path),
+            "--run-dir", str(tmp_path / "run"),
+            "--config", str(config),
+        ]
+    )
+    assert code == 1
+    error = json.loads(capsys.readouterr().err)
+    assert error["error"] == "ValueError"
+    assert "must be a JSON object" in error["message"]
+    assert not (tmp_path / "run").exists()
+
+
 @pytest.mark.parametrize(
     "manifest",
     [

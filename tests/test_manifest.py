@@ -145,6 +145,16 @@ def test_directory_scan(tmp_path):
     assert m.by_id("y").crown_bottom_path is None
 
 
+def test_directory_with_a_manifest_reads_it(tmp_path):
+    """The directory stands for its manifest.json: the file's metadata,
+    not the scan's defaults."""
+    path = _write(tmp_path, [_entry(arch="upper", split="test", rating=3)])
+    from_dir, from_file = load_manifest(tmp_path), load_manifest(path)
+    assert from_dir.cases == from_file.cases
+    case = from_dir.by_id("a")
+    assert (case.arch, case.split, case.rating) == ("upper", "test", 3.0)
+
+
 def test_empty_directory_raises(tmp_path):
     with pytest.raises(ManifestError):
         load_manifest(tmp_path)

@@ -22,12 +22,14 @@ from marginline.manifest import (
     load_manifest,
     save_manifest,
 )
+from marginline.mesh import TriangleMesh
 from marginline.meshio import load_mesh, save_stl_binary
 from marginline.pipeline import (
     PipelineConfig,
     base_case_id,
     run_pipeline,
     stage_evaluate,
+    stage_extract,
     stage_features,
     stage_labels,
     stage_predict,
@@ -37,7 +39,8 @@ from marginline.pipeline import (
 )
 from marginline.segnet import NetworkParams, forward
 from marginline.segnet import train as train_mod
-from marginline.shapes import icosphere
+from marginline.preprocess import obb_register, rotation_xyz
+from marginline.shapes import frustum_die, icosphere
 from marginline.synthetic import generate_benchmark
 
 
@@ -118,14 +121,12 @@ def test_augmented_variants_train_and_validate_in_their_base_fold(
 
     trained, validated, fold_of_model = {}, {}, {}
 
-    def recording_train_fold(train_samples, val_samples, config, fold=1, seed=None):
+    def recording_train_fold(train_samples, val_samples, config, fold=1):
         trained[fold] = (
             {sample_of[key(x)] for x, _, _ in train_samples},
             {sample_of[key(x)] for x, _, _ in val_samples},
         )
-        params, history = real_train_fold(
-            train_samples, val_samples, config, fold=fold, seed=seed
-        )
+        params, history = real_train_fold(train_samples, val_samples, config, fold=fold)
         fold_of_model[id(params)] = fold
         return params, history
 
@@ -309,13 +310,11 @@ def test_democracy_vote_reaches_refine(tmp_path, monkeypatch):
         ("dihedral_sigma", 0.0),
         ("epochs", 0),
         ("batch_size", 0),
-        ("learning_rate", -1.0),
         ("width_scale", 0.0),
         ("augment_per_die", -1),
         ("ensemble", "fold-9"),  # 5 folds
         ("ensemble", "fold-x"),
         ("seed", -1),
-        ("learning_rate", float("nan")),
         ("width_scale", float("nan")),
         ("smoothness", float("nan")),
         ("dihedral_sigma", float("nan")),
@@ -352,5 +351,71 @@ def test_validate_takes_numpy_and_integer_numbers():
         folds=np.int64(3),
         epochs=np.int32(2),
         smoothness=2,
-        learning_rate=np.float32(0.5),
+        width_scale=np.float32(0.5),
     ).validate()
+
+
+def test_config_has_exactly_these_fields():
+    """Adding a setting is a deliberate edit of this list."""
+    assert list(PipelineConfig.__dataclass_fields__) == [
+        "target_faces",
+        "augment_per_die",
+        "folds",
+        "epochs",
+        "width_scale",
+        "batch_size",
+        "ensemble",
+        "smoothness",
+        "dihedral_sigma",
+        "n_samples",
+        "threshold_um",
+        "seed",
+    ]
+
+
+@pytest.mark.parametrize("raw", [5, None, ["folds"], "abc"])
+def test_config_file_that_is_not_an_object_is_refused(tmp_path, raw):
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(raw))
+    with pytest.raises(ValueError, match="must be a JSON object") as info:
+        PipelineConfig.from_json(path)
+    assert str(path) in str(info.value)
+
+
+@pytest.mark.parametrize("arch", ["lower", "upper"])
+def test_registered_scan_rebuilt_from_its_transform_bit_for_bit(tmp_path, arch):
+    """The saved transform moves the scan exactly as registration did;
+    for the upper arch the transform has the flip composed in."""
+    mesh, _ = frustum_die(
+        base_radius=6.2, margin_radius=4.0, margin_height=3.6, crown_height=2.6,
+        scale_xy=(1.0, 0.86),
+    )
+    rng = np.random.default_rng(8)
+    rot = rotation_xyz(*rng.uniform(-np.pi, np.pi, size=3))
+    scan = TriangleMesh(mesh.vertices @ rot.T + rng.uniform(-5, 5, 3), mesh.faces)
+    registered, transform = obb_register(scan, arch=arch)
+    pipeline._save_transform(tmp_path / "die_transform.json", transform)
+    rebuilt = pipeline._registered(scan, tmp_path, "die")
+    assert rebuilt.vertices.tobytes() == registered.vertices.tobytes()
+    assert np.array_equal(rebuilt.faces, registered.faces)
+
+
+def test_preprocess_writes_no_registered_scan(tmp_path):
+    """Preprocess keeps the decimated die and the transform only, and
+    extract rebuilds the full-resolution scan from the manifest's."""
+    manifest = load_manifest(generate_benchmark(tmp_path / "data", n_cases=2, seed=5))
+    config = PipelineConfig(target_faces=2000, n_samples=64)
+    run = tmp_path / "run"
+    stage_preprocess(manifest, config, run)
+    assert sorted(p.name for p in (run / "preprocess").iterdir()) == sorted(
+        f"{c.case_id}_{suffix}"
+        for c in manifest
+        for suffix in ("decimated.stl", "transform.json")
+    )
+    stage_labels(manifest, config, run)
+    # the transferred labels stand in for the refined ones
+    shutil.copytree(run / "labels", run / "refine")
+    stage_extract(manifest, config, run)
+    for case in manifest:
+        margin = json.loads((run / "margins" / f"{case.case_id}_margin.json").read_text())
+        assert margin["closed"] is True and margin["n"] == 64

@@ -5,9 +5,9 @@ import numpy as np
 import pytest
 
 from marginline.features import build_adjacency
+from marginline.pipeline import PipelineConfig
 from marginline.segnet import (
     NetworkParams,
-    TrainConfig,
     architecture,
     forward,
     kfold_split,
@@ -135,9 +135,7 @@ def test_kfold_round_robin_sizes():
 
 def test_training_is_deterministic_and_learns():
     samples = [_toy_sample(seed=s) for s in range(4)]
-    config = TrainConfig(
-        learning_rate=1e-3, batch_size=2, epochs=30, width_scale=0.125, seed=5
-    )
+    config = PipelineConfig(batch_size=2, epochs=30, width_scale=0.125, seed=5)
     a, hist_a = train_fold(samples[:3], samples[3:], config, fold=1)
     b, hist_b = train_fold(samples[:3], samples[3:], config, fold=1)
     for name in a.tensors:
@@ -175,13 +173,13 @@ def test_training_computes_in_float32(monkeypatch):
     optimizers = []
 
     class RecordingAdam(train_mod.Adam):
-        def __init__(self, params, config):
-            super().__init__(params, config)
+        def __init__(self, params):
+            super().__init__(params)
             optimizers.append(self)
 
     monkeypatch.setattr(train_mod, "Adam", RecordingAdam)
     samples = [_toy_sample(seed=s) for s in range(3)]
-    config = TrainConfig(batch_size=2, epochs=2, width_scale=0.125, seed=5)
+    config = PipelineConfig(batch_size=2, epochs=2, width_scale=0.125, seed=5)
     params, _ = train_fold(samples[:2], samples[2:], config, fold=1)
     assert params.dtype == np.float32
     (opt,) = optimizers
@@ -304,7 +302,7 @@ def _kfold_dataset():
 
 def test_train_kfold_does_not_depend_on_the_thread_count(monkeypatch, tmp_path):
     dataset, fold_of = _kfold_dataset()
-    config = TrainConfig(batch_size=2, epochs=3, width_scale=0.125, seed=2)
+    config = PipelineConfig(batch_size=2, epochs=3, width_scale=0.125, seed=2)
     real_train_fold = train_mod.train_fold
     files = {}
     for workers in (1, 2):
@@ -337,7 +335,7 @@ def test_fold_error_in_a_worker_thread_propagates(monkeypatch):
     dataset, fold_of = _kfold_dataset()
     x, adj, y = dataset["s0"]
     dataset["s0"] = (np.full_like(x, np.nan), adj, y)
-    config = TrainConfig(batch_size=2, epochs=2, width_scale=0.125, seed=2)
+    config = PipelineConfig(batch_size=2, epochs=2, width_scale=0.125, seed=2)
     for workers in (1, 2):
         monkeypatch.setattr(train_mod, "worker_count", lambda n: min(n, workers))
         with np.errstate(invalid="ignore"):
