@@ -36,7 +36,6 @@ from .meshio import (
 )
 from .preprocess import (
     AugmentationSpec,
-    NormalizationTransform,
     RigidTransform,
     augment,
     normalize,
@@ -76,7 +75,7 @@ __all__ = [
     "FaceAdjacency", "GraphCutConfig", "IncompleteMarginError",
     "LabeledMesh", "ManifestError", "MarginLine", "MarginlineError",
     "MeshParseError", "MetricError", "NormalizationError",
-    "NormalizationTransform", "PipelineConfig", "RegistrationError",
+    "PipelineConfig", "RegistrationError",
     "RigidTransform", "SmoothingSpline", "SplineFitError", "TopologyError",
     "TriangleMesh", "aggregate", "assemble_features", "augment",
     "build_adjacency", "cleanup_components", "combine",

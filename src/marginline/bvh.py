@@ -139,11 +139,6 @@ class TriangleBVH:
             ids = np.flatnonzero(level == lv)
             self._buckets.append((cKDTree(centroids[ids]), ids, radius[ids].max()))
 
-    def closest_point(self, query):
-        """Returns (point (3,), face id, distance)."""
-        pts, faces, dists = self.closest_points(np.reshape(query, (1, 3)))
-        return pts[0], int(faces[0]), float(dists[0])
-
     def closest_points(self, queries, tie_score=None):
         """Batched exact closest points; returns (points (n,3), faces (n,),
         dists (n,)).

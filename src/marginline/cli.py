@@ -33,43 +33,50 @@ FLAGS = {
     "seed": ("--seed", int, "seed of folds, weights and augmentation"),
 }
 
-# command -> (stage function, help, the PipelineConfig fields it takes)
+# command -> (stage functions it runs, help, the PipelineConfig fields it takes)
 COMMANDS = {
     "preprocess": (
-        pl.stage_preprocess, "register and decimate the dies", ("target_faces",)
+        (pl.stage_preprocess,), "register and decimate the dies", ("target_faces",)
     ),
-    "label": (pl.stage_labels, "transfer crown-bottom labels onto dies", ()),
+    "label": ((pl.stage_labels,), "transfer crown-bottom labels onto dies", ()),
     "featurize": (
-        pl.stage_features, "cache per-case feature matrices", ("augment_per_die",)
+        (pl.stage_features,), "cache per-case feature matrices", ("augment_per_die",)
     ),
     "train": (
-        pl.stage_train,
+        (pl.stage_train,),
         "train the k-fold segmentation ensemble",
         ("folds", "epochs", "width_scale", "seed"),
     ),
     "predict": (
-        pl.stage_predict, "run the ensemble on the dataset", ("ensemble", "folds")
+        (pl.stage_predict,), "run the ensemble on the dataset", ("ensemble", "folds")
     ),
     "refine": (
-        pl.stage_refine, "graph-cut label refinement", ("smoothness", "dihedral_sigma")
+        (pl.stage_refine,),
+        "graph-cut label refinement",
+        ("smoothness", "dihedral_sigma"),
     ),
-    "extract": (pl.stage_extract, "fit and sample the margin lines", ("n_samples",)),
+    "extract": (
+        (pl.stage_extract,), "fit and sample the margin lines", ("n_samples",)
+    ),
     "evaluate": (
-        pl.stage_evaluate, "score predictions against truth", ("threshold_um",)
+        (pl.stage_evaluate,), "score predictions against truth", ("threshold_um",)
     ),
-    "pipeline": (pl.run_pipeline, "run every stage in order", tuple(FLAGS)),
+    "pipeline": (
+        tuple(fn for _, fn in pl.STAGES), "run every stage in order", tuple(FLAGS)
+    ),
 }
 
 
 def _build_config(args):
-    config = (
-        pl.PipelineConfig.from_json(args.config) if args.config else pl.PipelineConfig()
-    )
+    """The run directory's config.json (the defaults for a new run),
+    replaced by --config when given, with the command's flags on top."""
+    saved = Path(args.run_dir) / "config.json"
+    path = args.config or (saved if saved.exists() else None)
+    config = pl.PipelineConfig.from_json(path) if path else pl.PipelineConfig()
     for field in COMMANDS[args.command][2]:
         value = getattr(args, field)
         if value is not None:
             setattr(config, field, value)
-    config.validate()
     return config
 
 
@@ -114,11 +121,8 @@ def _run(args):
         return 0
 
     manifest = load_manifest(args.manifest)
-    config = _build_config(args)
-    run_dir = Path(args.run_dir)
-    run_dir.mkdir(parents=True, exist_ok=True)
-    config.save(run_dir / "config.json")
-    out = COMMANDS[args.command][0](manifest, config, run_dir)
+    stages = COMMANDS[args.command][0]
+    out = pl.run_stages(stages, manifest, _build_config(args), args.run_dir)
     print(f"{args.command}: artifacts in {out}")
     return 0
 

@@ -36,10 +36,6 @@ class AlignmentError(MarginlineError):
 class IncompleteMarginError(MarginlineError):
     """Margin faces fail to disconnect the die into two regions."""
 
-    def __init__(self, message, gaps=None):
-        super().__init__(message)
-        self.gaps = gaps or []
-
 
 class SplineFitError(MarginlineError):
     pass

@@ -124,8 +124,7 @@ def split_regions(die: TriangleMesh, margin_faces) -> LabeledMesh:
     else:
         raise IncompleteMarginError(
             "margin faces do not disconnect the die after "
-            f"{MAX_GAP_DILATIONS} dilation rounds",
-            gaps=np.flatnonzero(margin)[:20].tolist(),
+            f"{MAX_GAP_DILATIONS} dilation rounds"
         )
     bary = die.barycenters
     areas = die.face_areas

@@ -47,12 +47,6 @@ class DatasetManifest:
     def split(self, which):
         return [c for c in self.cases if c.split == which]
 
-    def by_id(self, case_id):
-        for c in self.cases:
-            if c.case_id == case_id:
-                return c
-        raise ManifestError(f"unknown case id {case_id!r}")
-
 
 def _existing_file(base, value, where, what):
     if not isinstance(value, str):

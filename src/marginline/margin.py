@@ -13,7 +13,7 @@ import numpy as np
 from .errors import BoundaryExtractionError
 from .labeling import LabeledMesh
 from .mesh import TriangleMesh, loop_length, walk_closed_loops
-from .spline import SmoothingSpline, fit_smoothing_spline
+from .spline import fit_smoothing_spline
 
 DEFAULT_SAMPLES = 5000
 
@@ -61,7 +61,6 @@ class MarginLine:
     """Ordered closed loop of points lying on the original die surface."""
 
     points: np.ndarray  # (n, 3) mm
-    spline: SmoothingSpline
     case_id: str = ""
 
     @property
@@ -134,4 +133,4 @@ def extract_margin_line(
     on_surface, _, _ = bvh.closest_points(sampled)
     if _self_intersects_2d(on_surface):
         warnings.warn(f"margin line for case {case_id!r} self-intersects")
-    return MarginLine(points=on_surface, spline=spline, case_id=case_id)
+    return MarginLine(points=on_surface, case_id=case_id)

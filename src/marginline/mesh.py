@@ -105,9 +105,6 @@ class TriangleMesh:
             axis=1,
         )
 
-    def bounding_box(self):
-        return self.vertices.min(axis=0), self.vertices.max(axis=0)
-
     def adjacency(self) -> "FaceAdjacency":
         if self._adjacency is None:
             self._adjacency = FaceAdjacency.build(self)
@@ -120,16 +117,10 @@ class TriangleMesh:
             self._bvh = TriangleBVH(self.vertices, self.faces)
         return self._bvh
 
-    def transformed(self, rotation=None, translation=None, scale=None):
-        """New mesh with vertices v -> diag(scale) @ (R @ v) + t."""
-        v = self.vertices
-        if rotation is not None:
-            v = v @ np.asarray(rotation, dtype=np.float64).T
-        if scale is not None:
-            v = v * np.asarray(scale, dtype=np.float64)
-        if translation is not None:
-            v = v + np.asarray(translation, dtype=np.float64)
-        return TriangleMesh(v, self.faces)
+    def transformed(self, rotation, scale):
+        """New mesh with vertices v -> diag(scale) @ (R @ v)."""
+        v = self.vertices @ np.asarray(rotation, dtype=np.float64).T
+        return TriangleMesh(v * np.asarray(scale, dtype=np.float64), self.faces)
 
 
 @dataclass
@@ -138,9 +129,6 @@ class BoundaryLoop:
 
     vertices: np.ndarray  # (k,) int64, cyclic order
     length: float  # total loop length in mm
-
-    def points(self, mesh):
-        return mesh.vertices[self.vertices]
 
 
 class FaceAdjacency:

@@ -26,10 +26,6 @@ class ConfusionCounts:
     tn: int
     fn: int
 
-    @property
-    def total(self):
-        return self.tp + self.fp + self.tn + self.fn
-
 
 def _safe_ratio(num, den, vacuous_perfect):
     if den == 0:
@@ -67,9 +63,6 @@ class DistanceStats:
     max_um: float
     mean_um: float
     std_um: float
-    symmetric_max_um: float
-    symmetric_mean_um: float
-    symmetric_std_um: float
 
 
 _PAIRS_PER_CHUNK = 1 << 18
@@ -107,25 +100,18 @@ def closed_polyline_distance(points, loop):
 
 
 def margin_distance_stats(pred_points, truth_points) -> DistanceStats:
-    """Primary direction is predicted points -> the truth curve, the
-    closed polyline through `truth_points` in order; the symmetric
-    variant pools both directions (truth points -> the predicted closed
-    polyline as well; max of maxes, stats of pooled distances).
-    Inputs are mm; the report is in micrometers."""
+    """Distances from the predicted points to the truth curve, the
+    closed polyline through `truth_points` in order. Inputs are mm; the
+    report is in micrometers."""
     pred_points = np.asarray(pred_points, dtype=np.float64)
     truth_points = np.asarray(truth_points, dtype=np.float64)
     if len(pred_points) == 0 or len(truth_points) == 0:
         raise MetricError("empty point cloud")
     d_pt = closed_polyline_distance(pred_points, truth_points) * 1000.0
-    d_tp = closed_polyline_distance(truth_points, pred_points) * 1000.0
-    pooled = np.concatenate([d_pt, d_tp])
     return DistanceStats(
         max_um=float(d_pt.max()),
         mean_um=float(d_pt.mean()),
         std_um=float(d_pt.std()),
-        symmetric_max_um=float(pooled.max()),
-        symmetric_mean_um=float(pooled.mean()),
-        symmetric_std_um=float(pooled.std()),
     )
 
 
@@ -145,7 +131,6 @@ def spearman(x, y):
 @dataclass
 class CaseEvaluation:
     case_id: str
-    confusion: ConfusionCounts | None
     dsc: float | None
     sen: float | None
     ppv: float | None
@@ -176,16 +161,15 @@ def evaluate_case(
     rating=None,
 ) -> CaseEvaluation:
     """Per-case report row; success iff max distance <= threshold."""
-    confusion = dsc = sen = ppv = None
+    dsc = sen = ppv = None
     if pred_labels is not None and truth_labels is not None:
-        confusion, dsc, sen, ppv = segmentation_metrics(pred_labels, truth_labels)
+        _, dsc, sen, ppv = segmentation_metrics(pred_labels, truth_labels)
     distances = success = None
     if pred_margin_points is not None and truth_margin_points is not None:
         distances = margin_distance_stats(pred_margin_points, truth_margin_points)
         success = bool(distances.max_um <= threshold_um)
     return CaseEvaluation(
         case_id=case_id,
-        confusion=confusion,
         dsc=dsc,
         sen=sen,
         ppv=ppv,

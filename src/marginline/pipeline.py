@@ -7,7 +7,17 @@ Stages (each a plain function taking the manifest, config and run dir):
 
 Every stage writes its artifacts under its own subdirectory of the run
 directory and reads only from earlier stages, so a run can be resumed or
-re-entered at any point.
+re-entered at any point. `artifact_path` names every per-case file.
+
+Every stage but train is one function of a single case, mapped over the
+stage's cases by `_each_case`, which holds the batch policy: a case
+that raises a `MarginlineError` does not stop the others, and once the
+last case is done the stage raises one `MarginlineError` naming every
+failed case id with its error class and message, chained from the first
+failure. Any other exception propagates at once. `run_stages` is the one
+entry point of the library and the command line: it validates the
+config, creates the run directory, writes `config.json` and runs the
+stages in order.
 """
 
 from __future__ import annotations
@@ -16,6 +26,7 @@ import csv
 import json
 import numbers
 from dataclasses import asdict, dataclass
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -23,7 +34,7 @@ import numpy as np
 from . import metrics as metrics_mod
 from .decimate import decimate
 from .ensemble import combined_field, strategy_fold
-from .errors import ManifestError
+from .errors import ManifestError, MarginlineError
 from .features import (
     AdjacencyPair,
     CellFeatures,
@@ -126,10 +137,51 @@ class PipelineConfig:
         Path(path).write_text(json.dumps(asdict(self), indent=1))
 
 
+# per-case artifact kind -> (stage directory, file name after the case id)
+ARTIFACTS = {
+    "decimated": ("preprocess", "_decimated.stl"),
+    "transform": ("preprocess", "_transform.json"),
+    "labels": ("labels", "_labels.npy"),
+    "truth_margin": ("labels", "_truth_margin.json"),
+    "features": ("features", ".mlfc"),
+    "probs": ("predict", "_probs.npy"),
+    "refined": ("refine", "_labels.npy"),
+    "refined_ply": ("refine", "_refined.ply"),
+    "margin": ("margins", "_margin.json"),
+    "margin_obj": ("margins", "_margin.obj"),
+}
+
+
+def artifact_path(run_dir, kind, case_id):
+    """Path of the `kind` artifact of one case (or augmented sample)."""
+    stage, suffix = ARTIFACTS[kind]
+    return Path(run_dir) / stage / f"{case_id}{suffix}"
+
+
 def _stage_dir(run_dir, name):
     d = Path(run_dir) / name
     d.mkdir(parents=True, exist_ok=True)
     return d
+
+
+def _each_case(stage, cases, run_dir, per_case):
+    """Creates the `stage` directory of the run and calls
+    `per_case(case, path)` for every case in order, `path(kind)` being
+    the case's `artifact_path`; returns the directory. Failures follow
+    the batch policy in the module docstring."""
+    out = _stage_dir(run_dir, stage)
+    failures = []
+    for case in cases:
+        try:
+            per_case(case, partial(artifact_path, run_dir, case_id=case.case_id))
+        except MarginlineError as exc:
+            failures.append((case.case_id, exc))
+    if failures:
+        raise MarginlineError(
+            f"{stage}: {len(failures)} of {len(cases)} cases failed: "
+            + "; ".join(f"{cid}: {type(e).__name__}: {e}" for cid, e in failures)
+        ) from failures[0][1]
+    return out
 
 
 def _save_transform(path, transform: RigidTransform, meta=None):
@@ -149,48 +201,48 @@ def _load_transform(path):
     )
 
 
-def _registered(mesh: TriangleMesh, pre, case_id):
-    """`mesh` moved by the registration that preprocess saved in `pre`
-    for the case. The JSON round trip is exact, so a die comes out bit
-    for bit as `obb_register` returned it."""
-    transform = _load_transform(pre / f"{case_id}_transform.json")
+def _registered(mesh: TriangleMesh, transform_path):
+    """`mesh` moved by the registration that preprocess saved at
+    `transform_path`. The JSON round trip is exact, so a die comes out
+    bit for bit as `obb_register` returned it."""
+    transform = _load_transform(transform_path)
     return TriangleMesh(transform.apply(mesh.vertices), mesh.faces)
 
 
 def stage_preprocess(manifest: DatasetManifest, config: PipelineConfig, run_dir):
     """Register every die to the canonical pose and decimate it."""
-    out = _stage_dir(run_dir, "preprocess")
-    for case in manifest:
+
+    def one(case, path):
         die = load_mesh(case.die_path)
         registered, transform = obb_register(die, arch=case.arch)
         decimated = decimate(registered, config.target_faces)
-        save_stl_binary(decimated, out / f"{case.case_id}_decimated.stl")
+        save_stl_binary(decimated, path("decimated"))
         _save_transform(
-            out / f"{case.case_id}_transform.json",
+            path("transform"),
             transform,
             {"arch": case.arch, "target_faces": config.target_faces},
         )
-    return out
+
+    return _each_case("preprocess", manifest, run_dir, one)
 
 
 def stage_labels(manifest: DatasetManifest, config: PipelineConfig, run_dir):
     """Transfer each crown-bottom boundary onto its decimated die."""
-    pre = Path(run_dir) / "preprocess"
-    out = _stage_dir(run_dir, "labels")
-    for case in manifest:
-        if case.crown_bottom_path is None:
-            continue
-        crown = _registered(load_mesh(case.crown_bottom_path), pre, case.case_id)
-        decimated = load_mesh(pre / f"{case.case_id}_decimated.stl")
+
+    def one(case, path):
+        crown = _registered(load_mesh(case.crown_bottom_path), path("transform"))
+        decimated = load_mesh(path("decimated"))
         labeled = label_die(decimated, crown)
-        np.save(out / f"{case.case_id}_labels.npy", labeled.labels)
+        np.save(path("labels"), labeled.labels)
         truth = extract_margin_points(crown)
-        (out / f"{case.case_id}_truth_margin.json").write_text(
+        path("truth_margin").write_text(
             json.dumps(
                 {"case_id": case.case_id, "points": truth.tolist()}, indent=1
             )
         )
-    return out
+
+    labeled = [c for c in manifest if c.crown_bottom_path is not None]
+    return _each_case("labels", labeled, run_dir, one)
 
 
 def _featurize(mesh: TriangleMesh):
@@ -198,7 +250,7 @@ def _featurize(mesh: TriangleMesh):
     normalized coordinates out), cast once to the network's compute
     dtype, so neither training nor prediction has to."""
     curvature = compute_mean_curvature(mesh)
-    normalized, _ = normalize(mesh)
+    normalized = normalize(mesh)
     feats = assemble_features(normalized, curvature)
     adj = build_adjacency(normalized.barycenters)
     return (
@@ -210,25 +262,27 @@ def _featurize(mesh: TriangleMesh):
 def stage_features(manifest: DatasetManifest, config: PipelineConfig, run_dir):
     """Cache features/adjacency (and labels where known) per case, plus
     augmented variants of training cases when configured."""
-    pre = Path(run_dir) / "preprocess"
-    labels_dir = Path(run_dir) / "labels"
-    out = _stage_dir(run_dir, "features")
     spec = AugmentationSpec(samples_per_die=config.augment_per_die, seed=config.seed)
-    for index, case in enumerate(manifest):
-        mesh = load_mesh(pre / f"{case.case_id}_decimated.stl")
-        labels_path = labels_dir / f"{case.case_id}_labels.npy"
+
+    def one(case, path):
+        mesh = load_mesh(path("decimated"))
+        labels_path = path("labels")
         # an inference-only case (no crown bottom) has no labels
         samples = [(mesh, None)]
         if labels_path.exists():
             variants = [LabeledMesh(mesh, np.load(labels_path))]
             if config.augment_per_die > 0 and case.split == "train":
+                # a case's place in the manifest seeds its augmented copies
+                index = manifest.cases.index(case)
                 variants = augment(variants[0], spec, sample_index=index)
             samples = [(v.mesh, v.labels) for v in variants]
         for k, (mesh, labels) in enumerate(samples):
             feats, adj = _featurize(mesh)
             name = case.case_id if k == 0 else f"{case.case_id}#aug{k}"
-            save_feature_cache(out / f"{name}.mlfc", feats, adj, labels=labels)
-    return out
+            cache = artifact_path(run_dir, "features", name)
+            save_feature_cache(cache, feats, adj, labels=labels)
+
+    return _each_case("features", manifest, run_dir, one)
 
 
 def base_case_id(sample_id):
@@ -288,72 +342,66 @@ def _prediction_cases(manifest):
 
 def stage_predict(manifest: DatasetManifest, config: PipelineConfig, run_dir):
     """Run every fold model and combine the probability fields."""
-    feat_dir = Path(run_dir) / "features"
     model_dir = Path(run_dir) / "models"
-    out = _stage_dir(run_dir, "predict")
     folds = range(1, config.folds + 1)
     models = [NetworkParams.load(model_dir / f"fold{k}.bin") for k in folds]
-    for case in _prediction_cases(manifest):
-        feats, adj, _ = load_feature_cache(feat_dir / f"{case.case_id}.mlfc")
+
+    def one(case, path):
+        feats, adj, _ = load_feature_cache(path("features"))
         fields = thread_map(lambda params: forward(params, feats.matrix, adj), models)
         # refine cuts this field, whose argmax is the ensemble's label
         field = combined_field(fields, config.ensemble)
-        np.save(out / f"{case.case_id}_probs.npy", field)
-    return out
+        np.save(path("probs"), field)
+
+    return _each_case("predict", _prediction_cases(manifest), run_dir, one)
 
 
 def stage_refine(manifest: DatasetManifest, config: PipelineConfig, run_dir):
     """Graph-cut smoothing of the ensembled fields plus island removal."""
-    pre = Path(run_dir) / "preprocess"
-    pred = Path(run_dir) / "predict"
-    out = _stage_dir(run_dir, "refine")
     gc = config.graph_cut_config()
-    for case in _prediction_cases(manifest):
-        mesh = load_mesh(pre / f"{case.case_id}_decimated.stl")
-        probs = np.load(pred / f"{case.case_id}_probs.npy")
+
+    def one(case, path):
+        mesh = load_mesh(path("decimated"))
+        probs = np.load(path("probs"))
         labels = graph_cut_refine(mesh, probs, gc)
         labels = cleanup_components(labels, mesh.adjacency())
-        np.save(out / f"{case.case_id}_labels.npy", labels)
-        save_ply(mesh, out / f"{case.case_id}_refined.ply", labels)
-    return out
+        np.save(path("refined"), labels)
+        save_ply(mesh, path("refined_ply"), labels)
+
+    return _each_case("refine", _prediction_cases(manifest), run_dir, one)
 
 
 def stage_extract(manifest: DatasetManifest, config: PipelineConfig, run_dir):
     """Margin line per case, projected onto the full-resolution die."""
-    pre = Path(run_dir) / "preprocess"
-    ref = Path(run_dir) / "refine"
-    out = _stage_dir(run_dir, "margins")
-    for case in _prediction_cases(manifest):
-        decimated = load_mesh(pre / f"{case.case_id}_decimated.stl")
-        labels = np.load(ref / f"{case.case_id}_labels.npy")
-        original = _registered(load_mesh(case.die_path), pre, case.case_id)
+
+    def one(case, path):
+        decimated = load_mesh(path("decimated"))
+        labels = np.load(path("refined"))
+        original = _registered(load_mesh(case.die_path), path("transform"))
         line = extract_margin_line(
             LabeledMesh(decimated, labels),
             original,
             n_samples=config.n_samples,
             case_id=case.case_id,
         )
-        line.save_json(out / f"{case.case_id}_margin.json")
-        line.save_obj(out / f"{case.case_id}_margin.obj")
-    return out
+        line.save_json(path("margin"))
+        line.save_obj(path("margin_obj"))
+
+    return _each_case("margins", _prediction_cases(manifest), run_dir, one)
 
 
 def stage_evaluate(manifest: DatasetManifest, config: PipelineConfig, run_dir):
     """Scores every predicted case against the transferred ground truth."""
-    labels_dir = Path(run_dir) / "labels"
-    out = _stage_dir(run_dir, "evaluation")
     evaluations = []
-    for case in _prediction_cases(manifest):
+
+    def one(case, path):
         truth_labels = pred_labels = None
-        truth_path = labels_dir / f"{case.case_id}_labels.npy"
-        if truth_path.exists():
-            truth_labels = np.load(truth_path)
-        refined = Path(run_dir) / "refine" / f"{case.case_id}_labels.npy"
-        if truth_labels is not None and refined.exists():
-            pred_labels = np.load(refined)
+        if path("labels").exists():
+            truth_labels = np.load(path("labels"))
+        if truth_labels is not None and path("refined").exists():
+            pred_labels = np.load(path("refined"))
         truth_margin = pred_margin = None
-        truth_path = labels_dir / f"{case.case_id}_truth_margin.json"
-        margin_path = Path(run_dir) / "margins" / f"{case.case_id}_margin.json"
+        truth_path, margin_path = path("truth_margin"), path("margin")
         if truth_path.exists() and margin_path.exists():
             truth_margin = np.asarray(
                 json.loads(truth_path.read_text())["points"], dtype=float
@@ -370,6 +418,8 @@ def stage_evaluate(manifest: DatasetManifest, config: PipelineConfig, run_dir):
                 rating=case.rating,
             )
         )
+
+    out = _each_case("evaluation", _prediction_cases(manifest), run_dir, one)
     summary = metrics_mod.aggregate(evaluations)
     rated = [
         e for e in evaluations if e.rating is not None and e.distances is not None
@@ -412,13 +462,19 @@ STAGES = (
 )
 
 
-def run_pipeline(manifest: DatasetManifest, config: PipelineConfig, run_dir):
-    """All stages in order; returns the evaluation directory."""
+def run_stages(stages, manifest: DatasetManifest, config: PipelineConfig, run_dir):
+    """Validates `config`, creates `run_dir`, writes its config.json and
+    runs `stages` in order; returns the last stage's directory."""
     config.validate()
     run_dir = Path(run_dir)
     run_dir.mkdir(parents=True, exist_ok=True)
     config.save(run_dir / "config.json")
     out = None
-    for _, fn in STAGES:
+    for fn in stages:
         out = fn(manifest, config, run_dir)
     return out
+
+
+def run_pipeline(manifest: DatasetManifest, config: PipelineConfig, run_dir):
+    """All stages in order; returns the evaluation directory."""
+    return run_stages([fn for _, fn in STAGES], manifest, config, run_dir)

@@ -48,18 +48,6 @@ class RigidTransform:
         )
 
 
-@dataclass
-class NormalizationTransform:
-    mean: np.ndarray  # (3,)
-    std: np.ndarray  # (3,)
-
-    def apply(self, points):
-        return (np.asarray(points) - self.mean) / self.std
-
-    def invert(self, points):
-        return np.asarray(points) * self.std + self.mean
-
-
 # ranges augmented copies draw their rotations (degrees) and per-axis
 # scales from, uniformly
 ROT_X_DEG = (-45.0, 45.0)
@@ -136,15 +124,14 @@ def obb_register(mesh: TriangleMesh, arch="lower"):
 
 
 def normalize(mesh: TriangleMesh):
-    """Per-axis zero-mean unit-std coordinates; returns (mesh, transform)."""
+    """The mesh in per-axis zero-mean unit-std coordinates."""
     mean = mesh.vertices.mean(axis=0)
     std = mesh.vertices.std(axis=0)
     if np.any(std <= 0):
         raise NormalizationError(
             f"zero variance on axis {int(np.argmin(std))}"
         )
-    transform = NormalizationTransform(mean, std)
-    return TriangleMesh(transform.apply(mesh.vertices), mesh.faces), transform
+    return TriangleMesh((mesh.vertices - mean) / std, mesh.faces)
 
 
 def _augment_transform(rng):

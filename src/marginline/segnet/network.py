@@ -116,9 +116,6 @@ class NetworkParams:
             dict(self.arch), {k: v.copy() for k, v in self.tensors.items()}
         )
 
-    def n_parameters(self):
-        return sum(v.size for v in self.tensors.values())
-
     @property
     def dtype(self):
         """The compute dtype: that of the (uniformly typed) weights."""

@@ -43,7 +43,7 @@ def test_bvh_matches_brute_force(unit_sphere):
 
 def test_mixed_sizes_match_brute_force(mixed_die):
     rng = np.random.default_rng(6)
-    lo, hi = mixed_die.bounding_box()
+    lo, hi = mixed_die.vertices.min(axis=0), mixed_die.vertices.max(axis=0)
     queries = rng.uniform(lo - 1.0, hi + 1.0, size=(150, 3))
     _assert_matches_brute_force(mixed_die, queries)
 
@@ -60,7 +60,7 @@ def test_queries_on_vertices_and_edges(mixed_die):
 
 
 def test_far_queries(mixed_die):
-    lo, hi = mixed_die.bounding_box()
+    lo, hi = mixed_die.vertices.min(axis=0), mixed_die.vertices.max(axis=0)
     size = float(np.linalg.norm(hi - lo))
     rng = np.random.default_rng(8)
     directions = rng.normal(size=(20, 3))
@@ -110,20 +110,20 @@ def test_batched_query_agrees_with_single(unit_sphere):
     queries = rng.uniform(-1.5, 1.5, size=(50, 3))
     pts, faces, dists = bvh.closest_points(queries)
     for i, q in enumerate(queries):
-        p, f, d = bvh.closest_point(q)
-        assert abs(dists[i] - d) < 1e-12
-        assert np.linalg.norm(pts[i] - p) < 1e-12
+        p, f, d = bvh.closest_points(q)
+        assert abs(dists[i] - d[0]) < 1e-12
+        assert np.linalg.norm(pts[i] - p[0]) < 1e-12
 
 
 def test_distance_to_unit_sphere_surface():
     sphere = icosphere(subdivisions=4, radius=1.0)
     bvh = sphere.bvh()
     # far outside: distance approaches |q| - 1
-    _, _, d = bvh.closest_point(np.array([3.0, 0.0, 0.0]))
-    assert abs(d - 2.0) < 5e-3
+    _, _, d = bvh.closest_points(np.array([3.0, 0.0, 0.0]))
+    assert abs(d[0] - 2.0) < 5e-3
     # center: distance approaches the radius
-    _, _, d = bvh.closest_point(np.zeros(3))
-    assert abs(d - 1.0) < 5e-3
+    _, _, d = bvh.closest_points(np.zeros(3))
+    assert abs(d[0] - 1.0) < 5e-3
 
 
 def test_tie_reach_gathers_a_runner_up_beyond_the_bound():
@@ -180,7 +180,7 @@ def _query_sets(mesh, seed):
     tri = mesh.vertices[mesh.faces[rng.choice(mesh.n_faces, 300)]]
     w = rng.dirichlet(np.ones(3), size=300)
     on_surface = np.einsum("ij,ijk->ik", w, tri)
-    lo, hi = mesh.bounding_box()
+    lo, hi = mesh.vertices.min(axis=0), mesh.vertices.max(axis=0)
     size = float(np.linalg.norm(hi - lo))
     directions = rng.normal(size=(12, 3))
     directions /= np.linalg.norm(directions, axis=1, keepdims=True)

@@ -35,6 +35,33 @@ def small_run(tmp_path_factory, capfd_unsupported=None):
     return data, run
 
 
+def test_stage_commands_one_by_one_match_the_pipeline(small_run, tmp_path):
+    """The eight stage commands run one by one, each flag given only to
+    the command that reads it, write `pipeline`'s margins: a command
+    starts from the run's config.json, so predict finds the two folds
+    that train was given."""
+    data, pipeline_run = small_run
+    run = tmp_path / "run"
+    flags = {
+        "preprocess": ["--target-faces", "2000"],
+        "train": ["--folds", "2", "--epochs", "12", "--scale", "0.125", "--seed", "1"],
+    }
+    for command in (
+        "preprocess", "label", "featurize", "train",
+        "predict", "refine", "extract", "evaluate",
+    ):
+        args = [command, "--manifest", str(data), "--run-dir", str(run)]
+        assert main(args + flags.get(command, [])) == 0, command
+    margins = sorted((pipeline_run / "margins").glob("*_margin.json"))
+    assert len(margins) == 4
+    for path in margins:
+        assert (run / "margins" / path.name).read_bytes() == path.read_bytes()
+    used = PipelineConfig(
+        target_faces=2000, folds=2, epochs=12, width_scale=0.125, seed=1
+    )
+    assert json.loads((run / "config.json").read_text()) == dataclasses.asdict(used)
+
+
 def test_synth_layout(small_run):
     data, _ = small_run
     assert (data / "manifest.json").exists()

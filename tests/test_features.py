@@ -132,7 +132,7 @@ def test_adjacency_working_set_stays_bounded(decimated_hires_die):
     """Peak traced allocation of both matrices on the 10 000-face
     decimation of the 39 728-face die: 22.0 MB with COO triplets scaled
     by a diagonal matrix's product, 9.9 MB built straight into CSR."""
-    barycenters = normalize(decimated_hires_die)[0].barycenters
+    barycenters = normalize(decimated_hires_die).barycenters
     tracing = tracemalloc.is_tracing()
     tracemalloc.start()
     try:

@@ -22,6 +22,10 @@ def _write(tmp_path, entries):
     return path
 
 
+def _by_id(manifest, case_id):
+    return next(c for c in manifest if c.case_id == case_id)
+
+
 def _entry(**overrides):
     e = {
         "case_id": "a",
@@ -41,12 +45,12 @@ def test_round_trip(tmp_path):
                                             crown_bottom_path=None, split="test")])
     m = load_manifest(path)
     assert len(m) == 2
-    a = m.by_id("a")
+    a = _by_id(m, "a")
     assert a.arch == "lower"
     assert a.tooth_position == 31
     assert a.rating == 3.0
     assert a.die_path.exists()
-    b = m.by_id("b")
+    b = _by_id(m, "b")
     assert b.crown_bottom_path is None
     assert [c.case_id for c in m.split("test")] == ["b"]
     assert [c.case_id for c in m.split("train")] == ["a"]
@@ -64,7 +68,7 @@ def test_defaults(tmp_path):
     path = tmp_path / "m.json"
     path.write_text(json.dumps([{"case_id": "a", "die_path": "a_die.stl",
                                  "arch": "upper"}]))
-    case = load_manifest(path).by_id("a")
+    case = _by_id(load_manifest(path), "a")
     assert case.split == "train"
     assert case.tooth_position == 11
     assert case.rating is None
@@ -129,20 +133,14 @@ def test_duplicate_ids_rejected(tmp_path):
         load_manifest(path)
 
 
-def test_unknown_case_id(tmp_path):
-    path = _write(tmp_path, [_entry(crown_bottom_path=None)])
-    with pytest.raises(ManifestError):
-        load_manifest(path).by_id("zz")
-
-
 def test_directory_scan(tmp_path):
     (tmp_path / "x_die.stl").touch()
     (tmp_path / "x_crown_bottom.stl").touch()
     (tmp_path / "y_die.stl").touch()
     m = load_manifest(tmp_path)
     assert [c.case_id for c in m] == ["x", "y"]
-    assert m.by_id("x").crown_bottom_path is not None
-    assert m.by_id("y").crown_bottom_path is None
+    assert _by_id(m, "x").crown_bottom_path is not None
+    assert _by_id(m, "y").crown_bottom_path is None
 
 
 def test_directory_with_a_manifest_reads_it(tmp_path):
@@ -151,7 +149,7 @@ def test_directory_with_a_manifest_reads_it(tmp_path):
     path = _write(tmp_path, [_entry(arch="upper", split="test", rating=3)])
     from_dir, from_file = load_manifest(tmp_path), load_manifest(path)
     assert from_dir.cases == from_file.cases
-    case = from_dir.by_id("a")
+    case = _by_id(from_dir, "a")
     assert (case.arch, case.split, case.rating) == ("upper", "test", 3.0)
 
 
@@ -164,7 +162,7 @@ def test_extra_keys_preserved(tmp_path):
     (tmp_path / "a_die.stl").touch()
     path = tmp_path / "m.json"
     path.write_text(json.dumps([_entry(crown_bottom_path=None, scanner="lab-3")]))
-    assert load_manifest(path).by_id("a").extra == {"scanner": "lab-3"}
+    assert _by_id(load_manifest(path), "a").extra == {"scanner": "lab-3"}
 
 
 @pytest.mark.parametrize(

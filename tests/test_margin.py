@@ -127,7 +127,7 @@ def test_writers_match_loop_reference(tmp_path):
     scale = rng.choice([1e-8, 1.0, 1e5], size=(1000, 1))
     points = rng.normal(size=(1000, 3)) * scale
     points[0, 2] = -0.0
-    line = MarginLine(points=points, spline=None, case_id="die07")
+    line = MarginLine(points=points, case_id="die07")
     line.save_json(tmp_path / "m.json")
     line.save_obj(tmp_path / "m.obj")
     ref_json, ref_obj = _loop_json_and_obj(line)

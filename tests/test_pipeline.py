@@ -9,7 +9,8 @@ import numpy as np
 import pytest
 
 from marginline import metrics, pipeline
-from marginline.errors import ManifestError
+from marginline.cli import main
+from marginline.errors import ManifestError, MarginlineError, RegistrationError
 from marginline.features import (
     assemble_features,
     build_adjacency,
@@ -40,7 +41,7 @@ from marginline.pipeline import (
 from marginline.segnet import NetworkParams, forward
 from marginline.segnet import train as train_mod
 from marginline.preprocess import obb_register, rotation_xyz
-from marginline.shapes import frustum_die, icosphere
+from marginline.shapes import frustum_die, grid_patch, icosphere
 from marginline.synthetic import generate_benchmark
 
 
@@ -69,6 +70,36 @@ def test_inference_only_case(tmp_path):
         rows = list(csv.DictReader(fh))
     assert [r["case_id"] for r in rows] == [case_id]
     assert rows[0]["dsc"] == "" and rows[0]["mean_um"] == ""
+
+
+def test_one_bad_die_does_not_stop_the_others(tmp_path, capsys):
+    """A flat scan fails registration. The dies before and after it are
+    still preprocessed, and then the stage fails naming the flat one,
+    from the library and from the command line alike."""
+    data = tmp_path / "data"
+    data.mkdir()
+    die, _ = frustum_die(segments=16, rows_below=4, rows_above=3)
+    for case_id, mesh in (("a", die), ("b", grid_patch(n=3)), ("c", die)):
+        save_stl_binary(mesh, data / f"{case_id}_die.stl")
+    run = tmp_path / "run"
+    with pytest.raises(MarginlineError) as info:
+        stage_preprocess(load_manifest(data), PipelineConfig(target_faces=200), run)
+    assert "b: RegistrationError" in str(info.value)
+    assert isinstance(info.value.__cause__, RegistrationError)
+    assert sorted(p.name for p in (run / "preprocess").iterdir()) == [
+        "a_decimated.stl", "a_transform.json", "c_decimated.stl", "c_transform.json",
+    ]
+    code = main(
+        [
+            "preprocess",
+            "--manifest", str(data),
+            "--run-dir", str(tmp_path / "cli_run"),
+            "--target-faces", "200",
+        ]
+    )
+    assert code == 1
+    error = json.loads(capsys.readouterr().err)
+    assert "b: RegistrationError" in error["message"]
 
 
 def test_crown_bottom_leaves_features_unchanged(tmp_path):
@@ -331,15 +362,19 @@ _WRONG_TYPES = {
     "float": ["2", True, None, [1.0]],
     "str": [3, None, True],
 }
+_WRONG_TYPE_CASES = [
+    (name, value)
+    for name, f in PipelineConfig.__dataclass_fields__.items()
+    for value in _WRONG_TYPES[f.type]
+]
 
 
+# named by field and value, so adding or dropping a field renames no
+# other field's cases
 @pytest.mark.parametrize(
     "field, value",
-    [
-        (name, value)
-        for name, f in PipelineConfig.__dataclass_fields__.items()
-        for value in _WRONG_TYPES[f.type]
-    ],
+    _WRONG_TYPE_CASES,
+    ids=[f"{field}-{value}" for field, value in _WRONG_TYPE_CASES],
 )
 def test_validate_refuses_values_of_the_wrong_type(field, value):
     with pytest.raises(ValueError, match=field):
@@ -395,7 +430,7 @@ def test_registered_scan_rebuilt_from_its_transform_bit_for_bit(tmp_path, arch):
     scan = TriangleMesh(mesh.vertices @ rot.T + rng.uniform(-5, 5, 3), mesh.faces)
     registered, transform = obb_register(scan, arch=arch)
     pipeline._save_transform(tmp_path / "die_transform.json", transform)
-    rebuilt = pipeline._registered(scan, tmp_path, "die")
+    rebuilt = pipeline._registered(scan, tmp_path / "die_transform.json")
     assert rebuilt.vertices.tobytes() == registered.vertices.tobytes()
     assert np.array_equal(rebuilt.faces, registered.faces)
 

@@ -51,7 +51,7 @@ def test_architecture_widths_scale():
 
 def test_parameter_count_frozen():
     params = NetworkParams.init(18, 0.125, seed=0)
-    assert params.n_parameters() == 42718
+    assert sum(v.size for v in params.tensors.values()) == 42718
 
 
 def test_forward_takes_adjacency_pair_or_plain_pair():

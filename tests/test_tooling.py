@@ -1,11 +1,14 @@
 """The benchmark's tracer wraps `marginline` entry points by name, so a
 renamed kernel would silently drop its per-layer metrics; and its
 workloads read the program's artifacts themselves, so an artifact they
-cannot read would fail only the benchmark."""
+cannot read would fail only the benchmark. `marginline.__all__` lists
+names as strings, so a stale one would break only `import *`."""
 
 import importlib.util
 import sys
 from pathlib import Path
+
+import marginline
 
 ROOT = Path(__file__).resolve().parents[1]
 # retired with the labeled-PLY handoff; the tracer still lists it
@@ -45,3 +48,8 @@ def test_benchmark_workloads_score_correct_at_smoke_size(tmp_path):
         ok, metrics = workload.score()
         assert ok, (cls.name, workload.details)
         assert workload.failed == 0, (cls.name, workload.details)
+
+
+def test_every_name_in_all_resolves():
+    missing = [name for name in marginline.__all__ if not hasattr(marginline, name)]
+    assert missing == []
