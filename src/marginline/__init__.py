@@ -55,7 +55,6 @@ from .refine import GraphCutConfig, cleanup_components, cut_energy, graph_cut_re
 from .spline import SmoothingSpline, fit_smoothing_spline, smoothness_bound
 from .margin import MarginLine, extract_margin_line
 from .metrics import (
-    CaseEvaluation,
     aggregate,
     evaluate_case,
     margin_distance_stats,
@@ -70,8 +69,8 @@ __version__ = "1.0.0"
 
 __all__ = [
     "AdjacencyPair", "AlignmentError", "AugmentationSpec",
-    "BoundaryExtractionError", "BoundaryLoop", "CaseEvaluation",
-    "CellFeatures", "DatasetManifest", "EmptyMeshError", "EmptyRegionError",
+    "BoundaryExtractionError", "BoundaryLoop", "CellFeatures",
+    "DatasetManifest", "EmptyMeshError", "EmptyRegionError",
     "FaceAdjacency", "GraphCutConfig", "IncompleteMarginError",
     "LabeledMesh", "ManifestError", "MarginLine", "MarginlineError",
     "MeshParseError", "MetricError", "NormalizationError",

@@ -12,10 +12,10 @@ two passes:
 2. every triangle whose centroid lies within `ub + r` of q, with r the
    largest radius of its bucket, is gathered as array rows: one k-nearest
    query per batch and bucket, as wide as the batch's widest query and
-   masked by each query's own radius (rows wider than `_KNN_WIDTH` come
-   from ball lists instead). Triangles farther than `ub` plus their own
-   radius are dropped, and one vectorized `closest_point_on_triangles`
-   call over the remaining (query, candidate) pairs picks the winner.
+   masked by each query's own radius. Triangles farther than `ub` plus
+   their own radius are dropped, and one vectorized
+   `closest_point_on_triangles` call over the remaining (query,
+   candidate) pairs picks the winner.
 
 Triangle sizes vary across a scan (large cap faces beside fine side
 rows), and one radius for all would sweep in far too many small
@@ -31,15 +31,12 @@ that).
 
 from __future__ import annotations
 
-import itertools
-
 import numpy as np
 from scipy.spatial import cKDTree
 
 TIE_MM = 1e-9
 _MAX_LEVELS = 5  # radius buckets: r_max / 2**k for k < _MAX_LEVELS
 _MAX_PAIRS = 1 << 16  # (query, triangle) pairs per vectorized batch
-_KNN_WIDTH = 128  # widest candidate rows gathered by a k-nearest query
 _SLACK = 1.0 + 1e-9  # keeps rounding in the tree's distances from dropping a face
 
 
@@ -220,24 +217,13 @@ def _run_starts(sorted_keys):
 
 def _within(tree, q, rad, counts):
     """(row of q, tree index, distance) of every centroid within rad[row]
-    of q[row]; row i holds counts[i] of them.
-
-    Rows up to `_KNN_WIDTH` wide come from one k-nearest query as wide as
-    the widest row, masked by each row's radius. Wider rows come from
-    ball lists: a k-nearest query sorts its candidates, and on a few
-    hundred per row that costs more than building the lists."""
+    of q[row]; row i holds counts[i] of them. One k-nearest query as wide
+    as the widest row, masked by each row's radius."""
     width = int(counts.max())
-    if width <= _KNN_WIDTH:
-        d, node = tree.query(q, k=width, distance_upper_bound=rad.max())
-        d, node = d.reshape(len(q), width), node.reshape(len(q), width)
-        hit = d <= rad[:, None]
-        return np.nonzero(hit)[0], node[hit], d[hit]
-    hits = tree.query_ball_point(q, rad, return_sorted=False)
-    node = np.fromiter(
-        itertools.chain.from_iterable(hits), dtype=np.int64, count=int(counts.sum())
-    )
-    row = np.repeat(np.arange(len(q)), counts)
-    return row, node, np.linalg.norm(tree.data[node] - q[row], axis=1)
+    d, node = tree.query(q, k=width, distance_upper_bound=rad.max())
+    d, node = d.reshape(len(q), width), node.reshape(len(q), width)
+    hit = d <= rad[:, None]
+    return np.nonzero(hit)[0], node[hit], d[hit]
 
 
 def _batches(widths, cap):

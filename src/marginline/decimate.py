@@ -29,7 +29,7 @@ import warnings
 
 import numpy as np
 
-from .mesh import TriangleMesh
+from .mesh import TriangleMesh, edge_codes, repeated_vertex
 
 _BOUNDARY_WEIGHT = 1000.0
 _RANK_BLOCK = 1 << 13  # edges costed per vectorized block
@@ -47,16 +47,9 @@ def _plane_quadrics(planes, weights):
     return np.stack([p[i] * p[j] * weights for i, j in _PACK], axis=1)
 
 
-def _edge_codes(faces, nv):
-    """u * nv + v (u < v) for the three edges of every face."""
-    a = np.concatenate([faces[:, 0], faces[:, 1], faces[:, 0]])
-    b = np.concatenate([faces[:, 1], faces[:, 2], faces[:, 2]])
-    return np.minimum(a, b) * nv + np.maximum(a, b)
-
-
 def _edge_table(faces, nv):
     """Sorted unique edge codes and the number of faces on each."""
-    return np.unique(_edge_codes(faces, nv), return_counts=True)
+    return np.unique(edge_codes(faces, nv), return_counts=True)
 
 
 def _initial_state(mesh: TriangleMesh):
@@ -319,11 +312,7 @@ class _Decimator:
             img = np.arange(nv)
             img[v[idx]] = u[idx]
             faces = img[self.faces]
-            faces = faces[
-                (faces[:, 0] != faces[:, 1])
-                & (faces[:, 1] != faces[:, 2])
-                & (faces[:, 0] != faces[:, 2])
-            ]
+            faces = faces[~repeated_vertex(faces)]
             codes, counts = _edge_table(faces, nv)
             over = codes[counts > 2]
             if len(over):

@@ -86,7 +86,7 @@ def map_margin_faces(die: TriangleMesh, margin_points):
 
 def _dilate(mask, adjacency):
     """The face mask grown by its edge-sharing one-ring."""
-    ef = adjacency.edge_faces[adjacency.edge_faces[:, 1] >= 0]
+    ef, _ = adjacency.interior_edges()
     out = mask.copy()
     out[ef[mask[ef[:, 0]], 1]] = True
     out[ef[mask[ef[:, 1]], 0]] = True

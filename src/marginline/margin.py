@@ -21,11 +21,8 @@ DEFAULT_SAMPLES = 5000
 def _label_boundary_edges(labeled: LabeledMesh):
     """Mesh edges separating label-1 from label-0 faces, with the label-1
     face of each edge."""
-    adjacency = labeled.mesh.adjacency()
+    ef, ev = labeled.mesh.adjacency().interior_edges()
     labels = labeled.labels
-    interior = adjacency.edge_faces[:, 1] >= 0
-    ef = adjacency.edge_faces[interior]
-    ev = adjacency.edge_vertices[interior]
     diff = labels[ef[:, 0]] != labels[ef[:, 1]]
     ef = ef[diff]
     ev = ev[diff]
@@ -43,8 +40,13 @@ def extract_boundary_faces(labeled: LabeledMesh):
         raise BoundaryExtractionError("labels are uniform: no label boundary")
     loops = walk_closed_loops(ev)
     if not loops:
+        # the labels change an even number of times around an interior
+        # vertex, so only the mesh boundary can end a chain
+        ends = np.flatnonzero(np.bincount(ev.ravel()) % 2)
         raise BoundaryExtractionError(
-            f"{len(ev)} label-boundary edges form no closed loop"
+            f"{len(ev)} label-boundary edges form no closed loop: the chain "
+            f"is open, and its odd-degree ends (vertices {ends.tolist()}) lie "
+            "on the mesh boundary, which the label-1 region reaches"
         )
     lengths = [loop_length(labeled.mesh, verts) for verts, _ in loops]
     _, loop = loops[int(np.argmax(lengths))]

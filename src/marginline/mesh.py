@@ -23,6 +23,23 @@ from scipy.sparse import coo_matrix, csgraph
 from .errors import EmptyMeshError, TopologyError
 
 
+def repeated_vertex(faces):
+    """Mask of the (F, 3) faces that name one vertex twice."""
+    return (
+        (faces[:, 0] == faces[:, 1])
+        | (faces[:, 1] == faces[:, 2])
+        | (faces[:, 0] == faces[:, 2])
+    )
+
+
+def edge_codes(faces, n_vertices):
+    """u * n_vertices + v (u < v) of every face's (0, 1) edge, then every
+    face's (1, 2) edge, then every face's (2, 0) edge."""
+    a = np.concatenate([faces[:, 0], faces[:, 1], faces[:, 2]])
+    b = np.concatenate([faces[:, 1], faces[:, 2], faces[:, 0]])
+    return np.minimum(a, b) * n_vertices + np.maximum(a, b)
+
+
 class TriangleMesh:
     """Indexed triangle surface.
 
@@ -37,11 +54,7 @@ class TriangleMesh:
             raise EmptyMeshError("mesh has no faces")
         if faces.min() < 0 or faces.max() >= len(vertices):
             raise TopologyError("face references a vertex out of range")
-        degen = (
-            (faces[:, 0] == faces[:, 1])
-            | (faces[:, 1] == faces[:, 2])
-            | (faces[:, 0] == faces[:, 2])
-        )
+        degen = repeated_vertex(faces)
         if degen.any():
             raise TopologyError(
                 f"degenerate face(s) with repeated vertex index: "
@@ -147,11 +160,8 @@ class FaceAdjacency:
     @staticmethod
     def build(mesh: TriangleMesh) -> "FaceAdjacency":
         """Raises TopologyError on an edge shared by more than two faces."""
-        f = mesh.faces
-        n_faces, nv = len(f), mesh.n_vertices
-        a = np.concatenate([f[:, 0], f[:, 1], f[:, 2]])
-        b = np.concatenate([f[:, 1], f[:, 2], f[:, 0]])
-        codes = np.minimum(a, b) * nv + np.maximum(a, b)
+        n_faces, nv = mesh.n_faces, mesh.n_vertices
+        codes = edge_codes(mesh.faces, nv)
         order = np.argsort(codes, kind="stable")
         codes = codes[order]
         new = np.ones(len(codes), dtype=bool)
@@ -177,6 +187,12 @@ class FaceAdjacency:
         and that face of each."""
         mask = self.edge_faces[:, 1] == -1
         return self.edge_vertices[mask], self.edge_faces[mask, 0]
+
+    def interior_edges(self):
+        """Edges shared by two faces, as (E_i, 2) face pairs and the
+        (E_i, 2) vertex pairs of the same edges."""
+        mask = self.edge_faces[:, 1] >= 0
+        return self.edge_faces[mask], self.edge_vertices[mask]
 
 
 def walk_closed_loops(edge_vertices):
@@ -245,7 +261,7 @@ def connected_components(face_subset, adjacency: FaceAdjacency):
         return []
     local = np.full(adjacency.n_faces, -1, dtype=np.int64)
     local[ids] = np.arange(len(ids))
-    ef = adjacency.edge_faces[adjacency.edge_faces[:, 1] >= 0]
+    ef, _ = adjacency.interior_edges()
     fa, fb = local[ef[:, 0]], local[ef[:, 1]]
     inside = (fa >= 0) & (fb >= 0)
     graph = coo_matrix(

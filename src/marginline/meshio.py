@@ -14,7 +14,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import EmptyMeshError, MeshParseError
-from .mesh import TriangleMesh
+from .mesh import TriangleMesh, repeated_vertex
 
 WELD_TOL = 1e-6  # mm
 # coordinates must be finite and small enough that their weld keys fit
@@ -73,12 +73,7 @@ def soup_to_mesh(raw_vertices):
     _check_coordinates(raw_vertices)
     vertices, inverse = _weld(raw_vertices)
     faces = inverse.reshape(-1, 3)
-    keep = ~(
-        (faces[:, 0] == faces[:, 1])
-        | (faces[:, 1] == faces[:, 2])
-        | (faces[:, 0] == faces[:, 2])
-    )
-    faces = faces[keep]
+    faces = faces[~repeated_vertex(faces)]
     if len(faces) == 0:
         raise EmptyMeshError("all triangles degenerate after welding")
     return TriangleMesh(vertices, faces)

@@ -56,15 +56,6 @@ def segmentation_metrics(pred, truth):
     return counts, dsc, sen, ppv
 
 
-@dataclass
-class DistanceStats:
-    """Point-to-curve distance statistics in micrometers."""
-
-    max_um: float
-    mean_um: float
-    std_um: float
-
-
 _PAIRS_PER_CHUNK = 1 << 18
 
 
@@ -99,20 +90,21 @@ def closed_polyline_distance(points, loop):
     return np.sqrt(out)
 
 
-def margin_distance_stats(pred_points, truth_points) -> DistanceStats:
-    """Distances from the predicted points to the truth curve, the
-    closed polyline through `truth_points` in order. Inputs are mm; the
-    report is in micrometers."""
+def margin_distance_stats(pred_points, truth_points):
+    """Max, mean and std (`max_um`, `mean_um`, `std_um`) of the distances
+    from the predicted points to the truth curve, the closed polyline
+    through `truth_points` in order. Inputs are mm; the stats are in
+    micrometers."""
     pred_points = np.asarray(pred_points, dtype=np.float64)
     truth_points = np.asarray(truth_points, dtype=np.float64)
     if len(pred_points) == 0 or len(truth_points) == 0:
         raise MetricError("empty point cloud")
     d_pt = closed_polyline_distance(pred_points, truth_points) * 1000.0
-    return DistanceStats(
-        max_um=float(d_pt.max()),
-        mean_um=float(d_pt.mean()),
-        std_um=float(d_pt.std()),
-    )
+    return {
+        "max_um": float(d_pt.max()),
+        "mean_um": float(d_pt.mean()),
+        "std_um": float(d_pt.std()),
+    }
 
 
 def spearman(x, y):
@@ -128,29 +120,6 @@ def spearman(x, y):
     return float(r), float(p)
 
 
-@dataclass
-class CaseEvaluation:
-    case_id: str
-    dsc: float | None
-    sen: float | None
-    ppv: float | None
-    distances: DistanceStats | None
-    success: bool | None
-    rating: float | None = None
-
-    def row(self):
-        """This case's report row, keyed by REPORT_COLUMNS in order."""
-        d = self.distances
-        values = (
-            self.case_id, self.rating, self.dsc, self.sen, self.ppv,
-            None if d is None else d.max_um,
-            None if d is None else d.mean_um,
-            None if d is None else d.std_um,
-            self.success,
-        )
-        return dict(zip(REPORT_COLUMNS, values))
-
-
 def evaluate_case(
     pred_labels=None,
     truth_labels=None,
@@ -159,28 +128,24 @@ def evaluate_case(
     threshold_um=SUCCESS_THRESHOLD_UM,
     case_id="",
     rating=None,
-) -> CaseEvaluation:
-    """Per-case report row; success iff max distance <= threshold."""
-    dsc = sen = ppv = None
+):
+    """This case's report row, a dict keyed by REPORT_COLUMNS in order;
+    success iff max distance <= threshold. The columns of a missing
+    input pair are None."""
+    row = dict.fromkeys(REPORT_COLUMNS)
+    row.update(case_id=case_id, rating=rating)
     if pred_labels is not None and truth_labels is not None:
-        _, dsc, sen, ppv = segmentation_metrics(pred_labels, truth_labels)
-    distances = success = None
+        _, row["dsc"], row["sen"], row["ppv"] = segmentation_metrics(
+            pred_labels, truth_labels
+        )
     if pred_margin_points is not None and truth_margin_points is not None:
-        distances = margin_distance_stats(pred_margin_points, truth_margin_points)
-        success = bool(distances.max_um <= threshold_um)
-    return CaseEvaluation(
-        case_id=case_id,
-        dsc=dsc,
-        sen=sen,
-        ppv=ppv,
-        distances=distances,
-        success=success,
-        rating=rating,
-    )
+        row.update(margin_distance_stats(pred_margin_points, truth_margin_points))
+        row["success"] = bool(row["max_um"] <= threshold_um)
+    return row
 
 
-def aggregate(evaluations):
-    """Means and stds over cases plus the success count."""
+def aggregate(rows):
+    """Means and stds over the report rows plus the success count."""
     def _stats(values):
         values = [v for v in values if v is not None]
         if not values:
@@ -188,18 +153,8 @@ def aggregate(evaluations):
         return float(np.mean(values)), float(np.std(values))
 
     out = {}
-    for key in ("dsc", "sen", "ppv"):
-        out[key + "_mean"], out[key + "_std"] = _stats(
-            [getattr(e, key) for e in evaluations]
-        )
-    for key in ("max_um", "mean_um", "std_um"):
-        out[key + "_mean"], out[key + "_std"] = _stats(
-            [
-                getattr(e.distances, key)
-                for e in evaluations
-                if e.distances is not None
-            ]
-        )
-    out["success_count"] = sum(1 for e in evaluations if e.success)
-    out["n_cases"] = len(evaluations)
+    for key in ("dsc", "sen", "ppv", "max_um", "mean_um", "std_um"):
+        out[key + "_mean"], out[key + "_std"] = _stats([row[key] for row in rows])
+    out["success_count"] = sum(1 for row in rows if row["success"])
+    out["n_cases"] = len(rows)
     return out

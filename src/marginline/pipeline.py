@@ -313,24 +313,12 @@ def stage_train(manifest: DatasetManifest, config: PipelineConfig, run_dir):
     folds = kfold_split(base_ids, k=config.folds, seed=config.seed)
     # every #augK variant trains and validates in its base case's fold
     fold_of = {s: folds[base_case_id(s)] for s in dataset}
-    models, history = train_kfold(dataset, fold_of, config)
+    models, history, val_dice = train_kfold(dataset, fold_of, config)
     for fold, params in models.items():
         params.save(out / f"fold{fold}.bin")
     (out / "folds.json").write_text(json.dumps(folds, indent=1))
     write_history_csv(out / "history.csv", history)
-
-    # per-fold validation dice of the snapshot actually kept
-    def fold_dice(fold):
-        scores = [
-            metrics_mod.segmentation_metrics(
-                np.argmax(forward(models[fold], x, adj), axis=1), labels
-            )[1]
-            for sid, (x, adj, labels) in dataset.items()
-            if fold_of[sid] == fold
-        ]
-        return float(np.mean(scores)) if scores else None
-
-    val_dice = dict(zip(map(str, models), thread_map(fold_dice, models)))
+    # JSON writes the fold numbers as string keys
     (out / "validation_dice.json").write_text(json.dumps(val_dice, indent=1))
     return out
 
@@ -392,7 +380,7 @@ def stage_extract(manifest: DatasetManifest, config: PipelineConfig, run_dir):
 
 def stage_evaluate(manifest: DatasetManifest, config: PipelineConfig, run_dir):
     """Scores every predicted case against the transferred ground truth."""
-    evaluations = []
+    rows = []
 
     def one(case, path):
         truth_labels = pred_labels = None
@@ -407,7 +395,7 @@ def stage_evaluate(manifest: DatasetManifest, config: PipelineConfig, run_dir):
                 json.loads(truth_path.read_text())["points"], dtype=float
             )
             pred_margin, _ = load_margin_json(margin_path)
-        evaluations.append(
+        rows.append(
             metrics_mod.evaluate_case(
                 pred_labels=pred_labels,
                 truth_labels=truth_labels,
@@ -420,21 +408,20 @@ def stage_evaluate(manifest: DatasetManifest, config: PipelineConfig, run_dir):
         )
 
     out = _each_case("evaluation", _prediction_cases(manifest), run_dir, one)
-    summary = metrics_mod.aggregate(evaluations)
+    summary = metrics_mod.aggregate(rows)
     rated = [
-        e for e in evaluations if e.rating is not None and e.distances is not None
+        row for row in rows if row["rating"] is not None and row["mean_um"] is not None
     ]
     if len(rated) >= 3:
         try:
             r, p = metrics_mod.spearman(
-                [e.rating for e in rated],
-                [e.distances.mean_um for e in rated],
+                [row["rating"] for row in rated],
+                [row["mean_um"] for row in rated],
             )
             summary["spearman_r"] = r
             summary["spearman_p"] = p
         except metrics_mod.MetricError:
             pass
-    rows = [e.row() for e in evaluations]
     (out / "report.json").write_text(
         json.dumps({"cases": rows, "summary": summary}, indent=1)
     )

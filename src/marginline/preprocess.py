@@ -80,7 +80,9 @@ def obb_register(mesh: TriangleMesh, arch="lower"):
     try:
         hull = ConvexHull(mesh.vertices)
     except QhullError as exc:
-        raise RegistrationError(f"degenerate convex hull: {exc}") from exc
+        # Qhull's first line names the fault; the rest is its diagnostic dump
+        first = str(exc).strip().partition("\n")[0]
+        raise RegistrationError(f"degenerate convex hull: {first}") from exc
     hv = mesh.vertices[hull.vertices]
     centered = hv - hv.mean(axis=0)
     cov = centered.T @ centered / len(centered)

@@ -54,10 +54,7 @@ class GraphCutConfig:
 
 def _pairwise_terms(mesh: TriangleMesh, config: GraphCutConfig):
     """(face_a, face_b, weight) for each interior edge."""
-    adjacency = mesh.adjacency()
-    interior = adjacency.edge_faces[:, 1] >= 0
-    ev = adjacency.edge_vertices[interior]
-    ef = adjacency.edge_faces[interior]
+    ef, ev = mesh.adjacency().interior_edges()
     lengths = np.linalg.norm(
         mesh.vertices[ev[:, 0]] - mesh.vertices[ev[:, 1]], axis=1
     )

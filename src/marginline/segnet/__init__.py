@@ -4,7 +4,6 @@ from .train import (
     COMPUTE_DTYPE,
     LEARNING_RATE,
     Adam,
-    evaluate_loss,
     kfold_split,
     sample_loss_and_grads,
     thread_map,

@@ -5,10 +5,11 @@ from __future__ import annotations
 import csv
 import ctypes
 import os
-import threading
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
+from ..metrics import segmentation_metrics
 from .loss import loss_grad_logits, loss_value
 from .network import NetworkParams, backward, forward
 
@@ -70,40 +71,23 @@ def _share_malloc_arena():
 
 
 def thread_map(fn, items):
-    """[fn(item) for item in items], on `worker_count(len(items))` threads.
+    """[fn(item) for item in items], on a pool of
+    `worker_count(len(items))` threads, or in the calling thread when
+    that count is 1.
 
-    The calling thread is one of them and item k runs on thread k mod n.
-    The threads share the existing malloc arenas (`_share_malloc_arena`).
-    numpy, BLAS and scipy's sparse products release the GIL. If items
-    raise, the exception of the lowest-numbered one propagates: the one a
-    sequential loop would have raised.
+    The pool's threads share the existing malloc arenas
+    (`_share_malloc_arena`). numpy, BLAS and scipy's sparse products
+    release the GIL. If items raise, the exception of the lowest-numbered
+    one propagates, the one a sequential loop would have raised, once
+    every started item has finished.
     """
     items = list(items)
     n = worker_count(len(items))
-    results = [None] * len(items)
-    errors = {}
-
-    def work(first):
-        for k in range(first, len(items), n):
-            try:
-                results[k] = fn(items[k])
-            except Exception as exc:  # re-raised in the calling thread
-                errors[first] = (k, exc)
-                return
-
-    if n > 1:
-        _share_malloc_arena()
-    threads = [threading.Thread(target=work, args=(t,)) for t in range(1, n)]
-    for thread in threads:
-        thread.start()
-    try:
-        work(0)
-    finally:
-        for thread in threads:
-            thread.join()
-    if errors:
-        raise min(errors.values(), key=lambda e: e[0])[1]
-    return results
+    if n == 1:
+        return [fn(item) for item in items]
+    _share_malloc_arena()
+    with ThreadPoolExecutor(n) as pool:
+        return list(pool.map(fn, items))
 
 
 # Adam's step, moment decay rates and denominator guard (Kingma & Ba's
@@ -161,14 +145,21 @@ def _batch_step(params, opt, batch):
     return total * scale
 
 
-def evaluate_loss(params, samples):
-    return float(
-        np.mean([loss_value(forward(params, f, a), y) for f, a, y in samples])
-    )
+def validate(params, samples):
+    """(mean loss, mean Dice of the argmax labels) over the samples, from
+    one forward pass of each."""
+    losses, dice = [], []
+    for f, a, y in samples:
+        probs = forward(params, f, a)
+        losses.append(loss_value(probs, y))
+        dice.append(segmentation_metrics(np.argmax(probs, axis=1), y)[1])
+    return float(np.mean(losses)), float(np.mean(dice))
 
 
 def train_fold(train_samples, val_samples, config, fold=1):
-    """Train one model; returns (best params by validation loss, history).
+    """Train one model; returns (best params by validation loss, history,
+    that snapshot's mean validation Dice, None without validation
+    samples).
 
     `config` is a `pipeline.PipelineConfig`; its epochs, batch_size,
     width_scale and seed are read. History rows: dicts with epoch, fold,
@@ -184,6 +175,7 @@ def train_fold(train_samples, val_samples, config, fold=1):
     rng = np.random.default_rng([seed, fold])
     best = params.copy()
     best_val = np.inf
+    best_dice = val_dice = None
     history = []
     for epoch in range(1, config.epochs + 1):
         order = rng.permutation(len(train_samples))
@@ -196,7 +188,9 @@ def train_fold(train_samples, val_samples, config, fold=1):
             raise FloatingPointError(
                 f"NaN/inf training loss at epoch {epoch}, fold {fold}"
             )
-        val_loss = evaluate_loss(params, val_samples) if val_samples else train_loss
+        val_loss = train_loss
+        if val_samples:
+            val_loss, val_dice = validate(params, val_samples)
         history.append(
             {
                 "epoch": epoch,
@@ -206,17 +200,18 @@ def train_fold(train_samples, val_samples, config, fold=1):
             }
         )
         if val_loss < best_val:
-            best_val = val_loss
+            best_val, best_dice = val_loss, val_dice
             best = params.copy()
-    return best, history
+    return best, history, best_dice
 
 
 def train_kfold(dataset, fold_of, config):
     """dataset: dict sample_id -> (features, adjacency, labels); fold_of:
     dict sample_id -> fold in 1..k. Trains one model per fold (validating
     on that fold), folds side by side on threads; returns (models,
-    history). Each fold has its own seed, so the result does not depend
-    on the thread count."""
+    history, validation Dice), models and Dice keyed by fold. Each fold
+    has its own seed, so the result does not depend on the thread
+    count."""
 
     def one_fold(fold):
         return train_fold(
@@ -228,9 +223,10 @@ def train_kfold(dataset, fold_of, config):
 
     folds = range(1, max(fold_of.values()) + 1)
     trained = thread_map(one_fold, folds)
-    models = {fold: params for fold, (params, _) in zip(folds, trained)}
-    history = [row for _, h in trained for row in h]
-    return models, history
+    models = {fold: params for fold, (params, _, _) in zip(folds, trained)}
+    history = [row for _, h, _ in trained for row in h]
+    val_dice = {fold: dice for fold, (_, _, dice) in zip(folds, trained)}
+    return models, history, val_dice
 
 
 def write_history_csv(path, history):

@@ -214,18 +214,6 @@ def test_array_candidates_match_list_reference(die, request):
             )
 
 
-def test_gather_paths_agree(mixed_die, monkeypatch):
-    """Rows gathered all by k-nearest queries or all by ball lists give
-    the same answers."""
-    queries = np.vstack(list(_query_sets(mixed_die, seed=12).values()))
-    bvh = TriangleBVH(mixed_die.vertices, mixed_die.faces)
-    answers = []
-    for width in (0, 10**9):
-        monkeypatch.setattr(bvh_mod, "_KNN_WIDTH", width)
-        answers.append(bvh.closest_points(queries, mixed_die.barycenters[:, 2]))
-    _assert_same_bits(*answers)
-
-
 def test_batches_cap_padded_width():
     """A slice's query count times its widest row per bucket stays within
     the cap."""

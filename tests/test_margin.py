@@ -57,6 +57,19 @@ def test_scattered_labels_raise():
         pass  # acceptable: no loop at all
 
 
+def test_label_region_reaching_the_base_names_the_open_chain():
+    """A die labelled by x > 0: the label boundary runs up one side, over
+    the top and down to the open base, so it is an open chain."""
+    die, _ = frustum_die()
+    labels = (die.barycenters[:, 0] > 0).astype(np.int64)
+    with pytest.raises(BoundaryExtractionError) as info:
+        extract_boundary_faces(LabeledMesh(die, labels))
+    message = str(info.value)
+    assert "the chain is open" in message
+    assert "odd-degree ends" in message
+    assert "lie on the mesh boundary" in message
+
+
 def test_extract_margin_line_close_to_analytic():
     die, crease = frustum_die()
     labeled = _threshold_labels(die, crease["z"])

