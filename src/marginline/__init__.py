@@ -1,7 +1,7 @@
 """Automated margin line extraction for dental die scans.
 
-Pipeline: label transfer from crown bottoms, canonical-pose registration,
-decimation, cell featurization, graph-constrained mesh segmentation with
+Pipeline: canonical-pose registration, decimation, label transfer from
+crown bottoms, cell featurization, graph-constrained mesh segmentation with
 k-fold ensembling, graph-cut refinement, and periodic smoothing-spline
 margin extraction projected back onto the original scan.
 """

@@ -47,9 +47,7 @@ COMMANDS = {
         "train the k-fold segmentation ensemble",
         ("folds", "epochs", "width_scale", "seed"),
     ),
-    "predict": (
-        (pl.stage_predict,), "run the ensemble on the dataset", ("ensemble", "folds")
-    ),
+    "predict": ((pl.stage_predict,), "run the ensemble on the dataset", ("ensemble",)),
     "refine": (
         (pl.stage_refine,),
         "graph-cut label refinement",

@@ -137,12 +137,11 @@ def split_regions(die: TriangleMesh, margin_faces) -> LabeledMesh:
     return LabeledMesh(die, labels)
 
 
-def label_die(die: TriangleMesh, crown_bottom: TriangleMesh) -> LabeledMesh:
-    """Full transfer: crown-bottom boundary -> margin faces -> regions."""
-    points = extract_margin_points(crown_bottom)
+def label_die(die: TriangleMesh, margin_points) -> LabeledMesh:
+    """Full transfer: crown-bottom margin points -> margin faces -> regions."""
     # dense resampling keeps the mapped ring connected, so the healing
     # dilation (which widens the band) is almost never needed
     spacing = 0.25 * float(die.edge_lengths.mean())
-    points = resample_closed_polyline(points, spacing)
+    points = resample_closed_polyline(margin_points, spacing)
     margin = map_margin_faces(die, points)
     return split_regions(die, margin)

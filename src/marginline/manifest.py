@@ -63,8 +63,10 @@ def _existing_file(base, value, where, what):
 
 def _check_case_id(case_id, where):
     """A case id names the stages' files, and `#` starts the suffix of an
-    augmented sample (`pipeline.base_case_id`): refuse one that is not a
-    plain file name or that holds a `#`."""
+    augmented sample (`pipeline.sample_ids`): refuse one that is not a
+    string, is not a plain file name or holds a `#`."""
+    if not isinstance(case_id, str):
+        raise ManifestError(f"{where}: case id {case_id!r} is not a string")
     if case_id in ("", ".", "..") or any(c in case_id for c in "/\\#"):
         raise ManifestError(
             f"{where}: case id {case_id!r} must be a file name without "
@@ -80,7 +82,7 @@ def _validate_entry(raw, base, index):
     for key in ("case_id", "die_path", "arch"):
         if key not in raw:
             raise ManifestError(f"{where}: missing required key {key!r}")
-    case_id = _check_case_id(str(raw["case_id"]), where)
+    case_id = _check_case_id(raw["case_id"], where)
     if raw["arch"] not in ("upper", "lower"):
         raise ManifestError(f"{where}: arch must be 'upper' or 'lower'")
     pos = raw.get("tooth_position", 11)
@@ -89,8 +91,9 @@ def _validate_entry(raw, base, index):
             f"{where}: tooth_position {pos!r} not in {TOOTH_POSITIONS}"
         )
     rating = raw.get("rating")
-    if rating is not None and not (
-        isinstance(rating, (int, float)) and 1 <= rating <= 4
+    # bool is an int, but `true` is no rating
+    if isinstance(rating, bool) or not (
+        rating is None or (isinstance(rating, (int, float)) and 1 <= rating <= 4)
     ):
         raise ManifestError(f"{where}: rating {rating!r} is not a number in [1, 4]")
     die = _existing_file(base, raw["die_path"], where, "die")

@@ -69,18 +69,14 @@ class MarginLine:
     def n_points(self):
         return len(self.points)
 
-    def to_json_dict(self):
-        return {
+    def save_json(self, path):
+        payload = {
             "case_id": self.case_id,
             "n": int(self.n_points),
             "points": np.asarray(self.points, dtype=np.float64).tolist(),
             "closed": True,
         }
-
-    def save_json(self, path):
-        Path(path).write_text(
-            json.dumps(self.to_json_dict(), separators=(",", ":"))
-        )
+        Path(path).write_text(json.dumps(payload, separators=(",", ":")))
 
     def save_obj(self, path):
         n = self.n_points
@@ -91,6 +87,7 @@ class MarginLine:
 
 
 def load_margin_json(path):
+    """(points, case_id) of the margin loop `MarginLine.save_json` wrote."""
     data = json.loads(Path(path).read_text())
     return np.asarray(data["points"], dtype=np.float64), data.get("case_id", "")
 

@@ -7,7 +7,8 @@ Stages (each a plain function taking the manifest, config and run dir):
 
 Every stage writes its artifacts under its own subdirectory of the run
 directory and reads only from earlier stages, so a run can be resumed or
-re-entered at any point. `artifact_path` names every per-case file.
+re-entered at any point. `artifact_path` names every per-case file, and
+`sample_ids` the training samples of each case.
 
 Every stage but train is one function of a single case, mapped over the
 stage's cases by `_each_case`, which holds the batch policy: a case
@@ -46,7 +47,7 @@ from .features import (
 )
 from .labeling import LabeledMesh, extract_margin_points, label_die
 from .manifest import DatasetManifest
-from .margin import extract_margin_line, load_margin_json
+from .margin import MarginLine, extract_margin_line, load_margin_json
 from .mesh import TriangleMesh
 from .meshio import load_mesh, save_ply, save_stl_binary
 from .preprocess import (
@@ -158,6 +159,11 @@ def artifact_path(run_dir, kind, case_id):
     return Path(run_dir) / stage / f"{case_id}{suffix}"
 
 
+def sample_ids(case_id, n_augmented):
+    """`case_id` and the ids of its augmented copies, `<case>#aug1` on."""
+    return [case_id] + [f"{case_id}#aug{k}" for k in range(1, n_augmented + 1)]
+
+
 def _stage_dir(run_dir, name):
     d = Path(run_dir) / name
     d.mkdir(parents=True, exist_ok=True)
@@ -231,15 +237,10 @@ def stage_labels(manifest: DatasetManifest, config: PipelineConfig, run_dir):
 
     def one(case, path):
         crown = _registered(load_mesh(case.crown_bottom_path), path("transform"))
-        decimated = load_mesh(path("decimated"))
-        labeled = label_die(decimated, crown)
-        np.save(path("labels"), labeled.labels)
         truth = extract_margin_points(crown)
-        path("truth_margin").write_text(
-            json.dumps(
-                {"case_id": case.case_id, "points": truth.tolist()}, indent=1
-            )
-        )
+        labeled = label_die(load_mesh(path("decimated")), truth)
+        np.save(path("labels"), labeled.labels)
+        MarginLine(truth, case.case_id).save_json(path("truth_margin"))
 
     labeled = [c for c in manifest if c.crown_bottom_path is not None]
     return _each_case("labels", labeled, run_dir, one)
@@ -266,53 +267,48 @@ def stage_features(manifest: DatasetManifest, config: PipelineConfig, run_dir):
 
     def one(case, path):
         mesh = load_mesh(path("decimated"))
-        labels_path = path("labels")
         # an inference-only case (no crown bottom) has no labels
         samples = [(mesh, None)]
-        if labels_path.exists():
-            variants = [LabeledMesh(mesh, np.load(labels_path))]
+        if path("labels").exists():
+            variants = [LabeledMesh(mesh, np.load(path("labels")))]
             if config.augment_per_die > 0 and case.split == "train":
                 # a case's place in the manifest seeds its augmented copies
                 index = manifest.cases.index(case)
                 variants = augment(variants[0], spec, sample_index=index)
             samples = [(v.mesh, v.labels) for v in variants]
-        for k, (mesh, labels) in enumerate(samples):
+        names = sample_ids(case.case_id, len(samples) - 1)
+        for name, (mesh, labels) in zip(names, samples):
             feats, adj = _featurize(mesh)
-            name = case.case_id if k == 0 else f"{case.case_id}#aug{k}"
             cache = artifact_path(run_dir, "features", name)
             save_feature_cache(cache, feats, adj, labels=labels)
 
     return _each_case("features", manifest, run_dir, one)
 
 
-def base_case_id(sample_id):
-    """Strip the '#augN' suffix from augmented variant ids."""
-    return sample_id.split("#", 1)[0]
-
-
 def stage_train(manifest: DatasetManifest, config: PipelineConfig, run_dir):
-    """k-fold ensemble training over all labeled training samples."""
-    feat_dir = Path(run_dir) / "features"
+    """k-fold ensemble training over the labeled training cases: each
+    case's samples are exactly those `stage_features` wrote for it."""
     out = _stage_dir(run_dir, "models")
-    train_ids = {c.case_id for c in manifest.split("train")}
-    dataset = {}
-    for path in sorted(feat_dir.glob("*.mlfc")):
-        sample_id = path.stem
-        if base_case_id(sample_id) not in train_ids:
-            continue
-        feats, adj, labels = load_feature_cache(path)
-        if labels is not None:
-            dataset[sample_id] = (feats.matrix, adj, labels)
-    base_ids = sorted({base_case_id(s) for s in dataset})
+    case_ids = [c.case_id for c in manifest.split("train") if c.crown_bottom_path]
     # folds split cases, not samples: #augK variants do not fill a fold
-    if len(base_ids) < config.folds:
+    if len(case_ids) < config.folds:
         raise ManifestError(
-            f"{len(base_ids)} labeled training cases cannot fill "
+            f"{len(case_ids)} labeled training cases cannot fill "
             f"{config.folds} folds"
         )
-    folds = kfold_split(base_ids, k=config.folds, seed=config.seed)
-    # every #augK variant trains and validates in its base case's fold
-    fold_of = {s: folds[base_case_id(s)] for s in dataset}
+    folds = kfold_split(case_ids, k=config.folds, seed=config.seed)
+    dataset, fold_of = {}, {}
+    for case_id in case_ids:
+        for sample_id in sample_ids(case_id, config.augment_per_die):
+            path = artifact_path(run_dir, "features", sample_id)
+            if not path.exists():
+                raise MarginlineError(f"train: sample {sample_id} has no feature cache")
+            feats, adj, labels = load_feature_cache(path)
+            if labels is None:
+                raise MarginlineError(f"train: sample {sample_id} has no labels")
+            dataset[sample_id] = (feats.matrix, adj, labels)
+            # every #augK variant trains and validates in its case's fold
+            fold_of[sample_id] = folds[case_id]
     models, history, val_dice = train_kfold(dataset, fold_of, config)
     for fold, params in models.items():
         params.save(out / f"fold{fold}.bin")
@@ -329,9 +325,10 @@ def _prediction_cases(manifest):
 
 
 def stage_predict(manifest: DatasetManifest, config: PipelineConfig, run_dir):
-    """Run every fold model and combine the probability fields."""
+    """Run every fold model that train listed in folds.json and combine
+    the probability fields."""
     model_dir = Path(run_dir) / "models"
-    folds = range(1, config.folds + 1)
+    folds = sorted(set(json.loads((model_dir / "folds.json").read_text()).values()))
     models = [NetworkParams.load(model_dir / f"fold{k}.bin") for k in folds]
 
     def one(case, path):
@@ -389,12 +386,9 @@ def stage_evaluate(manifest: DatasetManifest, config: PipelineConfig, run_dir):
         if truth_labels is not None and path("refined").exists():
             pred_labels = np.load(path("refined"))
         truth_margin = pred_margin = None
-        truth_path, margin_path = path("truth_margin"), path("margin")
-        if truth_path.exists() and margin_path.exists():
-            truth_margin = np.asarray(
-                json.loads(truth_path.read_text())["points"], dtype=float
-            )
-            pred_margin, _ = load_margin_json(margin_path)
+        if path("truth_margin").exists() and path("margin").exists():
+            truth_margin, _ = load_margin_json(path("truth_margin"))
+            pred_margin, _ = load_margin_json(path("margin"))
         rows.append(
             metrics_mod.evaluate_case(
                 pred_labels=pred_labels,
@@ -425,16 +419,11 @@ def stage_evaluate(manifest: DatasetManifest, config: PipelineConfig, run_dir):
     (out / "report.json").write_text(
         json.dumps({"cases": rows, "summary": summary}, indent=1)
     )
-    _write_report_csv(out / "report.csv", rows)
-    return out
-
-
-def _write_report_csv(path, rows):
-    with open(path, "w", newline="") as fh:
+    with open(out / "report.csv", "w", newline="") as fh:
         writer = csv.DictWriter(fh, fieldnames=metrics_mod.REPORT_COLUMNS)
         writer.writeheader()
-        for row in rows:
-            writer.writerow(row)
+        writer.writerows(rows)
+    return out
 
 
 STAGES = (

@@ -235,5 +235,4 @@ def write_history_csv(path, history):
             fh, fieldnames=["epoch", "fold", "train_loss", "val_loss"]
         )
         writer.writeheader()
-        for row in history:
-            writer.writerow(row)
+        writer.writerows(history)

@@ -15,6 +15,7 @@ from pathlib import Path
 import numpy as np
 
 from .manifest import save_manifest
+from .margin import load_margin_json
 from .mesh import TriangleMesh
 from .meshio import save_stl_binary, soup_to_mesh
 from .shapes import crease_circle, frustum_die
@@ -94,9 +95,7 @@ def generate_benchmark(out_dir, n_cases=20, seed=7):
             json.dumps(
                 {
                     "case_id": case.case_id,
-                    "crease": {
-                        k: v for k, v in case.crease.items() if k != "shift"
-                    } | {"shift": case.crease["shift"]},
+                    "crease": case.crease,
                     "points": np.asarray(case.truth_points).tolist(),
                 },
                 indent=1,
@@ -119,5 +118,5 @@ def generate_benchmark(out_dir, n_cases=20, seed=7):
 
 
 def load_truth_points(out_dir, case_id):
-    path = Path(out_dir) / "truth" / f"{case_id}_margin.json"
-    return np.asarray(json.loads(path.read_text())["points"], dtype=float)
+    points, _ = load_margin_json(Path(out_dir) / "truth" / f"{case_id}_margin.json")
+    return points

@@ -189,7 +189,8 @@ PARENT_OPTIONS = {
     "label": _COMMON,
     "featurize": _COMMON | {"--augment"},
     "train": _COMMON | {"--folds", "--epochs", "--scale", "--seed"},
-    "predict": _COMMON | {"--ensemble", "--folds"},
+    # predict runs the folds that train saved, so it takes no --folds
+    "predict": _COMMON | {"--ensemble"},
     "refine": _COMMON | {"--smoothness", "--sigma"},
     "extract": _COMMON | {"--samples"},
     "evaluate": _COMMON | {"--threshold-um"},

@@ -54,7 +54,7 @@ def test_labels_match_height_threshold_oracle():
     from marginline.meshio import soup_to_mesh
 
     crown = soup_to_mesh(die.vertices[die.faces[above]].reshape(-1, 3))
-    labeled = label_die(decimated, crown)
+    labeled = label_die(decimated, extract_margin_points(crown))
     oracle = (decimated.barycenters[:, 2] > crease["z"]).astype(np.int64)
     mismatch = np.mean(labeled.labels != oracle)
     assert mismatch < 0.01
@@ -62,7 +62,7 @@ def test_labels_match_height_threshold_oracle():
 
 def test_margin_band_faces_near_crease(labeled_die_case):
     decimated = labeled_die_case["decimated"]
-    labeled = label_die(decimated, labeled_die_case["crown"])
+    labeled = label_die(decimated, extract_margin_points(labeled_die_case["crown"]))
     # the label boundary faces straddle the crease within 2 edge lengths
     from scipy.spatial import cKDTree
 
@@ -106,7 +106,8 @@ def test_label_transfer_repeats_exactly():
     labels = []
     for _ in range(2):
         case = generate_case("rerun", np.random.default_rng([99, 1]))
-        labels.append(label_die(decimate(case.die, 2000), case.crown_bottom).labels)
+        die = decimate(case.die, 2000)
+        labels.append(label_die(die, extract_margin_points(case.crown_bottom)).labels)
     assert np.array_equal(labels[0], labels[1])
 
 

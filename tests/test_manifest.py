@@ -91,6 +91,20 @@ def test_validation_errors(tmp_path):
             load_manifest(path)
 
 
+@pytest.mark.parametrize(
+    "key, value",
+    [("case_id", None), ("case_id", ["a"]), ("case_id", 7), ("rating", True)],
+)
+def test_values_of_the_wrong_json_type_are_refused(tmp_path, key, value):
+    """`null` is no case id "None", and `true` no rating of 1."""
+    (tmp_path / "a_die.stl").touch()
+    path = tmp_path / "m.json"
+    path.write_text(json.dumps([_entry(crown_bottom_path=None, **{key: value})]))
+    where = "case id" if key == "case_id" else "rating"
+    with pytest.raises(ManifestError, match=f"^manifest entry 0: {where}"):
+        load_manifest(path)
+
+
 # a case id names the stages' files, and `#` marks an augmented sample;
 # a scanned file name cannot hold '/'
 BAD_SCANNED_IDS = {

@@ -4,6 +4,8 @@ import csv
 import json
 import shutil
 import threading
+import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -27,8 +29,8 @@ from marginline.mesh import TriangleMesh
 from marginline.meshio import load_mesh, save_stl_binary
 from marginline.pipeline import (
     PipelineConfig,
-    base_case_id,
     run_pipeline,
+    sample_ids,
     stage_evaluate,
     stage_extract,
     stage_features,
@@ -182,7 +184,7 @@ def test_augmented_variants_train_and_validate_in_their_base_fold(
     assert sorted(set(folds.values())) == [1, 2]
     samples = set(sample_of.values())
     for fold in (1, 2):
-        held_out = {s for s in samples if folds[base_case_id(s)] == fold}
+        held_out = {s for c, f in folds.items() if f == fold for s in sample_ids(c, 2)}
         assert any("#aug" in s for s in held_out)
         assert trained[fold] == (samples - held_out, held_out)
         assert validated[fold] == held_out
@@ -299,12 +301,14 @@ def test_train_and_predict_do_not_depend_on_the_thread_count(tmp_path, monkeypat
     assert outputs[1] == outputs[2]
 
 
-def test_democracy_vote_reaches_refine(tmp_path, monkeypatch):
-    """Under `democracy`, refine cuts a field whose argmax is the vote.
-    On the band 0 < z <= 0.5 two of three folds call 1 with little
-    confidence and one calls 0 with much: the vote is 1, the mean 0.37.
-    At smoothness 0 the cut keeps each face's argmax."""
-    run = tmp_path / "run"
+# the one case of `_three_fold_run`
+DIE = CaseEntry("die", "die.stl", None, "upper", 11, None, "test")
+
+
+def _three_fold_run(run):
+    """A run directory as preprocess, features and a 3-fold train leave it
+    for the case `DIE`, an icosphere; returns the decimated mesh. Fold
+    k's classifier bias is k."""
     for sub in ("preprocess", "features", "models"):
         (run / sub).mkdir(parents=True)
     stl = run / "preprocess" / "die_decimated.stl"
@@ -318,6 +322,18 @@ def test_democracy_vote_reaches_refine(tmp_path, monkeypatch):
         params = NetworkParams.init(18, 0.125, seed=fold)
         params.tensors["clf.b"][:] = fold  # tells the folds apart below
         params.save(run / "models" / f"fold{fold}.bin")
+    folds = {"a": 1, "b": 2, "c": 3}
+    (run / "models" / "folds.json").write_text(json.dumps(folds, indent=1))
+    return mesh
+
+
+def test_democracy_vote_reaches_refine(tmp_path, monkeypatch):
+    """Under `democracy`, refine cuts a field whose argmax is the vote.
+    On the band 0 < z <= 0.5 two of three folds call 1 with little
+    confidence and one calls 0 with much: the vote is 1, the mean 0.37.
+    At smoothness 0 the cut keeps each face's argmax."""
+    run = tmp_path / "run"
+    mesh = _three_fold_run(run)
 
     z = mesh.barycenters[:, 2]
     top, band = z > 0.5, (z > 0.0) & (z <= 0.5)
@@ -330,14 +346,97 @@ def test_democracy_vote_reaches_refine(tmp_path, monkeypatch):
         return np.stack([1.0 - p1, p1], axis=1)
 
     monkeypatch.setattr(pipeline, "forward", fold_field)
-    case = CaseEntry("die", tmp_path / "die.stl", None, "upper", 11, None, "test")
     config = PipelineConfig(folds=3, ensemble="democracy", smoothness=0.0)
-    manifest = DatasetManifest([case])
+    manifest = DatasetManifest([DIE])
     stage_predict(manifest, config, run)
     stage_refine(manifest, config, run)
     refined = np.load(run / "refine" / "die_labels.npy")
     assert np.array_equal(refined, (z > 0.0).astype(np.int64))
     assert sorted(p.name for p in (run / "predict").iterdir()) == ["die_probs.npy"]
+
+
+def test_predict_runs_every_fold_that_train_saved(tmp_path, monkeypatch):
+    """The fold models predict runs are the ones folds.json lists: all
+    three, although the config says two folds."""
+    run = tmp_path / "run"
+    _three_fold_run(run)
+    real_forward, ran = pipeline.forward, []
+
+    def recording_forward(params, x, adj, want_cache=False):
+        ran.append(int(params.tensors["clf.b"][0]))
+        return real_forward(params, x, adj, want_cache)
+
+    monkeypatch.setattr(pipeline, "forward", recording_forward)
+    stage_predict(DatasetManifest([DIE]), PipelineConfig(folds=2), run)
+    assert sorted(ran) == [1, 2, 3]
+
+
+def test_train_reads_only_the_samples_of_the_last_featurize(tmp_path, monkeypatch):
+    """featurize --augment 2, then --augment 1, leaves four stale #aug2
+    caches beside the eight current ones. train takes augment_per_die
+    from config.json and trains on the eight."""
+    manifest_path = generate_benchmark(tmp_path / "data", n_cases=4, seed=5)
+    run = tmp_path / "run"
+    common = ["--manifest", str(manifest_path), "--run-dir", str(run)]
+    for argv in (
+        ["preprocess", "--target-faces", "2000"],
+        ["label"],
+        ["featurize", "--augment", "2"],
+        ["featurize", "--augment", "1"],
+    ):
+        assert main(argv + common) == 0
+    assert len(list((run / "features").glob("*.mlfc"))) == 12
+    real_train_kfold, trained = pipeline.train_kfold, []
+
+    def recording_train_kfold(dataset, fold_of, config):
+        trained.append(sorted(dataset))
+        return real_train_kfold(dataset, fold_of, config)
+
+    monkeypatch.setattr(pipeline, "train_kfold", recording_train_kfold)
+    train = ["train", "--folds", "2", "--epochs", "1", "--scale", "0.125"]
+    assert main(train + common) == 0
+    case_ids = [c.case_id for c in load_manifest(manifest_path)]
+    assert trained == [sorted(s for c in case_ids for s in sample_ids(c, 1))]
+    assert len(trained[0]) == 8
+
+
+def test_train_names_a_sample_it_cannot_use(tmp_path):
+    """A missing #augK cache, or the cache of a labeled case written
+    without its labels, stops train with an error naming the sample
+    instead of leaving the sample out."""
+    config = PipelineConfig(
+        target_faces=2000, folds=2, epochs=1, width_scale=0.125, augment_per_die=1
+    )
+    manifest = load_manifest(generate_benchmark(tmp_path / "data", n_cases=4, seed=5))
+    run = tmp_path / "run"
+    for stage in (stage_preprocess, stage_labels, stage_features):
+        stage(manifest, config, run)
+    with pytest.raises(MarginlineError, match="sample synth000#aug2 has no feature"):
+        stage_train(manifest, replace(config, augment_per_die=2), run)
+    (run / "labels" / "synth001_labels.npy").unlink()
+    stage_features(manifest, config, run)
+    with pytest.raises(MarginlineError, match="sample synth001 has no labels"):
+        stage_train(manifest, config, run)
+
+
+def test_a_crown_bottom_with_a_hole_warns_once(tmp_path):
+    """labels walks a crown bottom's boundary loops once per case, so a
+    second loop (a hole in the crown's top) is reported once."""
+    manifest_path = generate_benchmark(tmp_path / "data", n_cases=1, seed=5)
+    manifest = load_manifest(manifest_path)
+    crown_path = manifest.cases[0].crown_bottom_path
+    crown = load_mesh(crown_path)
+    top = int(np.argmax(crown.barycenters[:, 2]))
+    holed = TriangleMesh(crown.vertices, np.delete(crown.faces, top, axis=0))
+    save_stl_binary(holed, crown_path)
+    config = PipelineConfig(target_faces=2000)
+    run = tmp_path / "run"
+    stage_preprocess(manifest, config, run)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        stage_labels(manifest, config, run)
+    messages = [str(w.message) for w in caught]
+    assert len(messages) == 1 and "2 boundary loops" in messages[0], messages
 
 
 @pytest.mark.parametrize(

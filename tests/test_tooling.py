@@ -2,9 +2,11 @@
 renamed kernel would silently drop its per-layer metrics; and its
 workloads read the program's artifacts themselves, so an artifact they
 cannot read would fail only the benchmark. `marginline.__all__` lists
-names as strings, so a stale one would break only `import *`. And an
+names as strings, so a stale one would break only `import *`. An
 import of a package that pyproject.toml does not list would fail only
-on a machine without it."""
+on a machine without it. And README's table of command-line flags is
+written by hand, so a flag that moves between commands would leave it
+stale."""
 
 import ast
 import importlib.util
@@ -13,6 +15,7 @@ import sys
 from pathlib import Path
 
 import marginline
+from marginline.cli import COMMANDS, FLAGS
 
 ROOT = Path(__file__).resolve().parents[1]
 # retired with the labeled-PLY handoff; the tracer still lists it
@@ -81,3 +84,21 @@ def test_package_imports_only_its_declared_dependencies():
                 if top not in allowed:
                     foreign.setdefault(top, []).append(path.name)
     assert foreign == {}
+
+
+def test_readme_flag_table_matches_the_parsers():
+    """README's flag table lists each flag with its config field and the
+    commands that take it, besides `pipeline` (which takes them all),
+    exactly as `cli.FLAGS` and `cli.COMMANDS` declare them."""
+    rows = re.findall(
+        r"^\| `(--[a-z-]+)` \| `(\w+)` \| ([a-z, ]+) \|$",
+        (ROOT / "README.md").read_text(),
+        re.M,
+    )
+    table = {field: (flag, set(commands.split(", "))) for flag, field, commands in rows}
+    assert len(table) == len(rows)
+    stages = {c: taken for c, (_, _, taken) in COMMANDS.items() if c != "pipeline"}
+    assert table == {
+        field: (flag, {c for c, taken in stages.items() if field in taken})
+        for field, (flag, _, _) in FLAGS.items()
+    }

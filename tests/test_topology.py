@@ -8,7 +8,12 @@ import pytest
 from conftest import face_neighbors
 from marginline.decimate import decimate
 from marginline.errors import BoundaryExtractionError
-from marginline.labeling import LabeledMesh, _dilate, label_die
+from marginline.labeling import (
+    LabeledMesh,
+    _dilate,
+    extract_margin_points,
+    label_die,
+)
 from marginline.margin import _label_boundary_edges, extract_boundary_faces
 from marginline.mesh import (
     TriangleMesh,
@@ -196,7 +201,8 @@ def transferred_dies():
     for seed in (3, 29, 41):
         case = generate_case(f"topo{seed}", np.random.default_rng([seed, 0]))
         die = decimate(case.die, 2000)
-        dies.append((die, label_die(die, case.crown_bottom).labels))
+        labels = label_die(die, extract_margin_points(case.crown_bottom)).labels
+        dies.append((die, labels))
     return dies
 
 
