@@ -26,10 +26,7 @@ FLAGS = {
     "epochs": ("--epochs", int, "training epochs per fold"),
     "width_scale": ("--scale", float, "network width scale"),
     "ensemble": ("--ensemble", str, "max_probability, democracy, or fold-K"),
-    "smoothness": ("--smoothness", float, "graph-cut pairwise weight"),
-    "dihedral_sigma": ("--sigma", float, "graph-cut dihedral falloff (radians)"),
     "n_samples": ("--samples", int, "points sampled on each margin line"),
-    "threshold_um": ("--threshold-um", float, "success threshold in micrometres"),
     "seed": ("--seed", int, "seed of folds, weights and augmentation"),
 }
 
@@ -48,17 +45,11 @@ COMMANDS = {
         ("folds", "epochs", "width_scale", "seed"),
     ),
     "predict": ((pl.stage_predict,), "run the ensemble on the dataset", ("ensemble",)),
-    "refine": (
-        (pl.stage_refine,),
-        "graph-cut label refinement",
-        ("smoothness", "dihedral_sigma"),
-    ),
+    "refine": ((pl.stage_refine,), "graph-cut label refinement", ()),
     "extract": (
         (pl.stage_extract,), "fit and sample the margin lines", ("n_samples",)
     ),
-    "evaluate": (
-        (pl.stage_evaluate,), "score predictions against truth", ("threshold_um",)
-    ),
+    "evaluate": ((pl.stage_evaluate,), "score predictions against truth", ()),
     "pipeline": (
         tuple(fn for _, fn in pl.STAGES), "run every stage in order", tuple(FLAGS)
     ),

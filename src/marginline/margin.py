@@ -15,8 +15,6 @@ from .labeling import LabeledMesh
 from .mesh import TriangleMesh, loop_length, walk_closed_loops
 from .spline import fit_smoothing_spline
 
-DEFAULT_SAMPLES = 5000
-
 
 def _label_boundary_edges(labeled: LabeledMesh):
     """Mesh edges separating label-1 from label-0 faces, with the label-1
@@ -118,7 +116,7 @@ def _self_intersects_2d(points):
 def extract_margin_line(
     labeled: LabeledMesh,
     original_die: TriangleMesh,
-    n_samples=DEFAULT_SAMPLES,
+    n_samples,
     case_id="",
 ) -> MarginLine:
     """Boundary face centers -> closest points on the original die ->

@@ -12,6 +12,7 @@ from scipy.spatial import cKDTree
 
 from .errors import MetricError
 
+# a case succeeds within this max distance, the paper's "human error"
 SUCCESS_THRESHOLD_UM = 200.0
 REPORT_COLUMNS = (
     "case_id", "rating", "dsc", "sen", "ppv",
@@ -125,13 +126,12 @@ def evaluate_case(
     truth_labels=None,
     pred_margin_points=None,
     truth_margin_points=None,
-    threshold_um=SUCCESS_THRESHOLD_UM,
     case_id="",
     rating=None,
 ):
     """This case's report row, a dict keyed by REPORT_COLUMNS in order;
-    success iff max distance <= threshold. The columns of a missing
-    input pair are None."""
+    success iff max distance <= SUCCESS_THRESHOLD_UM. The columns of a
+    missing input pair are None."""
     row = dict.fromkeys(REPORT_COLUMNS)
     row.update(case_id=case_id, rating=rating)
     if pred_labels is not None and truth_labels is not None:
@@ -140,7 +140,7 @@ def evaluate_case(
         )
     if pred_margin_points is not None and truth_margin_points is not None:
         row.update(margin_distance_stats(pred_margin_points, truth_margin_points))
-        row["success"] = bool(row["max_um"] <= threshold_um)
+        row["success"] = bool(row["max_um"] <= SUCCESS_THRESHOLD_UM)
     return row
 
 

@@ -57,7 +57,7 @@ from .preprocess import (
     normalize,
     obb_register,
 )
-from .refine import GraphCutConfig, cleanup_components, graph_cut_refine
+from .refine import cleanup_components, graph_cut_refine
 from .segnet import (
     COMPUTE_DTYPE,
     NetworkParams,
@@ -87,16 +87,8 @@ class PipelineConfig:
     width_scale: float = 1.0
     batch_size: int = 10
     ensemble: str = "max_probability"
-    smoothness: float = 2.0
-    dihedral_sigma: float = 0.5
     n_samples: int = 5000
-    threshold_um: float = 200.0
     seed: int = 0
-
-    def graph_cut_config(self):
-        return GraphCutConfig(
-            smoothness=self.smoothness, dihedral_sigma=self.dihedral_sigma
-        )
 
     def validate(self):
         """Refuses every field value that a later stage would fail on, so
@@ -112,16 +104,14 @@ class PipelineConfig:
             (self.folds >= 2, "need at least 2 folds"),
             (self.epochs > 0, "epochs must be positive"),
             (self.batch_size > 0, "batch_size must be positive"),
-            # NaN fails too
-            (self.width_scale > 0, "width_scale must be positive"),
+            # NaN and inf fail too
+            (0 < self.width_scale < np.inf, "width_scale must be positive and finite"),
             (self.n_samples >= 8, "n_samples must be at least 8"),
-            (self.threshold_um > 0, "threshold_um must be positive"),
             (self.seed >= 0, "seed must be >= 0"),
         ):
             if not ok:
                 raise ValueError(message)
         strategy_fold(self.ensemble, self.folds)
-        self.graph_cut_config().validate()
 
     @staticmethod
     def from_json(path):
@@ -342,13 +332,13 @@ def stage_predict(manifest: DatasetManifest, config: PipelineConfig, run_dir):
 
 
 def stage_refine(manifest: DatasetManifest, config: PipelineConfig, run_dir):
-    """Graph-cut smoothing of the ensembled fields plus island removal."""
-    gc = config.graph_cut_config()
+    """Graph-cut smoothing of the ensembled fields plus island removal,
+    at `GraphCutConfig`'s λ and σ."""
 
     def one(case, path):
         mesh = load_mesh(path("decimated"))
         probs = np.load(path("probs"))
-        labels = graph_cut_refine(mesh, probs, gc)
+        labels = graph_cut_refine(mesh, probs)
         labels = cleanup_components(labels, mesh.adjacency())
         np.save(path("refined"), labels)
         save_ply(mesh, path("refined_ply"), labels)
@@ -395,7 +385,6 @@ def stage_evaluate(manifest: DatasetManifest, config: PipelineConfig, run_dir):
                 truth_labels=truth_labels,
                 pred_margin_points=pred_margin,
                 truth_margin_points=truth_margin,
-                threshold_um=config.threshold_um,
                 case_id=case.case_id,
                 rating=case.rating,
             )

@@ -58,8 +58,8 @@ SCALE_RANGE = (0.9, 1.1)
 
 @dataclass
 class AugmentationSpec:
-    samples_per_die: int = 20
-    seed: int = 0
+    samples_per_die: int
+    seed: int
 
 
 def rotation_xyz(rx, ry, rz):

@@ -39,7 +39,7 @@ def _w(base, scale):
     return max(2, int(round(base * scale)))
 
 
-def architecture(n_channels, scale=1.0):
+def architecture(n_channels, scale):
     """Layer-width descriptor for a given input width and width scale."""
     c = int(n_channels)
     return {
@@ -95,7 +95,7 @@ class NetworkParams:
     tensors: dict  # name -> ndarray; "<name>.W" and "<name>.b"
 
     @staticmethod
-    def init(n_channels, scale=1.0, seed=0):
+    def init(n_channels, scale, seed):
         arch = architecture(n_channels, scale)
         rng = np.random.default_rng(seed)
         tensors = {}

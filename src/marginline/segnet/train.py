@@ -14,7 +14,7 @@ from .loss import loss_grad_logits, loss_value
 from .network import NetworkParams, backward, forward
 
 
-def kfold_split(case_ids, k=5, seed=0):
+def kfold_split(case_ids, k, seed):
     """{case_id: fold in 1..k}, round robin over a seeded permutation."""
     case_ids = list(case_ids)
     if len(case_ids) < k:

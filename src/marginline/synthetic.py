@@ -8,14 +8,13 @@ crown-bottom shells, a dataset manifest, and per-case truth polylines.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
 from .manifest import save_manifest
-from .margin import load_margin_json
+from .margin import MarginLine, load_margin_json
 from .mesh import TriangleMesh
 from .meshio import save_stl_binary, soup_to_mesh
 from .shapes import crease_circle, frustum_die
@@ -28,7 +27,6 @@ class SyntheticCase:
     case_id: str
     die: TriangleMesh
     crown_bottom: TriangleMesh
-    crease: dict
     truth_points: np.ndarray
 
 
@@ -71,8 +69,7 @@ def generate_case(case_id, rng) -> SyntheticCase:
     die = TriangleMesh(_rotate_z(die.vertices, spin) + shift, die.faces)
     crown = TriangleMesh(_rotate_z(crown.vertices, spin) + shift, crown.faces)
     truth = _rotate_z(truth, spin) + shift
-    crease = dict(crease, spin=spin, shift=shift.tolist())
-    return SyntheticCase(case_id, die, crown, crease, truth)
+    return SyntheticCase(case_id, die, crown, truth)
 
 
 def generate_benchmark(out_dir, n_cases=20, seed=7):
@@ -90,16 +87,8 @@ def generate_benchmark(out_dir, n_cases=20, seed=7):
         crown_name = f"{case.case_id}_crown_bottom.stl"
         save_stl_binary(case.die, out_dir / die_name)
         save_stl_binary(case.crown_bottom, out_dir / crown_name)
-        truth_path = truth_dir / f"{case.case_id}_margin.json"
-        truth_path.write_text(
-            json.dumps(
-                {
-                    "case_id": case.case_id,
-                    "crease": case.crease,
-                    "points": np.asarray(case.truth_points).tolist(),
-                },
-                indent=1,
-            )
+        MarginLine(case.truth_points, case.case_id).save_json(
+            truth_dir / f"{case.case_id}_margin.json"
         )
         entries.append(
             {

@@ -168,15 +168,20 @@ def test_config_value_of_the_wrong_type_exit_1(tmp_path, capsys, command, config
 
 
 def test_bad_config_stops_before_any_stage(tmp_path, capsys):
-    """A value only refine would trip on is refused up front: exit 1 and
-    no stage directory."""
+    """A value only predict would trip on (fold 9 of 5) is refused up
+    front: exit 1 and no stage directory."""
     (tmp_path / "a_die.stl").write_bytes(b"\0" * 84)
     run = tmp_path / "run"
     code = main(
-        ["pipeline", "--manifest", str(tmp_path), "--run-dir", str(run), "--sigma", "0"]
+        [
+            "pipeline",
+            "--manifest", str(tmp_path),
+            "--run-dir", str(run),
+            "--ensemble", "fold-9",
+        ]
     )
     assert code == 1
-    assert "dihedral_sigma" in capsys.readouterr().err
+    assert "ensemble" in capsys.readouterr().err
     assert not (run / "preprocess").exists()
 
 
@@ -191,13 +196,13 @@ PARENT_OPTIONS = {
     "train": _COMMON | {"--folds", "--epochs", "--scale", "--seed"},
     # predict runs the folds that train saved, so it takes no --folds
     "predict": _COMMON | {"--ensemble"},
-    "refine": _COMMON | {"--smoothness", "--sigma"},
+    # graph-cut λ and σ and the success threshold are constants
+    "refine": _COMMON,
     "extract": _COMMON | {"--samples"},
-    "evaluate": _COMMON | {"--threshold-um"},
+    "evaluate": _COMMON,
     "pipeline": _COMMON | {
         "--target-faces", "--augment", "--folds", "--epochs", "--scale",
-        "--ensemble", "--smoothness", "--sigma", "--samples",
-        "--threshold-um", "--seed",
+        "--ensemble", "--samples", "--seed",
     },
     "report": {"-h", "--help", "--run-dir"},
 }
@@ -210,10 +215,7 @@ VALUES = {
     "epochs": "7",
     "width_scale": "0.5",
     "ensemble": "democracy",
-    "smoothness": "1.5",
-    "dihedral_sigma": "0.25",
     "n_samples": "64",
-    "threshold_um": "150.5",
     "seed": "9",
 }
 
@@ -252,10 +254,15 @@ def test_each_flag_reaches_its_field(command):
         assert others == {f: v for f, v in vars(default).items() if f != field}
 
 
-def test_removed_radius_key_in_config_exit_1(tmp_path, capsys):
+@pytest.mark.parametrize(
+    "key", ["r_small", "smoothness", "dihedral_sigma", "threshold_um"]
+)
+def test_removed_config_key_exit_1(tmp_path, capsys, key):
+    """A config.json that an older version wrote, holding a setting
+    that is now a constant, is refused naming the key."""
     (tmp_path / "a_die.stl").write_bytes(b"\0" * 84)
     config = tmp_path / "config.json"
-    config.write_text(json.dumps({"r_small": 0.1}))
+    config.write_text(json.dumps({key: 1.0}))
     code = main(
         [
             "preprocess",
@@ -265,7 +272,7 @@ def test_removed_radius_key_in_config_exit_1(tmp_path, capsys):
         ]
     )
     assert code == 1
-    assert "r_small" in capsys.readouterr().err
+    assert key in capsys.readouterr().err
     assert not (tmp_path / "run").exists()
 
 

@@ -330,8 +330,7 @@ def _three_fold_run(run):
 def test_democracy_vote_reaches_refine(tmp_path, monkeypatch):
     """Under `democracy`, refine cuts a field whose argmax is the vote.
     On the band 0 < z <= 0.5 two of three folds call 1 with little
-    confidence and one calls 0 with much: the vote is 1, the mean 0.37.
-    At smoothness 0 the cut keeps each face's argmax."""
+    confidence and one calls 0 with much: the vote is 1, the mean 0.37."""
     run = tmp_path / "run"
     mesh = _three_fold_run(run)
 
@@ -345,13 +344,20 @@ def test_democracy_vote_reaches_refine(tmp_path, monkeypatch):
         p1[band] = 0.01 if fold == 3 else 0.55
         return np.stack([1.0 - p1, p1], axis=1)
 
+    real_refine, cut = pipeline.graph_cut_refine, []
+
+    def recording_refine(mesh, probs):
+        cut.append(probs)
+        return real_refine(mesh, probs)
+
     monkeypatch.setattr(pipeline, "forward", fold_field)
-    config = PipelineConfig(folds=3, ensemble="democracy", smoothness=0.0)
+    monkeypatch.setattr(pipeline, "graph_cut_refine", recording_refine)
+    config = PipelineConfig(folds=3, ensemble="democracy")
     manifest = DatasetManifest([DIE])
     stage_predict(manifest, config, run)
     stage_refine(manifest, config, run)
-    refined = np.load(run / "refine" / "die_labels.npy")
-    assert np.array_equal(refined, (z > 0.0).astype(np.int64))
+    assert len(cut) == 1
+    assert np.array_equal(cut[0].argmax(axis=1), (z > 0.0).astype(np.int64))
     assert sorted(p.name for p in (run / "predict").iterdir()) == ["die_probs.npy"]
 
 
@@ -442,7 +448,6 @@ def test_a_crown_bottom_with_a_hole_warns_once(tmp_path):
 @pytest.mark.parametrize(
     "field, value",
     [
-        ("dihedral_sigma", 0.0),
         ("epochs", 0),
         ("batch_size", 0),
         ("width_scale", 0.0),
@@ -451,8 +456,7 @@ def test_a_crown_bottom_with_a_hole_warns_once(tmp_path):
         ("ensemble", "fold-x"),
         ("seed", -1),
         ("width_scale", float("nan")),
-        ("smoothness", float("nan")),
-        ("dihedral_sigma", float("nan")),
+        ("width_scale", float("inf")),  # the network's widths overflow
     ],
 )
 def test_validate_refuses_values_a_later_stage_fails_on(field, value):
@@ -489,9 +493,10 @@ def test_validate_takes_numpy_and_integer_numbers():
     PipelineConfig(
         folds=np.int64(3),
         epochs=np.int32(2),
-        smoothness=2,
         width_scale=np.float32(0.5),
     ).validate()
+    # an int is a real number too
+    PipelineConfig(width_scale=1).validate()
 
 
 def test_config_has_exactly_these_fields():
@@ -504,10 +509,7 @@ def test_config_has_exactly_these_fields():
         "width_scale",
         "batch_size",
         "ensemble",
-        "smoothness",
-        "dihedral_sigma",
         "n_samples",
-        "threshold_um",
         "seed",
     ]
 

@@ -206,10 +206,15 @@ def test_smoothness_never_increases_boundary_length():
 
 
 def test_config_validation():
-    with pytest.raises(ValueError):
-        GraphCutConfig(smoothness=-1.0).validate()
-    with pytest.raises(ValueError):
-        GraphCutConfig(dihedral_sigma=0.0).validate()
+    """λ < 0 and σ <= 0 are refused, and so is NaN in either."""
+    for field, value in (
+        ("smoothness", -1.0),
+        ("dihedral_sigma", 0.0),
+        ("smoothness", float("nan")),
+        ("dihedral_sigma", float("nan")),
+    ):
+        with pytest.raises(ValueError, match=field):
+            GraphCutConfig(**{field: value}).validate()
 
 
 def test_cleanup_keeps_largest_island(unit_sphere):

@@ -6,7 +6,8 @@ names as strings, so a stale one would break only `import *`. An
 import of a package that pyproject.toml does not list would fail only
 on a machine without it. And README's table of command-line flags is
 written by hand, so a flag that moves between commands would leave it
-stale."""
+stale. A config field that only a method copying it elsewhere reads is
+a setting with two homes."""
 
 import ast
 import importlib.util
@@ -16,6 +17,7 @@ from pathlib import Path
 
 import marginline
 from marginline.cli import COMMANDS, FLAGS
+from marginline.pipeline import PipelineConfig
 
 ROOT = Path(__file__).resolve().parents[1]
 # retired with the labeled-PLY handoff; the tracer still lists it
@@ -102,3 +104,30 @@ def test_readme_flag_table_matches_the_parsers():
         field: (flag, {c for c, taken in stages.items() if field in taken})
         for field, (flag, _, _) in FLAGS.items()
     }
+
+
+def test_every_config_field_is_read_as_config_dot_field():
+    """Each `PipelineConfig` field is read as `config.<field>` somewhere in
+    `src/marginline`. A read through `self` inside the dataclass does not
+    count, nor does a read in a module whose own class declares a field
+    of that name (there `config` is that class, as in `refine`)."""
+    read = set()
+    for path in sorted((ROOT / "src" / "marginline").rglob("*.py")):
+        tree = ast.parse(path.read_text())
+        own = {
+            node.target.id
+            for cls in ast.walk(tree)
+            if isinstance(cls, ast.ClassDef) and cls.name != "PipelineConfig"
+            for node in cls.body
+            if isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name)
+        }
+        read |= {
+            node.attr
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute)
+            and isinstance(node.value, ast.Name)
+            and node.value.id == "config"
+            and isinstance(node.ctx, ast.Load)
+            and node.attr not in own
+        }
+    assert set(PipelineConfig.__dataclass_fields__) - read == set()
