@@ -7,8 +7,8 @@ import itertools
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import stats as scipy_stats
 from scipy.spatial import cKDTree
+from scipy.special import stdtr
 
 from .errors import MetricError
 
@@ -108,17 +108,35 @@ def margin_distance_stats(pred_points, truth_points):
     }
 
 
+def _average_ranks(a):
+    """1-based ranks of a, each tie given the mean of the ranks it spans."""
+    order = np.argsort(a, kind="stable")
+    ordered = a[order]
+    starts = np.r_[True, ordered[1:] != ordered[:-1]]
+    bounds = np.r_[np.flatnonzero(starts), len(a)]
+    mean_rank = 0.5 * (bounds[:-1] + bounds[1:] + 1)
+    ranks = np.empty(len(a))
+    ranks[order] = mean_rank[np.cumsum(starts) - 1]
+    return ranks
+
+
 def spearman(x, y):
-    """Spearman rank correlation with average ranks for ties; p-value via
-    the t-distribution approximation."""
+    """Spearman rank correlation with average ranks for ties: Pearson's r
+    of the ranks, and its two-sided p-value from Student's t with n - 2
+    degrees of freedom (0 when |r| = 1)."""
     x = np.asarray(x, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64)
     if len(x) != len(y) or len(x) < 3:
         raise MetricError("need two equal-length vectors of length >= 3")
+    if not (np.all(np.isfinite(x)) and np.all(np.isfinite(y))):
+        raise MetricError("correlation undefined for non-finite values")
     if np.all(x == x[0]) or np.all(y == y[0]):
         raise MetricError("correlation undefined for a constant vector")
-    r, p = scipy_stats.spearmanr(x, y)
-    return float(r), float(p)
+    r = np.corrcoef(_average_ranks(x), _average_ranks(y))[1, 0]
+    dof = len(x) - 2
+    with np.errstate(divide="ignore"):
+        t = r * np.sqrt(max(dof / ((r + 1.0) * (1.0 - r)), 0.0))
+    return float(r), float(2.0 * stdtr(dof, -abs(t)))
 
 
 def evaluate_case(

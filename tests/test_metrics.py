@@ -6,6 +6,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+# the oracle for spearman; the package does not import scipy.stats
+from scipy.stats import spearmanr
+
 from marginline import metrics
 from marginline.errors import MetricError
 from marginline.metrics import (
@@ -145,6 +148,34 @@ def test_spearman_guards():
         spearman([1, 2], [3, 4])
     with pytest.raises(MetricError):
         spearman([1, 1, 1], [3, 4, 5])
+    # a NaN would sort last and give a finite, wrong rho
+    for bad in (np.nan, np.inf, -np.inf):
+        with pytest.raises(MetricError, match="non-finite"):
+            spearman([1, 2, bad, 4], [3, 4, 5, 6])
+        with pytest.raises(MetricError, match="non-finite"):
+            spearman([1, 2, 3, 4], [3, 4, 5, bad])
+
+
+@pytest.mark.parametrize(
+    "x, y",
+    [
+        (REFERENCE_RATINGS, REFERENCE_MEAN_UM),
+        (REFERENCE_MEAN_UM, REFERENCE_RATINGS),
+        ([1, 2, 2, 3, 3, 3], [4, 4, 1, 2, 2, 9]),
+        ([1.0, 2.0, 3.0], [2.0, 1.0, 5.0]),
+        ([1, 2, 3, 4], [10, 20, 30, 40]),
+        ([1, 2, 3, 4], [4, 3, 2, 1]),
+        ([2, 2, 1], [3, 3, 1]),
+    ],
+    ids=["ties", "reversed", "ties both", "n=3", "rho=1", "rho=-1", "n=3 ties rho=1"],
+)
+def test_spearman_matches_scipy(x, y):
+    expected = spearmanr(x, y)
+    r, p = spearman(x, y)
+    assert r == pytest.approx(expected.statistic, abs=1e-12)
+    assert p == pytest.approx(expected.pvalue, abs=1e-12)
+    if abs(r) == 1.0:
+        assert p == 0.0
 
 
 @settings(max_examples=25, deadline=None)
@@ -156,6 +187,9 @@ def test_spearman_bounds(seed):
     r, p = spearman(x, y)
     assert -1.0 <= r <= 1.0
     assert 0.0 <= p <= 1.0
+    expected = spearmanr(x, y)
+    assert r == pytest.approx(expected.statistic, abs=1e-12)
+    assert p == pytest.approx(expected.pvalue, abs=1e-12)
 
 
 def test_success_threshold():

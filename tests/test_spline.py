@@ -1,11 +1,21 @@
 import numpy as np
 import pytest
+from numpy.testing import assert_allclose
+
+# the oracle for the hand-written basis; the package does not import it
+from scipy.interpolate import BSpline
 
 from marginline.errors import SplineFitError
 from marginline.spline import (
+    SmoothingSpline,
+    _curvature_penalty,
+    _knots,
+    _periodic_design,
     fit_smoothing_spline,
     smoothness_bound,
 )
+
+N_COEFS = [8, 9, 50, 256]
 
 
 def _circle(n, radius=4.0, noise=0.0, seed=0, z=2.0):
@@ -77,3 +87,68 @@ def test_input_validation():
     line = np.stack([np.linspace(0, 1, 30)] * 3, axis=1)
     with pytest.raises(SplineFitError):
         fit_smoothing_spline(line)
+
+
+def _oracle_params(n_coef):
+    """Random parameters, every knot of [0, 1), and the ends 0 and 1 - 2**-53."""
+    rng = np.random.default_rng(n_coef)
+    on_knots = np.arange(n_coef) / n_coef
+    return np.concatenate([rng.random(101), on_knots, [0.0, 1.0 - 2.0**-53]])
+
+
+def _fold(n_coef):
+    """(n_coef + 3, n_coef) map of scipy's basis functions onto the
+    periodic ones: function j joins function j mod n_coef."""
+    return np.eye(n_coef + 3, n_coef) + np.eye(n_coef + 3, n_coef, -n_coef)
+
+
+@pytest.mark.parametrize("n_coef", N_COEFS)
+def test_design_matches_scipy(n_coef):
+    t = _oracle_params(n_coef)
+    full = BSpline.design_matrix(t, _knots(n_coef), 3).toarray()
+    assert_allclose(_periodic_design(t, n_coef), full @ _fold(n_coef), rtol=1e-14)
+    # rows follow t flattened, and parameters wrap mod 1
+    assert np.array_equal(_periodic_design(t.reshape(-1, 1), n_coef),
+                          _periodic_design(t, n_coef))
+    assert np.array_equal(_periodic_design([1.25, -0.75, 2.0], n_coef),
+                          _periodic_design([0.25, 0.25, 0.0], n_coef))
+
+
+@pytest.mark.parametrize("n_coef", N_COEFS)
+def test_curvature_penalty_matches_scipy(n_coef):
+    gauss = 0.5 + np.array([-0.5, 0.5]) / np.sqrt(3.0)
+    xs = ((np.arange(n_coef)[:, None] + gauss) / n_coef).ravel()
+    unit = np.eye(n_coef + 3)
+    d2 = np.stack(
+        [BSpline(_knots(n_coef), unit[j], 3)(xs, nu=2) for j in range(n_coef + 3)],
+        axis=1,
+    ) @ _fold(n_coef)
+    expected = d2.T @ d2 * (0.5 / n_coef)
+    # entries that are zero in exact arithmetic come out as rounding
+    # noise of the largest, so those are held to the matrix's scale
+    assert_allclose(_curvature_penalty(n_coef), expected, rtol=1e-14,
+                    atol=1e-14 * np.abs(expected).max())
+
+
+@pytest.mark.parametrize("n_coef", N_COEFS)
+def test_curvature_penalty_is_psd_and_ignores_constants(n_coef):
+    penalty = _curvature_penalty(n_coef)
+    scale = np.abs(penalty).max()
+    assert_allclose(penalty, penalty.T, rtol=0, atol=1e-14 * scale)
+    assert np.linalg.eigvalsh(penalty).min() >= -1e-12 * scale
+    # a constant curve has no second derivative
+    assert np.abs(penalty @ np.ones(n_coef)).max() <= 1e-12 * scale
+
+
+@pytest.mark.parametrize("n_coef", N_COEFS)
+def test_evaluation_matches_scipy(n_coef):
+    rng = np.random.default_rng(n_coef + 1)
+    coef = rng.normal(size=(n_coef, 3))
+    spline = SmoothingSpline(coef, n_coef, 1.0, 1.0, 1.0, 1.0)
+    oracle = BSpline(_knots(n_coef), np.vstack([coef, coef[:3]]), 3,
+                     extrapolate="periodic")
+    t = _oracle_params(n_coef)
+    for params in (t, t[:100].reshape(20, 5), 0.0, 1.0 - 2.0**-53, 0.37, -0.25):
+        got = spline(params)
+        assert got.shape == np.shape(params) + (3,)
+        assert_allclose(got, oracle(params), rtol=1e-14)

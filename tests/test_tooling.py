@@ -7,11 +7,16 @@ import of a package that pyproject.toml does not list would fail only
 on a machine without it. And README's table of command-line flags is
 written by hand, so a flag that moves between commands would leave it
 stale. A config field that only a method copying it elsewhere reads is
-a setting with two homes."""
+a setting with two homes. A heavy scipy subpackage loaded on import
+would cost every run about 30 MB, and a `BENCH_*.json` that lacks a
+side or a metric cannot back the numbers quoted from it."""
 
 import ast
 import importlib.util
+import json
+import os
 import re
+import subprocess
 import sys
 from pathlib import Path
 
@@ -64,9 +69,16 @@ def test_every_name_in_all_resolves():
     assert missing == []
 
 
+# about 30 MB of resident memory and half a second of start-up that the
+# package used to pay for one spline and one rank correlation
+HEAVY_SCIPY = ("scipy.stats", "scipy.interpolate", "scipy.optimize")
+
+
 def test_package_imports_only_its_declared_dependencies():
     """`src/marginline` imports the standard library, itself and the
-    dependencies that pyproject.toml lists: numpy and scipy."""
+    dependencies that pyproject.toml lists: numpy and scipy. Importing
+    the package and its CLI loads none of the heavy scipy subpackages
+    (tests use them as oracles)."""
     pyproject = (ROOT / "pyproject.toml").read_text()
     block = re.search(r"^dependencies = \[(.*?)\]", pyproject, re.M | re.S)[1]
     declared = set(re.findall(r'"([A-Za-z0-9_.-]+)', block))
@@ -86,6 +98,35 @@ def test_package_imports_only_its_declared_dependencies():
                 if top not in allowed:
                     foreign.setdefault(top, []).append(path.name)
     assert foreign == {}
+
+    # a fresh interpreter: this one has the oracles loaded already
+    source = Path(marginline.__file__).resolve().parents[1]
+    path = os.pathsep.join(filter(None, [str(source), os.environ.get("PYTHONPATH")]))
+    probe = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, marginline, marginline.cli\n"
+         f"print([m for m in {HEAVY_SCIPY!r} if m in sys.modules])"],
+        env={**os.environ, "PYTHONPATH": path},
+        capture_output=True, text=True, check=True,
+    )
+    assert probe.stdout.strip() == "[]"
+
+
+def test_bench_files_hold_machine_and_both_sides():
+    """Every `BENCH_*.json` at the root parses and holds the machine facts
+    and, for each run, a parent and a change result line that name every
+    end-to-end metric of BENCHMARK.json."""
+    spec = json.loads((ROOT / "BENCHMARK.json").read_text())
+    names = {metric["name"] for metric in spec["end_to_end"]}
+    paths = sorted(ROOT.glob("BENCH_*.json"))
+    assert paths
+    for path in paths:
+        bench = json.loads(path.read_text())
+        assert bench["machine"], path.name
+        assert bench["runs"], path.name
+        for run in bench["runs"]:
+            for side in ("parent", "change"):
+                assert names <= set(run[side]["metrics"]), (path.name, run, side)
 
 
 def test_readme_flag_table_matches_the_parsers():
