@@ -22,7 +22,6 @@ from .errors import (
     TopologyError,
 )
 from .mesh import (
-    BoundaryLoop,
     FaceAdjacency,
     TriangleMesh,
     connected_components,
@@ -34,17 +33,10 @@ from .meshio import (
     save_stl_ascii,
     save_stl_binary,
 )
-from .preprocess import (
-    AugmentationSpec,
-    RigidTransform,
-    augment,
-    normalize,
-    obb_register,
-)
+from .preprocess import RigidTransform, augment, normalize, obb_register
 from .decimate import decimate
 from .features import (
     AdjacencyPair,
-    CellFeatures,
     assemble_features,
     build_adjacency,
     compute_mean_curvature,
@@ -68,8 +60,7 @@ from .synthetic import generate_benchmark
 __version__ = "1.0.0"
 
 __all__ = [
-    "AdjacencyPair", "AlignmentError", "AugmentationSpec",
-    "BoundaryExtractionError", "BoundaryLoop", "CellFeatures",
+    "AdjacencyPair", "AlignmentError", "BoundaryExtractionError",
     "DatasetManifest", "EmptyMeshError", "EmptyRegionError",
     "FaceAdjacency", "GraphCutConfig", "IncompleteMarginError",
     "LabeledMesh", "ManifestError", "MarginLine", "MarginlineError",

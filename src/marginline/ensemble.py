@@ -19,28 +19,25 @@ def _stack(fields):
 
 
 def combine_max_probability(fields):
-    """Per face, the model with the highest top-class probability assigns
-    the label; ties go to the lower model index. Returns (labels, combined
-    field carrying the winning model's row)."""
+    """Per face, the row of the model with the highest top-class
+    probability; ties go to the lower model index."""
     stack = _stack(fields)
     top = stack.max(axis=2)  # (M, N)
     winner = top.argmax(axis=0)  # lower index wins ties
-    n = stack.shape[1]
-    combined = stack[winner, np.arange(n)]
-    return combined.argmax(axis=1), combined
+    return stack[winner, np.arange(stack.shape[1])]
 
 
 def combine_democracy(fields):
     """Majority vote over per-model argmax labels, ties broken by the larger
-    mean probability. Returns (labels, field): the field holds the vote
-    shares, and the mean field on tied faces, so its argmax is the label."""
+    mean probability: the vote shares, and the mean field on tied faces,
+    so its argmax is the label."""
     stack = _stack(fields)
     m = stack.shape[0]
     ones = stack.argmax(axis=2).sum(axis=0)
     field = np.stack([m - ones, ones], axis=1) / m
     tied = ones * 2 == m
     field[tied] = stack[:, tied].mean(axis=0)
-    return field.argmax(axis=1), field
+    return field
 
 
 def strategy_fold(strategy, n_models):
@@ -61,9 +58,9 @@ def combined_field(fields, strategy):
     ("max_probability", "democracy" or "fold-K"); its argmax is the
     strategy's label on every face."""
     if strategy == "max_probability":
-        return combine_max_probability(fields)[1]
+        return combine_max_probability(fields)
     if strategy == "democracy":
-        return combine_democracy(fields)[1]
+        return combine_democracy(fields)
     return _stack(fields)[strategy_fold(strategy, len(fields)) - 1]
 
 

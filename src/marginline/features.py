@@ -125,28 +125,19 @@ def compute_mean_curvature(mesh: TriangleMesh):
 N_CHANNELS = 18
 
 
-@dataclass
-class CellFeatures:
-    """N x 18 per-face feature matrix, channels in MeshSegNet's order
-    plus curvature: 9 vertex coordinates, 3 barycenter, 3 unit normal,
-    3 vertex curvatures."""
-
-    matrix: np.ndarray
-
-
-def assemble_features(mesh: TriangleMesh, vertex_curvature) -> CellFeatures:
-    """Feature rows ordered by face index; `vertex_curvature` holds one
-    precomputed value per vertex."""
-    return CellFeatures(
-        np.concatenate(
-            [
-                mesh.vertices[mesh.faces].reshape(mesh.n_faces, 9),
-                mesh.barycenters,
-                mesh.face_normals,
-                np.asarray(vertex_curvature)[mesh.faces],
-            ],
-            axis=1,
-        )
+def assemble_features(mesh: TriangleMesh, vertex_curvature):
+    """(N, 18) per-face feature rows ordered by face index, channels in
+    MeshSegNet's order plus curvature: 9 vertex coordinates, 3
+    barycenter, 3 unit normal, 3 vertex curvatures. `vertex_curvature`
+    holds one precomputed value per vertex."""
+    return np.concatenate(
+        [
+            mesh.vertices[mesh.faces].reshape(mesh.n_faces, 9),
+            mesh.barycenters,
+            mesh.face_normals,
+            np.asarray(vertex_curvature)[mesh.faces],
+        ],
+        axis=1,
     )
 
 
@@ -196,17 +187,25 @@ def build_adjacency(
 _CSR_PARTS = ("data", "indices", "indptr")
 
 
-def save_feature_cache(path, features: CellFeatures, adj: AdjacencyPair, labels=None):
-    """An archive (see `marginline.archive`) of the features and of A_S
-    and A_L as CSR arrays, each in the dtype it is given in, plus int64
-    labels when known."""
-    arrays = {"features": features.matrix}
+def save_feature_cache(path, features, adj: AdjacencyPair, labels=None):
+    """An archive (see `marginline.archive`) of the (N, 18) features and
+    of A_S and A_L as CSR arrays, each in the dtype it is given in, plus
+    int64 labels when known."""
+    arrays = {"features": features}
     for name in ("a_small", "a_large"):
         m = sp.csr_matrix(getattr(adj, name))
         arrays.update((f"{name}.{part}", getattr(m, part)) for part in _CSR_PARTS)
     if labels is not None:
         arrays["labels"] = np.asarray(labels, dtype=np.int64)
     save_archive(path, arrays)
+
+
+@dataclass
+class CellFeatures:
+    """A loaded cache's (N, 18) features as `.matrix`: the one place the
+    array is wrapped, since `load_feature_cache` returns it so."""
+
+    matrix: np.ndarray
 
 
 def _parse_feature_cache(members):

@@ -37,13 +37,14 @@ def extract_margin_points(crown_bottom: TriangleMesh):
     loops = extract_boundary_loops(crown_bottom)
     if not loops:
         raise TopologyError("crown bottom is closed: no boundary to extract")
-    if len(loops) > 1:
+    (verts, _, length), *rest = loops
+    if rest:
         warnings.warn(
             f"crown bottom has {len(loops)} boundary loops; using the longest "
-            f"({loops[0].length:.3f} mm), ignoring lengths "
-            f"{[round(l.length, 3) for l in loops[1:]]}"
+            f"({length:.3f} mm), ignoring lengths "
+            f"{[round(other, 3) for _, _, other in rest]}"
         )
-    return crown_bottom.vertices[loops[0].vertices]
+    return crown_bottom.vertices[verts]
 
 
 def resample_closed_polyline(points, spacing):
@@ -66,7 +67,8 @@ def resample_closed_polyline(points, spacing):
 
 def map_margin_faces(die: TriangleMesh, margin_points):
     """Die faces closest to each margin point. Raises AlignmentError when
-    any point is farther than 1 mm from the die surface.
+    any point is farther than 1 mm from the die surface. Returns their
+    ids as a sorted int64 array, each face once.
 
     A margin point usually lies on a die edge or vertex, equally close to
     several faces; the tie goes to the face with the highest barycenter
@@ -81,7 +83,7 @@ def map_margin_faces(die: TriangleMesh, margin_points):
             f"margin point {worst} is {dists[worst]:.3f} mm from the die "
             f"surface (> {ALIGNMENT_GUARD_MM} mm); crown and die frames disagree"
         )
-    return set(int(f) for f in faces)
+    return np.unique(faces)
 
 
 def _dilate(mask, adjacency):
@@ -94,16 +96,17 @@ def _dilate(mask, adjacency):
 
 
 def split_regions(die: TriangleMesh, margin_faces) -> LabeledMesh:
-    """Remove the margin faces, split the rest by adjacency and label the
-    component with the highest area-weighted barycenter (the crown side)
-    1 together with the margin faces; everything else 0.
+    """Remove the margin faces (a sorted int64 id array, as
+    `map_margin_faces` returns them), split the rest by adjacency and
+    label the component with the highest area-weighted barycenter (the
+    crown side) 1 together with the margin faces; everything else 0.
 
     Margin gaps are healed by dilating the margin set up to two rings
     before giving up with an IncompleteMarginError.
     """
     adjacency = die.adjacency()
     margin = np.zeros(die.n_faces, dtype=bool)
-    margin[np.fromiter(margin_faces, dtype=np.int64)] = True
+    margin[margin_faces] = True
     bary_z = die.barycenters[:, 2]
 
     def _separated(rest, comps):

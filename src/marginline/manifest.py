@@ -5,6 +5,8 @@ Schema (one entry per case):
      "arch": "upper"|"lower", "tooth_position": 11|21|31|41,
      "rating": float|null, "split": "train"|"test"}
 
+Keys outside this schema are accepted and ignored.
+
 Paths are resolved relative to the manifest file. A directory stands for
 the `manifest.json` in it; one without a manifest is scanned instead:
 `<case>_die.stl` plus optional `<case>_crown_bottom.stl` pairs are
@@ -14,7 +16,7 @@ picked up with default metadata.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 from .errors import ManifestError
@@ -31,7 +33,6 @@ class CaseEntry:
     tooth_position: int
     rating: float | None
     split: str
-    extra: dict = field(default_factory=dict)
 
 
 @dataclass
@@ -103,10 +104,6 @@ def _validate_entry(raw, base, index):
     split = raw.get("split", "train")
     if split not in ("train", "test"):
         raise ManifestError(f"{where}: split must be 'train' or 'test'")
-    known = {
-        "case_id", "die_path", "crown_bottom_path", "arch",
-        "tooth_position", "rating", "split",
-    }
     return CaseEntry(
         case_id=case_id,
         die_path=die,
@@ -115,7 +112,6 @@ def _validate_entry(raw, base, index):
         tooth_position=int(pos),
         rating=None if rating is None else float(rating),
         split=split,
-        extra={k: v for k, v in raw.items() if k not in known},
     )
 
 
@@ -157,7 +153,6 @@ def scan_directory(directory) -> DatasetManifest:
                 tooth_position=31,
                 rating=None,
                 split="train",
-                extra={},
             )
         )
     if not cases:

@@ -12,7 +12,7 @@ import numpy as np
 
 from .errors import BoundaryExtractionError
 from .labeling import LabeledMesh
-from .mesh import TriangleMesh, loop_length, walk_closed_loops
+from .mesh import TriangleMesh, closed_loops
 from .spline import fit_smoothing_spline
 
 
@@ -36,7 +36,7 @@ def extract_boundary_faces(labeled: LabeledMesh):
     ev, one_side = _label_boundary_edges(labeled)
     if len(ev) == 0:
         raise BoundaryExtractionError("labels are uniform: no label boundary")
-    loops = walk_closed_loops(ev)
+    loops = closed_loops(labeled.mesh, ev)
     if not loops:
         # the labels change an even number of times around an interior
         # vertex, so only the mesh boundary can end a chain
@@ -46,8 +46,7 @@ def extract_boundary_faces(labeled: LabeledMesh):
             f"is open, and its odd-degree ends (vertices {ends.tolist()}) lie "
             "on the mesh boundary, which the label-1 region reaches"
         )
-    lengths = [loop_length(labeled.mesh, verts) for verts, _ in loops]
-    _, loop = loops[int(np.argmax(lengths))]
+    _, loop, _ = loops[0]
     faces = []
     for f in one_side[loop].tolist():
         if not faces or (f != faces[-1] and f != faces[0]):

@@ -10,12 +10,11 @@ sort of integer edge codes (an edge shared by three or more faces raises
 TopologyError there). Face components are scipy's connected components
 over its interior edges, a one-ring is one pass over them, and mesh
 boundaries and label boundaries are both closed loops of its edges,
-walked by `walk_closed_loops`.
+walked by `walk_closed_loops` and ranked longest first by
+`closed_loops`.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 from scipy.sparse import coo_matrix, csgraph
@@ -136,14 +135,6 @@ class TriangleMesh:
         return TriangleMesh(v * np.asarray(scale, dtype=np.float64), self.faces)
 
 
-@dataclass
-class BoundaryLoop:
-    """Ordered cyclic vertex loop along a surface boundary."""
-
-    vertices: np.ndarray  # (k,) int64, cyclic order
-    length: float  # total loop length in mm
-
-
 class FaceAdjacency:
     """Edge table of a triangle mesh: the one source of its topology.
 
@@ -232,31 +223,30 @@ def walk_closed_loops(edge_vertices):
     return loops
 
 
-def loop_length(mesh: TriangleMesh, vertices):
-    """Length in mm of the closed polyline through `vertices`."""
-    pts = mesh.vertices[vertices]
-    return float(np.linalg.norm(np.roll(pts, -1, axis=0) - pts, axis=1).sum())
-
-
-def extract_boundary_loops(mesh: TriangleMesh) -> list[BoundaryLoop]:
-    """All boundary loops, sorted by total length descending.
-
-    Closed meshes return an empty list. Raises TopologyError on
-    non-manifold edges (via adjacency construction).
-    """
-    bedges, _ = mesh.adjacency().boundary_edges()
-    loops = [
-        BoundaryLoop(vertices=verts, length=loop_length(mesh, verts))
-        for verts, _ in walk_closed_loops(bedges)
-    ]
-    loops.sort(key=lambda l: -l.length)
+def closed_loops(mesh: TriangleMesh, edge_vertices):
+    """The closed loops `walk_closed_loops` finds among `edge_vertices`,
+    as (vertices, edge ids, length in mm) triples: longest first, in walk
+    order among equal lengths."""
+    loops = []
+    for verts, edges in walk_closed_loops(edge_vertices):
+        pts = mesh.vertices[verts]
+        length = float(np.linalg.norm(np.roll(pts, -1, axis=0) - pts, axis=1).sum())
+        loops.append((verts, edges, length))
+    loops.sort(key=lambda loop: -loop[2])
     return loops
 
 
-def connected_components(face_subset, adjacency: FaceAdjacency):
-    """Edge-connected components of a face subset (any iterable of face
-    ids), as sorted int64 id arrays: largest first, ties by smallest id."""
-    ids = np.unique(np.fromiter(face_subset, dtype=np.int64))
+def extract_boundary_loops(mesh: TriangleMesh):
+    """`closed_loops` of the mesh boundary; a closed mesh has none.
+    Raises TopologyError on non-manifold edges (via adjacency
+    construction)."""
+    return closed_loops(mesh, mesh.adjacency().boundary_edges()[0])
+
+
+def connected_components(ids, adjacency: FaceAdjacency):
+    """Edge-connected components of the faces `ids` (a sorted int64 array
+    of distinct face ids), as sorted int64 id arrays: largest first, ties
+    by smallest id."""
     if len(ids) == 0:
         return []
     local = np.full(adjacency.n_faces, -1, dtype=np.int64)

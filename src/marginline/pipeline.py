@@ -38,7 +38,6 @@ from .ensemble import combined_field, strategy_fold
 from .errors import ManifestError, MarginlineError
 from .features import (
     AdjacencyPair,
-    CellFeatures,
     assemble_features,
     build_adjacency,
     compute_mean_curvature,
@@ -50,13 +49,7 @@ from .manifest import DatasetManifest
 from .margin import MarginLine, extract_margin_line, load_margin_json
 from .mesh import TriangleMesh
 from .meshio import load_mesh, save_ply, save_stl_binary
-from .preprocess import (
-    AugmentationSpec,
-    RigidTransform,
-    augment,
-    normalize,
-    obb_register,
-)
+from .preprocess import RigidTransform, augment, normalize, obb_register
 from .refine import cleanup_components, graph_cut_refine
 from .segnet import (
     COMPUTE_DTYPE,
@@ -245,7 +238,7 @@ def _featurize(mesh: TriangleMesh):
     feats = assemble_features(normalized, curvature)
     adj = build_adjacency(normalized.barycenters)
     return (
-        CellFeatures(feats.matrix.astype(COMPUTE_DTYPE)),
+        feats.astype(COMPUTE_DTYPE),
         AdjacencyPair(*(a.astype(COMPUTE_DTYPE) for a in adj)),
     )
 
@@ -253,8 +246,6 @@ def _featurize(mesh: TriangleMesh):
 def stage_features(manifest: DatasetManifest, config: PipelineConfig, run_dir):
     """Cache features/adjacency (and labels where known) per case, plus
     augmented variants of training cases when configured."""
-    spec = AugmentationSpec(samples_per_die=config.augment_per_die, seed=config.seed)
-
     def one(case, path):
         mesh = load_mesh(path("decimated"))
         # an inference-only case (no crown bottom) has no labels
@@ -264,7 +255,9 @@ def stage_features(manifest: DatasetManifest, config: PipelineConfig, run_dir):
             if config.augment_per_die > 0 and case.split == "train":
                 # a case's place in the manifest seeds its augmented copies
                 index = manifest.cases.index(case)
-                variants = augment(variants[0], spec, sample_index=index)
+                variants = augment(
+                    variants[0], config.augment_per_die, config.seed, index
+                )
             samples = [(v.mesh, v.labels) for v in variants]
         names = sample_ids(case.case_id, len(samples) - 1)
         for name, (mesh, labels) in zip(names, samples):

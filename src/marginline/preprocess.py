@@ -56,12 +56,6 @@ ROT_Z_DEG = (-180.0, 180.0)
 SCALE_RANGE = (0.9, 1.1)
 
 
-@dataclass
-class AugmentationSpec:
-    samples_per_die: int
-    seed: int
-
-
 def rotation_xyz(rx, ry, rz):
     """Rotation applying x, then y, then z rotations (radians)."""
     cx, sx = np.cos(rx), np.sin(rx)
@@ -98,8 +92,8 @@ def obb_register(mesh: TriangleMesh, arch="lower"):
     # z sign: base (largest boundary loop) down, or farthest vertex up
     loops = extract_boundary_loops(mesh)
     if loops:
-        base_z = proj[loops[0].vertices, 2].mean()
-        if base_z > 0:
+        base, _, _ = loops[0]
+        if proj[base, 2].mean() > 0:
             axes[2] = -axes[2]
     else:
         far = np.argmax(np.linalg.norm(proj, axis=1))
@@ -146,16 +140,16 @@ def _augment_transform(rng):
     return rotation_xyz(rx, ry, rz), scale
 
 
-def augment(sample, spec: AugmentationSpec, sample_index=0):
-    """Original sample plus spec.samples_per_die randomly transformed
-    copies. Labels (and face order) are carried unchanged.
+def augment(sample, n_copies, seed, sample_index):
+    """Original sample plus `n_copies` randomly transformed copies. Labels
+    (and face order) are carried unchanged.
 
     `sample` is any object with `.mesh` and `.labels`; copies are built
-    with the same type. Deterministic in (spec.seed, sample_index, copy).
+    with the same type. Deterministic in (seed, sample_index, copy).
     """
     out = [sample]
-    for k in range(spec.samples_per_die):
-        rng = np.random.default_rng([spec.seed, sample_index, k])
+    for k in range(n_copies):
+        rng = np.random.default_rng([seed, sample_index, k])
         rotation, scale = _augment_transform(rng)
         mesh = sample.mesh.transformed(rotation=rotation, scale=scale)
         out.append(type(sample)(mesh=mesh, labels=sample.labels.copy()))

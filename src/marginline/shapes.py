@@ -1,11 +1,16 @@
 """Procedural test geometry: icospheres, cylinders, planar grids and the
-frustum-with-fillet synthetic die used by the benchmark."""
+lathed synthetic die (a bulging, tapered body under a domed crown stump)
+used by the benchmark."""
 
 from __future__ import annotations
 
 import numpy as np
 
 from .mesh import TriangleMesh
+
+# peak outward bulge (mm) of a synthetic die's body, half way up between
+# base and crease: r(t) gains BODY_BULGE_MM * sin(pi t)
+BODY_BULGE_MM = 0.35
 
 
 def icosahedron(radius=1.0):
@@ -131,7 +136,6 @@ def frustum_die(
     segments=64,
     rows_below=14,
     rows_above=10,
-    fillet=0.35,
 ):
     """Open synthetic die: tapered body, a crease (the margin) at
     `margin_height`, and a domed crown stump above it.
@@ -142,8 +146,10 @@ def frustum_die(
     zs_below = np.linspace(0.0, margin_height, rows_below + 1)
     # body bulges slightly outward then necks in toward the margin crease
     t = zs_below / margin_height
-    r_below = base_radius + (margin_radius - base_radius) * t**1.6 + fillet * np.sin(
-        np.pi * t
+    r_below = (
+        base_radius
+        + (margin_radius - base_radius) * t**1.6
+        + BODY_BULGE_MM * np.sin(np.pi * t)
     )
     profile = [(r, z) for r, z in zip(r_below, zs_below)]
     # rounded crown stump: an ellipsoidal dome meeting the crease with a

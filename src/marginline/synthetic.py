@@ -16,7 +16,7 @@ import numpy as np
 from .manifest import save_manifest
 from .margin import MarginLine, load_margin_json
 from .mesh import TriangleMesh
-from .meshio import save_stl_binary, soup_to_mesh
+from .meshio import save_stl_binary
 from .shapes import crease_circle, frustum_die
 
 TRUTH_POINTS = 2048  # samples of each case's analytic crease
@@ -31,10 +31,11 @@ class SyntheticCase:
 
 
 def _crown_shell(die, crease):
-    """Faces of the die strictly above the crease, as a standalone mesh."""
+    """Faces of the die strictly above the crease, in die order, as a
+    standalone mesh of the vertices they use."""
     above = die.barycenters[:, 2] > crease["z"] + 1e-9
-    tris = die.vertices[die.faces[above]]
-    return soup_to_mesh(tris.reshape(-1, 3))
+    used, faces = np.unique(die.faces[above], return_inverse=True)
+    return TriangleMesh(die.vertices[used], faces.reshape(-1, 3))
 
 
 def _rotate_z(points, angle):

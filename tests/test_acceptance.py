@@ -24,7 +24,7 @@ from marginline.manifest import load_manifest
 from marginline.mesh import TriangleMesh
 from marginline.metrics import segmentation_metrics, spearman
 from marginline.pipeline import PipelineConfig, run_pipeline
-from marginline.preprocess import AugmentationSpec, augment
+from marginline.preprocess import augment
 from marginline.refine import GraphCutConfig, cut_energy, graph_cut_refine
 from marginline.segnet.network import NetworkParams, forward
 from marginline.segnet.train import sample_loss_and_grads
@@ -235,11 +235,7 @@ def test_criterion_07_decimation():
 def test_criterion_08_augmentation_count():
     mesh, _ = frustum_die(segments=16, rows_below=4, rows_above=3)
     labels = np.zeros(mesh.n_faces, dtype=np.int64)
-    spec = AugmentationSpec(samples_per_die=20, seed=0)
-    total = sum(
-        len(augment(LabeledMesh(mesh, labels), spec, sample_index=i))
-        for i in range(41)
-    )
+    total = sum(len(augment(LabeledMesh(mesh, labels), 20, 0, i)) for i in range(41))
     assert total == 861
     _report(8, "41 cases x 20 augmented copies = 861 training samples")
 

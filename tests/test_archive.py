@@ -15,7 +15,6 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from marginline.features import (
-    CellFeatures,
     assemble_features,
     build_adjacency,
     load_feature_cache,
@@ -38,10 +37,10 @@ def cache_parts():
 
 def _parent_feature_cache(feats, adj):
     """The retired MLFC container: magic, struct header, COO triplets."""
-    n, c = feats.matrix.shape
+    n, c = feats.shape
     out = [b"MLFC\x01", struct.pack("<qqqq", n, c, 0b1111, 0)]
     out.append(struct.pack("<dd", 0.5, 1.0))  # the radii `cache_parts` used
-    out.append(feats.matrix.astype("<f8").tobytes())
+    out.append(feats.astype("<f8").tobytes())
     for m in (adj.a_small.tocoo(), adj.a_large.tocoo()):
         out.append(struct.pack("<q", m.nnz))
         out += [m.row.astype("<i8").tobytes(), m.col.astype("<i8").tobytes()]
@@ -75,7 +74,7 @@ def _write_foreign(kind, path, cache_parts):
     feats, adj, labels = cache_parts
     params = NetworkParams.init(18, 0.125, seed=3)
     if kind == "15-channel features":
-        save_feature_cache(path, CellFeatures(feats.matrix[:, :15]), adj, labels)
+        save_feature_cache(path, feats[:, :15], adj, labels)
     elif kind == "integer tensor":
         params.tensors["clf.b"] = np.zeros(2, dtype=np.int32)
         params.save(path)

@@ -20,9 +20,8 @@ def test_identical_fields_reduce_to_argmax():
     field = _field([[0.9, 0.1], [0.3, 0.7], [0.5, 0.5]])
     fields = [field] * 5
     expected = field.argmax(axis=1)
-    labels_mp, _ = combine_max_probability(fields)
-    assert np.array_equal(labels_mp, expected)
-    assert np.array_equal(combine_democracy(fields)[0], expected)
+    assert np.array_equal(combine(fields, "max_probability"), expected)
+    assert np.array_equal(combine(fields, "democracy"), expected)
 
 
 def test_max_probability_picks_most_confident_model():
@@ -30,9 +29,8 @@ def test_max_probability_picks_most_confident_model():
         _field([[0.6, 0.4]]),   # confident about class 0
         _field([[0.1, 0.9]]),   # more confident about class 1 -> wins
     ]
-    labels, combined = combine_max_probability(fields)
-    assert labels[0] == 1
-    assert np.array_equal(combined[0], fields[1][0])
+    assert combine(fields, "max_probability")[0] == 1
+    assert np.array_equal(combine_max_probability(fields)[0], fields[1][0])
 
 
 def test_max_probability_tie_goes_to_lower_index():
@@ -40,9 +38,8 @@ def test_max_probability_tie_goes_to_lower_index():
         _field([[0.8, 0.2]]),
         _field([[0.2, 0.8]]),
     ]
-    labels, combined = combine_max_probability(fields)
-    assert labels[0] == 0  # same confidence, first model wins
-    assert np.array_equal(combined[0], fields[0][0])
+    assert combine(fields, "max_probability")[0] == 0  # first model wins
+    assert np.array_equal(combine_max_probability(fields)[0], fields[0][0])
 
 
 def test_democracy_majority_rules_over_confidence():
@@ -53,7 +50,7 @@ def test_democracy_majority_rules_over_confidence():
         _field([[0.01, 0.99]]),
         _field([[0.99, 0.01]]),
     ]
-    assert combine_democracy(fields)[0][0] == 1
+    assert combine(fields, "democracy")[0] == 1
 
 
 def test_democracy_even_tie_broken_by_summed_probability():
@@ -64,7 +61,7 @@ def test_democracy_even_tie_broken_by_summed_probability():
         _field([[0.3, 0.7]]),
     ]
     # votes 2-2; summed p0 = 2.4 > p1 = 1.6 -> class 0
-    assert combine_democracy(fields)[0][0] == 0
+    assert combine(fields, "democracy")[0] == 0
 
 
 def test_shape_validation():
@@ -95,10 +92,8 @@ def test_both_strategies_agree_with_unanimous_models(m, n, seed):
         f[:, 0] -= jitter * np.sign(f[:, 0] - 0.5)
         f[:, 1] = 1 - f[:, 0]
         fields.append(f)
-    labels_mp, _ = combine_max_probability(fields)
-    labels_dem, _ = combine_democracy(fields)
-    assert np.array_equal(labels_mp, winners)
-    assert np.array_equal(labels_dem, winners)
+    assert np.array_equal(combine(fields, "max_probability"), winners)
+    assert np.array_equal(combine(fields, "democracy"), winners)
 
 
 def test_democracy_field_carries_the_vote():
@@ -106,9 +101,8 @@ def test_democracy_field_carries_the_vote():
     calls it 0 with much: the vote is 1, though the mean field says 0."""
     fields = [_field([[0.45, 0.55]]), _field([[0.45, 0.55]]), _field([[0.99, 0.01]])]
     assert np.mean(fields, axis=0)[0].argmax() == 0
-    labels, field = combine_democracy(fields)
-    assert labels[0] == 1
-    assert np.allclose(field[0], [1 / 3, 2 / 3])
+    assert combine(fields, "democracy")[0] == 1
+    assert np.allclose(combine_democracy(fields)[0], [1 / 3, 2 / 3])
 
 
 @given(

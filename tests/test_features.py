@@ -5,7 +5,6 @@ import pytest
 from scipy.spatial import cKDTree
 
 from marginline.features import (
-    CellFeatures,
     _vertex_mean_curvature,
     assemble_features,
     build_adjacency,
@@ -88,10 +87,10 @@ def test_pair_smoothing_matches_per_vertex_loop(name, request):
 def test_feature_channel_layout(unit_sphere):
     h = compute_mean_curvature(unit_sphere)
     full = assemble_features(unit_sphere, vertex_curvature=h)
-    assert full.matrix.shape == (unit_sphere.n_faces, 18)
+    assert full.shape == (unit_sphere.n_faces, 18)
     # barycenter block sits after the 9 vertex coordinates
-    assert np.allclose(full.matrix[:, 9:12], unit_sphere.barycenters)
-    assert np.allclose(full.matrix[:, 12:15], unit_sphere.face_normals)
+    assert np.allclose(full[:, 9:12], unit_sphere.barycenters)
+    assert np.allclose(full[:, 12:15], unit_sphere.face_normals)
 
 
 def test_adjacency_row_stochastic_with_self_loops(unit_sphere):
@@ -121,7 +120,7 @@ def test_adjacency_matches_dense_oracle(tmp_path):
         assert a.indices.dtype == a.indptr.dtype == np.int32
         assert np.array_equal(a.toarray(), _dense_adjacency(points, radius))
     path = tmp_path / "case.mlfc"
-    save_feature_cache(path, CellFeatures(np.zeros((400, 18))), adj)
+    save_feature_cache(path, np.zeros((400, 18)), adj)
     _, loaded, _ = load_feature_cache(path)
     for a, b in zip(adj, loaded):
         for part in ("data", "indices", "indptr"):
@@ -154,7 +153,7 @@ def test_feature_cache_round_trip(tmp_path, unit_sphere):
     path = tmp_path / "case.mlfc"
     save_feature_cache(path, feats, adj, labels=labels)
     f2, a2, l2 = load_feature_cache(path)
-    assert np.array_equal(f2.matrix, feats.matrix)
+    assert np.array_equal(f2.matrix, feats)
     assert np.array_equal(l2, labels)
     assert (a2.a_small != adj.a_small).nnz == 0
     assert (a2.a_large != adj.a_large).nnz == 0
@@ -167,6 +166,6 @@ def test_feature_cache_rejects_foreign_channel_layout(tmp_path, unit_sphere):
     feats = assemble_features(unit_sphere, vertex_curvature=h)
     adj = build_adjacency(unit_sphere.barycenters)
     path = tmp_path / "case.mlfc"
-    save_feature_cache(path, CellFeatures(feats.matrix[:, :15]), adj)
+    save_feature_cache(path, feats[:, :15], adj)
     with pytest.raises(ValueError, match="18-channel layout"):
         load_feature_cache(path)

@@ -92,11 +92,11 @@ def test_margin_ties_go_to_the_crown_side():
     on_edge = np.array([[0.5, 0.0, 0.0]])
     # a plain query keeps the exact argmin, lowest face id on a tie
     assert die.bvh().closest_points(on_edge)[1].tolist() == [0]
-    assert map_margin_faces(die, on_edge) == {1}
+    assert map_margin_faces(die, on_edge).tolist() == [1]
     # a rounding error's worth below the edge still counts as a tie
     below = np.array([[0.25, 0.0, -1e-12]])
     assert die.bvh().closest_points(below)[1].tolist() == [0]
-    assert map_margin_faces(die, below) == {1}
+    assert map_margin_faces(die, below).tolist() == [1]
 
 
 def test_label_transfer_repeats_exactly():
@@ -116,7 +116,7 @@ def test_split_needs_a_separating_ring(unit_sphere):
 
     # a handful of scattered faces cannot disconnect a sphere
     with pytest.raises(IncompleteMarginError):
-        split_regions(unit_sphere, {0, 5, 100})
+        split_regions(unit_sphere, np.array([0, 5, 100]))
 
 
 def test_resample_polyline_uniform_spacing():

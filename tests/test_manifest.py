@@ -172,11 +172,14 @@ def test_empty_directory_raises(tmp_path):
         load_manifest(tmp_path)
 
 
-def test_extra_keys_preserved(tmp_path):
+def test_extra_keys_accepted_and_ignored(tmp_path):
+    """A key outside the schema is accepted and ignored."""
     (tmp_path / "a_die.stl").touch()
     path = tmp_path / "m.json"
+    plain = tmp_path / "plain.json"
     path.write_text(json.dumps([_entry(crown_bottom_path=None, scanner="lab-3")]))
-    assert _by_id(load_manifest(path), "a").extra == {"scanner": "lab-3"}
+    plain.write_text(json.dumps([_entry(crown_bottom_path=None)]))
+    assert load_manifest(path).cases == load_manifest(plain).cases
 
 
 @pytest.mark.parametrize(

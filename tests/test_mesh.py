@@ -51,11 +51,11 @@ def test_boundary_loops_on_cylinder():
     cyl = open_cylinder(radius=2.0, height=5.0, segments=24, rings=4)
     loops = extract_boundary_loops(cyl)
     assert len(loops) == 2
-    for loop in loops:
-        assert len(loop.vertices) == 24
+    for vertices, _, length in loops:
+        assert len(vertices) == 24
         # circumference of a 24-gon of radius 2
         expected = 24 * 2 * 2.0 * np.sin(np.pi / 24)
-        assert loop.length == pytest.approx(expected, rel=1e-9)
+        assert length == pytest.approx(expected, rel=1e-9)
 
 
 def test_closed_mesh_has_no_boundary(unit_sphere):
@@ -76,10 +76,10 @@ def test_nonmanifold_edge_rejected():
 def test_connected_components_order():
     patch = grid_patch(n=2)  # 8 faces, single component
     adjacency = patch.adjacency()
-    comps = connected_components(set(range(patch.n_faces)), adjacency)
+    comps = connected_components(np.arange(patch.n_faces), adjacency)
     assert len(comps) == 1 and len(comps[0]) == 8
     # split into two islands by withholding a separating set
-    comps = connected_components({0, 1, 6, 7}, adjacency)
+    comps = connected_components(np.array([0, 1, 6, 7]), adjacency)
     assert len(comps) == 2
     assert len(comps[0]) >= len(comps[1])
 

@@ -5,7 +5,6 @@ from marginline.errors import NormalizationError, RegistrationError
 from marginline.labeling import LabeledMesh
 from marginline.mesh import TriangleMesh
 from marginline.preprocess import (
-    AugmentationSpec,
     augment,
     normalize,
     obb_register,
@@ -97,19 +96,17 @@ def test_augmentation_count_matches_protocol():
     """41 dies with 20 random variants each give 861 training samples."""
     mesh, _ = frustum_die(segments=16, rows_below=4, rows_above=3)
     labels = np.zeros(mesh.n_faces, dtype=np.int64)
-    spec = AugmentationSpec(samples_per_die=20, seed=0)
     total = 0
     for index in range(41):
-        total += len(augment(LabeledMesh(mesh, labels), spec, sample_index=index))
+        total += len(augment(LabeledMesh(mesh, labels), 20, 0, index))
     assert total == 861
 
 
 def test_augmentation_deterministic_and_bounded():
     mesh, _ = frustum_die(segments=16, rows_below=4, rows_above=3)
     labels = (mesh.barycenters[:, 2] > 3.0).astype(np.int64)
-    spec = AugmentationSpec(samples_per_die=5, seed=12)
-    a = augment(LabeledMesh(mesh, labels), spec, sample_index=3)
-    b = augment(LabeledMesh(mesh, labels), spec, sample_index=3)
+    a = augment(LabeledMesh(mesh, labels), 5, 12, 3)
+    b = augment(LabeledMesh(mesh, labels), 5, 12, 3)
     for va, vb in zip(a, b):
         assert np.array_equal(va.mesh.vertices, vb.mesh.vertices)
         assert np.array_equal(va.labels, labels)

@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
 
+from marginline.mesh import walk_closed_loops
 from marginline.shapes import frustum_die, open_cylinder
+from marginline.synthetic import generate_case
 
 
 def _loop_lathe(profile_rz, segments, scale_xy=(1.0, 1.0), cap_top=True):
@@ -67,7 +69,7 @@ def _loop_frustum_die(
     segments=64,
     rows_below=14,
     rows_above=10,
-    fillet=0.35,
+    bulge=0.35,
 ):
     """Reference: the die's (r, z) profile point by point, then the loop
     lathe."""
@@ -75,7 +77,7 @@ def _loop_frustum_die(
     for z in np.linspace(0.0, margin_height, rows_below + 1):
         t = z / margin_height
         r = base_radius + (margin_radius - base_radius) * t**1.6
-        profile.append((r + fillet * np.sin(np.pi * t), z))
+        profile.append((r + bulge * np.sin(np.pi * t), z))
     top = margin_height + crown_height
     for z in np.linspace(margin_height, top, rows_above + 1)[1:-1]:
         u = (z - margin_height) / crown_height
@@ -108,3 +110,24 @@ def test_frustum_die_matches_loop_reference(kwargs):
 def test_open_cylinder_matches_loop_reference(kwargs):
     args = {"radius": 1.0, "height": 2.0, "segments": 32, "rings": 8, **kwargs}
     _same_bytes(open_cylinder(**args), *_loop_cylinder(**args))
+
+
+@pytest.mark.parametrize("seed", [3, 7, 17])
+def test_crown_bottom_is_the_die_above_the_crease(seed):
+    """A synthetic case's crown bottom is the die's faces above the crease:
+    the same triangles, coordinate for coordinate and in face order, and
+    its one boundary loop is the die's crease ring."""
+    case = generate_case("crown", np.random.default_rng([seed, 0]))
+    die, crown = case.die, case.crown_bottom
+    crease_z = case.truth_points[0, 2]
+    # the nearest barycenters lie a third of a row off the crease
+    above = die.barycenters[:, 2] > crease_z + 1e-6
+    assert np.array_equal(crown.vertices[crown.faces], die.vertices[die.faces[above]])
+    assert len(np.unique(crown.faces)) == crown.n_vertices
+
+    (ring, _), *others = walk_closed_loops(crown.adjacency().boundary_edges()[0])
+    assert others == []
+    on_crease = np.abs(die.vertices[:, 2] - crease_z) < 1e-9
+    ring_points = crown.vertices[ring]
+    assert len(ring) == on_crease.sum()
+    assert set(map(tuple, ring_points)) == set(map(tuple, die.vertices[on_crease]))

@@ -2,14 +2,16 @@
 renamed kernel would silently drop its per-layer metrics; and its
 workloads read the program's artifacts themselves, so an artifact they
 cannot read would fail only the benchmark. `marginline.__all__` lists
-names as strings, so a stale one would break only `import *`. An
+names as strings, so a stale one would break only `import *`, and a
+name bound in the package but left out of it is a second export list. An
 import of a package that pyproject.toml does not list would fail only
 on a machine without it. And README's table of command-line flags is
-written by hand, so a flag that moves between commands would leave it
-stale. A config field that only a method copying it elsewhere reads is
-a setting with two homes. A heavy scipy subpackage loaded on import
-would cost every run about 30 MB, and a `BENCH_*.json` that lacks a
-side or a metric cannot back the numbers quoted from it."""
+written by hand, so a flag that moves between commands, or an artifact
+its Outputs section does not name, would leave it stale. A config field
+that only a method copying it elsewhere reads is a setting with two
+homes. A heavy scipy subpackage loaded on import would cost every run
+about 30 MB, and a `BENCH_*.json` that lacks a side or a metric cannot
+back the numbers quoted from it."""
 
 import ast
 import importlib.util
@@ -18,11 +20,12 @@ import os
 import re
 import subprocess
 import sys
+import types
 from pathlib import Path
 
 import marginline
 from marginline.cli import COMMANDS, FLAGS
-from marginline.pipeline import PipelineConfig
+from marginline.pipeline import ARTIFACTS, PipelineConfig
 
 ROOT = Path(__file__).resolve().parents[1]
 # retired with the labeled-PLY handoff; the tracer still lists it
@@ -67,6 +70,17 @@ def test_benchmark_workloads_score_correct_at_smoke_size(tmp_path):
 def test_every_name_in_all_resolves():
     missing = [name for name in marginline.__all__ if not hasattr(marginline, name)]
     assert missing == []
+
+
+def test_every_public_name_is_in_all():
+    """The converse: each public name the package binds, modules aside,
+    is listed in `__all__`."""
+    public = {
+        name
+        for name, value in vars(marginline).items()
+        if not name.startswith("_") and not isinstance(value, types.ModuleType)
+    }
+    assert public - set(marginline.__all__) == set()
 
 
 # about 30 MB of resident memory and half a second of start-up that the
@@ -145,6 +159,19 @@ def test_readme_flag_table_matches_the_parsers():
         field: (flag, {c for c, taken in stages.items() if field in taken})
         for field, (flag, _, _) in FLAGS.items()
     }
+
+
+def test_readme_outputs_name_every_artifact():
+    """README's Outputs section names each per-case file that
+    `pipeline.ARTIFACTS` declares, as `run/<dir>/<case><suffix>`."""
+    readme = (ROOT / "README.md").read_text()
+    outputs = readme.split("\n## Outputs\n", 1)[1].split("\n## ", 1)[0]
+    missing = [
+        f"run/{stage}/<case>{suffix}"
+        for stage, suffix in ARTIFACTS.values()
+        if f"run/{stage}/<case>{suffix}" not in outputs
+    ]
+    assert missing == []
 
 
 def test_every_config_field_is_read_as_config_dot_field():

@@ -190,8 +190,8 @@ def _assert_matches_references(mesh, labels):
 def _assert_boundary_loops_match(mesh):
     loops = extract_boundary_loops(mesh)
     expected = boundary_loops_reference(mesh)
-    assert [l.vertices.tolist() for l in loops] == [v for v, _ in expected]
-    assert [l.length for l in loops] == [length for _, length in expected]
+    assert [v.tolist() for v, _, _ in loops] == [v for v, _ in expected]
+    assert [length for _, _, length in loops] == [length for _, length in expected]
 
 
 @pytest.fixture(scope="module")
@@ -259,7 +259,7 @@ def test_bowtie_boundary_loops():
     )
     _assert_boundary_loops_match(mesh)
     loops = extract_boundary_loops(mesh)
-    assert sorted(l.vertices.tolist() for l in loops) == [[0, 1, 2], [0, 3, 4]]
+    assert sorted(v.tolist() for v, _, _ in loops) == [[0, 1, 2], [0, 3, 4]]
     _assert_boundary_loops_match(grid_patch(n=4))
 
 
