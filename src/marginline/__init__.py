@@ -41,11 +41,11 @@ from .features import (
     build_adjacency,
     compute_mean_curvature,
 )
-from .labeling import LabeledMesh, label_die
+from .labeling import label_die
 from .ensemble import combine
 from .refine import GraphCutConfig, cleanup_components, cut_energy, graph_cut_refine
 from .spline import SmoothingSpline, fit_smoothing_spline, smoothness_bound
-from .margin import MarginLine, extract_margin_line
+from .margin import extract_margin_line
 from .metrics import (
     aggregate,
     evaluate_case,
@@ -63,9 +63,8 @@ __all__ = [
     "AdjacencyPair", "AlignmentError", "BoundaryExtractionError",
     "DatasetManifest", "EmptyMeshError", "EmptyRegionError",
     "FaceAdjacency", "GraphCutConfig", "IncompleteMarginError",
-    "LabeledMesh", "ManifestError", "MarginLine", "MarginlineError",
-    "MeshParseError", "MetricError", "NormalizationError",
-    "PipelineConfig", "RegistrationError",
+    "ManifestError", "MarginlineError", "MeshParseError", "MetricError",
+    "NormalizationError", "PipelineConfig", "RegistrationError",
     "RigidTransform", "SmoothingSpline", "SplineFitError", "TopologyError",
     "TriangleMesh", "aggregate", "assemble_features", "augment",
     "build_adjacency", "cleanup_components", "combine",

@@ -29,7 +29,7 @@ import warnings
 
 import numpy as np
 
-from .mesh import TriangleMesh, edge_codes, repeated_vertex
+from .mesh import TriangleMesh, compact_mesh, edge_codes, repeated_vertex
 
 _BOUNDARY_WEIGHT = 1000.0
 _RANK_BLOCK = 1 << 13  # edges costed per vectorized block
@@ -366,12 +366,6 @@ class _Decimator:
                 break
         return self.n_alive
 
-    def to_mesh(self):
-        used = _distinct(self.faces.ravel())
-        remap = np.full(len(self.points), -1, dtype=np.int64)
-        remap[used] = np.arange(len(used))
-        return TriangleMesh(self.points[used], remap[self.faces])
-
 
 def decimate(mesh: TriangleMesh, target_faces: int) -> TriangleMesh:
     """Reduce the mesh to approximately target_faces triangles.
@@ -392,4 +386,4 @@ def decimate(mesh: TriangleMesh, target_faces: int) -> TriangleMesh:
         warnings.warn(
             f"decimation stalled at {reached} faces (target {target_faces})"
         )
-    return dec.to_mesh()
+    return compact_mesh(dec.points, dec.faces)

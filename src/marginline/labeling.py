@@ -4,7 +4,6 @@ the die -> two-region per-face labeling."""
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -13,22 +12,6 @@ from .mesh import TriangleMesh, connected_components, extract_boundary_loops
 
 ALIGNMENT_GUARD_MM = 1.0
 MAX_GAP_DILATIONS = 2
-
-
-@dataclass
-class LabeledMesh:
-    """Mesh plus per-face binary labels; 1 marks the crown-bottom region
-    (margin faces included)."""
-
-    mesh: TriangleMesh
-    labels: np.ndarray
-
-    def __post_init__(self):
-        self.labels = np.asarray(self.labels, dtype=np.int64)
-        if len(self.labels) != self.mesh.n_faces:
-            raise ValueError(
-                f"label count {len(self.labels)} != face count {self.mesh.n_faces}"
-            )
 
 
 def extract_margin_points(crown_bottom: TriangleMesh):
@@ -95,11 +78,12 @@ def _dilate(mask, adjacency):
     return out
 
 
-def split_regions(die: TriangleMesh, margin_faces) -> LabeledMesh:
+def split_regions(die: TriangleMesh, margin_faces):
     """Remove the margin faces (a sorted int64 id array, as
     `map_margin_faces` returns them), split the rest by adjacency and
     label the component with the highest area-weighted barycenter (the
     crown side) 1 together with the margin faces; everything else 0.
+    Returns the (F,) int64 labels, 1 marking the crown-bottom region.
 
     Margin gaps are healed by dilating the margin set up to two rings
     before giving up with an IncompleteMarginError.
@@ -137,11 +121,12 @@ def split_regions(die: TriangleMesh, margin_faces) -> LabeledMesh:
     labels = np.zeros(die.n_faces, dtype=np.int64)
     labels[comps[int(np.argmax(mean_z))]] = 1
     labels[margin] = 1
-    return LabeledMesh(die, labels)
+    return labels
 
 
-def label_die(die: TriangleMesh, margin_points) -> LabeledMesh:
-    """Full transfer: crown-bottom margin points -> margin faces -> regions."""
+def label_die(die: TriangleMesh, margin_points):
+    """Full transfer: crown-bottom margin points -> margin faces -> the
+    die's (F,) int64 region labels, as `split_regions` returns them."""
     # dense resampling keeps the mapped ring connected, so the healing
     # dilation (which widens the band) is almost never needed
     spacing = 0.25 * float(die.edge_lengths.mean())

@@ -5,22 +5,19 @@ from __future__ import annotations
 
 import json
 import warnings
-from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
 from .errors import BoundaryExtractionError
-from .labeling import LabeledMesh
 from .mesh import TriangleMesh, closed_loops
 from .spline import fit_smoothing_spline
 
 
-def _label_boundary_edges(labeled: LabeledMesh):
+def _label_boundary_edges(mesh: TriangleMesh, labels):
     """Mesh edges separating label-1 from label-0 faces, with the label-1
     face of each edge."""
-    ef, ev = labeled.mesh.adjacency().interior_edges()
-    labels = labeled.labels
+    ef, ev = mesh.adjacency().interior_edges()
     diff = labels[ef[:, 0]] != labels[ef[:, 1]]
     ef = ef[diff]
     ev = ev[diff]
@@ -28,15 +25,16 @@ def _label_boundary_edges(labeled: LabeledMesh):
     return ev, one_side
 
 
-def extract_boundary_faces(labeled: LabeledMesh):
-    """Ordered centers of the label-1 faces adjacent to label-0 faces,
-    following the longest closed loop of label-boundary edges.
+def extract_boundary_faces(mesh: TriangleMesh, labels):
+    """Ordered centers of the label-1 faces adjacent to label-0 faces
+    (`labels` one int per face of `mesh`), following the longest closed
+    loop of label-boundary edges.
 
     Returns (centers (k, 3), face ids (k,))."""
-    ev, one_side = _label_boundary_edges(labeled)
+    ev, one_side = _label_boundary_edges(mesh, labels)
     if len(ev) == 0:
         raise BoundaryExtractionError("labels are uniform: no label boundary")
-    loops = closed_loops(labeled.mesh, ev)
+    loops = closed_loops(mesh, ev)
     if not loops:
         # the labels change an even number of times around an interior
         # vertex, so only the mesh boundary can end a chain
@@ -52,39 +50,33 @@ def extract_boundary_faces(labeled: LabeledMesh):
         if not faces or (f != faces[-1] and f != faces[0]):
             faces.append(f)
     face_ids = np.asarray(faces, dtype=np.int64)
-    return labeled.mesh.barycenters[face_ids], face_ids
+    return mesh.barycenters[face_ids], face_ids
 
 
-@dataclass
-class MarginLine:
-    """Ordered closed loop of points lying on the original die surface."""
+def save_margin_json(path, points, case_id):
+    """Write the closed margin loop `points` ((n, 3) mm, in loop order)
+    of case `case_id` as compact JSON."""
+    payload = {
+        "case_id": case_id,
+        "n": len(points),
+        "points": np.asarray(points, dtype=np.float64).tolist(),
+        "closed": True,
+    }
+    Path(path).write_text(json.dumps(payload, separators=(",", ":")))
 
-    points: np.ndarray  # (n, 3) mm
-    case_id: str = ""
 
-    @property
-    def n_points(self):
-        return len(self.points)
-
-    def save_json(self, path):
-        payload = {
-            "case_id": self.case_id,
-            "n": int(self.n_points),
-            "points": np.asarray(self.points, dtype=np.float64).tolist(),
-            "closed": True,
-        }
-        Path(path).write_text(json.dumps(payload, separators=(",", ":")))
-
-    def save_obj(self, path):
-        n = self.n_points
-        flat = np.asarray(self.points, dtype=np.float64).ravel().tolist()
-        loop = " ".join(map(str, range(1, n + 1)))
-        body = ("v %.9g %.9g %.9g\n" * n) % tuple(flat)
-        Path(path).write_text(body + f"l {loop} 1\n")
+def save_margin_obj(path, points):
+    """Write the closed margin loop `points` as OBJ vertices and one
+    polyline that returns to its first vertex."""
+    n = len(points)
+    flat = np.asarray(points, dtype=np.float64).ravel().tolist()
+    loop = " ".join(map(str, range(1, n + 1)))
+    body = ("v %.9g %.9g %.9g\n" * n) % tuple(flat)
+    Path(path).write_text(body + f"l {loop} 1\n")
 
 
 def load_margin_json(path):
-    """(points, case_id) of the margin loop `MarginLine.save_json` wrote."""
+    """(points, case_id) of the margin loop `save_margin_json` wrote."""
     data = json.loads(Path(path).read_text())
     return np.asarray(data["points"], dtype=np.float64), data.get("case_id", "")
 
@@ -113,15 +105,18 @@ def _self_intersects_2d(points):
 
 
 def extract_margin_line(
-    labeled: LabeledMesh,
+    mesh: TriangleMesh,
+    labels,
     original_die: TriangleMesh,
     n_samples,
     case_id="",
-) -> MarginLine:
-    """Boundary face centers -> closest points on the original die ->
-    periodic smoothing spline -> n_samples parameter-uniform samples,
-    each projected back onto the die surface."""
-    centers, _ = extract_boundary_faces(labeled)
+):
+    """Boundary face centers of `mesh` under `labels` -> closest points
+    on the original die -> periodic smoothing spline -> n_samples
+    parameter-uniform samples, each projected back onto the die surface.
+    Returns those (n_samples, 3) points in loop order; `case_id` only
+    names the case in a warning."""
+    centers, _ = extract_boundary_faces(mesh, labels)
     bvh = original_die.bvh()
     projected, _, _ = bvh.closest_points(centers)
     spline = fit_smoothing_spline(projected)
@@ -129,4 +124,4 @@ def extract_margin_line(
     on_surface, _, _ = bvh.closest_points(sampled)
     if _self_intersects_2d(on_surface):
         warnings.warn(f"margin line for case {case_id!r} self-intersects")
-    return MarginLine(points=on_surface, case_id=case_id)
+    return on_surface

@@ -135,6 +135,16 @@ class TriangleMesh:
         return TriangleMesh(v * np.asarray(scale, dtype=np.float64), self.faces)
 
 
+def compact_mesh(vertices, faces):
+    """The mesh of `faces` (rows of indices into `vertices`, kept in
+    order) over only the vertices they use, in ascending order of their
+    index in `vertices`."""
+    used = np.zeros(len(vertices), dtype=bool)
+    used[faces] = True
+    new_index = np.cumsum(used) - 1
+    return TriangleMesh(vertices[used], new_index[faces])
+
+
 class FaceAdjacency:
     """Edge table of a triangle mesh: the one source of its topology.
 

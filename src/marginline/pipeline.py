@@ -44,9 +44,14 @@ from .features import (
     load_feature_cache,
     save_feature_cache,
 )
-from .labeling import LabeledMesh, extract_margin_points, label_die
+from .labeling import extract_margin_points, label_die
 from .manifest import DatasetManifest
-from .margin import MarginLine, extract_margin_line, load_margin_json
+from .margin import (
+    extract_margin_line,
+    load_margin_json,
+    save_margin_json,
+    save_margin_obj,
+)
 from .mesh import TriangleMesh
 from .meshio import load_mesh, save_ply, save_stl_binary
 from .preprocess import RigidTransform, augment, normalize, obb_register
@@ -190,6 +195,17 @@ def _load_transform(path):
     )
 
 
+def _load_per_face(path, mesh: TriangleMesh):
+    """The per-face array an earlier stage saved at `path`, refused with
+    a MarginlineError unless it has one row per face of `mesh`."""
+    values = np.load(path)
+    if len(values) != mesh.n_faces:
+        raise MarginlineError(
+            f"{path} has {len(values)} rows for {mesh.n_faces} faces"
+        )
+    return values
+
+
 def _registered(mesh: TriangleMesh, transform_path):
     """`mesh` moved by the registration that preprocess saved at
     `transform_path`. The JSON round trip is exact, so a die comes out
@@ -221,9 +237,8 @@ def stage_labels(manifest: DatasetManifest, config: PipelineConfig, run_dir):
     def one(case, path):
         crown = _registered(load_mesh(case.crown_bottom_path), path("transform"))
         truth = extract_margin_points(crown)
-        labeled = label_die(load_mesh(path("decimated")), truth)
-        np.save(path("labels"), labeled.labels)
-        MarginLine(truth, case.case_id).save_json(path("truth_margin"))
+        np.save(path("labels"), label_die(load_mesh(path("decimated")), truth))
+        save_margin_json(path("truth_margin"), truth, case.case_id)
 
     labeled = [c for c in manifest if c.crown_bottom_path is not None]
     return _each_case("labels", labeled, run_dir, one)
@@ -249,19 +264,17 @@ def stage_features(manifest: DatasetManifest, config: PipelineConfig, run_dir):
     def one(case, path):
         mesh = load_mesh(path("decimated"))
         # an inference-only case (no crown bottom) has no labels
-        samples = [(mesh, None)]
+        meshes, labels = [mesh], None
         if path("labels").exists():
-            variants = [LabeledMesh(mesh, np.load(path("labels")))]
+            labels = _load_per_face(path("labels"), mesh)
             if config.augment_per_die > 0 and case.split == "train":
                 # a case's place in the manifest seeds its augmented copies
                 index = manifest.cases.index(case)
-                variants = augment(
-                    variants[0], config.augment_per_die, config.seed, index
-                )
-            samples = [(v.mesh, v.labels) for v in variants]
-        names = sample_ids(case.case_id, len(samples) - 1)
-        for name, (mesh, labels) in zip(names, samples):
-            feats, adj = _featurize(mesh)
+                meshes = augment(mesh, config.augment_per_die, config.seed, index)
+        names = sample_ids(case.case_id, len(meshes) - 1)
+        # copies keep the face order, so the one label array serves each
+        for name, sample in zip(names, meshes):
+            feats, adj = _featurize(sample)
             cache = artifact_path(run_dir, "features", name)
             save_feature_cache(cache, feats, adj, labels=labels)
 
@@ -330,7 +343,7 @@ def stage_refine(manifest: DatasetManifest, config: PipelineConfig, run_dir):
 
     def one(case, path):
         mesh = load_mesh(path("decimated"))
-        probs = np.load(path("probs"))
+        probs = _load_per_face(path("probs"), mesh)
         labels = graph_cut_refine(mesh, probs)
         labels = cleanup_components(labels, mesh.adjacency())
         np.save(path("refined"), labels)
@@ -344,16 +357,17 @@ def stage_extract(manifest: DatasetManifest, config: PipelineConfig, run_dir):
 
     def one(case, path):
         decimated = load_mesh(path("decimated"))
-        labels = np.load(path("refined"))
+        labels = _load_per_face(path("refined"), decimated)
         original = _registered(load_mesh(case.die_path), path("transform"))
-        line = extract_margin_line(
-            LabeledMesh(decimated, labels),
+        points = extract_margin_line(
+            decimated,
+            labels,
             original,
             n_samples=config.n_samples,
             case_id=case.case_id,
         )
-        line.save_json(path("margin"))
-        line.save_obj(path("margin_obj"))
+        save_margin_json(path("margin"), points, case.case_id)
+        save_margin_obj(path("margin_obj"), points)
 
     return _each_case("margins", _prediction_cases(manifest), run_dir, one)
 

@@ -140,17 +140,14 @@ def _augment_transform(rng):
     return rotation_xyz(rx, ry, rz), scale
 
 
-def augment(sample, n_copies, seed, sample_index):
-    """Original sample plus `n_copies` randomly transformed copies. Labels
-    (and face order) are carried unchanged.
-
-    `sample` is any object with `.mesh` and `.labels`; copies are built
-    with the same type. Deterministic in (seed, sample_index, copy).
+def augment(mesh: TriangleMesh, n_copies, seed, sample_index):
+    """`[mesh, *copies]`: the mesh plus `n_copies` randomly rotated and
+    scaled copies, deterministic in (seed, sample_index, copy). Copies
+    keep the face order, so the per-face labels of `mesh` hold for each.
     """
-    out = [sample]
+    out = [mesh]
     for k in range(n_copies):
         rng = np.random.default_rng([seed, sample_index, k])
         rotation, scale = _augment_transform(rng)
-        mesh = sample.mesh.transformed(rotation=rotation, scale=scale)
-        out.append(type(sample)(mesh=mesh, labels=sample.labels.copy()))
+        out.append(mesh.transformed(rotation=rotation, scale=scale))
     return out

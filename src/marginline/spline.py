@@ -39,8 +39,7 @@ def chord_length_params(points):
     total = seg.sum()
     if total <= 0:
         raise SplineFitError("degenerate input: zero total chord length")
-    t = np.concatenate([[0.0], np.cumsum(seg[:-1])]) / total
-    return t, total
+    return np.concatenate([[0.0], np.cumsum(seg[:-1])]) / total
 
 
 def _knots(n_coef):
@@ -120,7 +119,6 @@ class SmoothingSpline:
     bound: float  # residual budget s actually enforced, mm^2
     residual: float  # achieved sum of squared residuals, mm^2
     penalty_weight: float
-    chord_length: float
 
     @property
     def knots(self):
@@ -198,7 +196,7 @@ def fit_smoothing_spline(points) -> SmoothingSpline:
     sv = np.linalg.svd(points - points.mean(axis=0), compute_uv=False)
     if np.count_nonzero(sv > 1e-9 * max(sv[0], 1e-30)) < 2:
         raise SplineFitError("degenerate (collinear) input points")
-    t, chord = chord_length_params(points)
+    t = chord_length_params(points)
     n_coef = int(np.clip(n // 2, 8, 256))  # at most n, as n >= 8
     bound = smoothness_bound(n)
 
@@ -238,5 +236,4 @@ def fit_smoothing_spline(points) -> SmoothingSpline:
         bound=bound,
         residual=float(rss),
         penalty_weight=float(lam),
-        chord_length=chord,
     )

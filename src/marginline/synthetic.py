@@ -14,8 +14,8 @@ from pathlib import Path
 import numpy as np
 
 from .manifest import save_manifest
-from .margin import MarginLine, load_margin_json
-from .mesh import TriangleMesh
+from .margin import load_margin_json, save_margin_json
+from .mesh import TriangleMesh, compact_mesh
 from .meshio import save_stl_binary
 from .shapes import crease_circle, frustum_die
 
@@ -34,8 +34,7 @@ def _crown_shell(die, crease):
     """Faces of the die strictly above the crease, in die order, as a
     standalone mesh of the vertices they use."""
     above = die.barycenters[:, 2] > crease["z"] + 1e-9
-    used, faces = np.unique(die.faces[above], return_inverse=True)
-    return TriangleMesh(die.vertices[used], faces.reshape(-1, 3))
+    return compact_mesh(die.vertices, die.faces[above])
 
 
 def _rotate_z(points, angle):
@@ -88,8 +87,8 @@ def generate_benchmark(out_dir, n_cases=20, seed=7):
         crown_name = f"{case.case_id}_crown_bottom.stl"
         save_stl_binary(case.die, out_dir / die_name)
         save_stl_binary(case.crown_bottom, out_dir / crown_name)
-        MarginLine(case.truth_points, case.case_id).save_json(
-            truth_dir / f"{case.case_id}_margin.json"
+        save_margin_json(
+            truth_dir / f"{case.case_id}_margin.json", case.truth_points, case.case_id
         )
         entries.append(
             {

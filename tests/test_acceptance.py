@@ -19,7 +19,6 @@ from marginline.cli import main as cli_main
 from marginline.decimate import decimate
 from marginline.ensemble import combine
 from marginline.features import compute_mean_curvature
-from marginline.labeling import LabeledMesh
 from marginline.manifest import load_manifest
 from marginline.mesh import TriangleMesh
 from marginline.metrics import segmentation_metrics, spearman
@@ -235,7 +234,7 @@ def test_criterion_07_decimation():
 def test_criterion_08_augmentation_count():
     mesh, _ = frustum_die(segments=16, rows_below=4, rows_above=3)
     labels = np.zeros(mesh.n_faces, dtype=np.int64)
-    total = sum(len(augment(LabeledMesh(mesh, labels), 20, 0, i)) for i in range(41))
+    total = sum(len(augment(mesh, 20, 0, i)) for i in range(41))
     assert total == 861
     _report(8, "41 cases x 20 augmented copies = 861 training samples")
 

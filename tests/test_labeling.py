@@ -54,21 +54,21 @@ def test_labels_match_height_threshold_oracle():
     from marginline.meshio import soup_to_mesh
 
     crown = soup_to_mesh(die.vertices[die.faces[above]].reshape(-1, 3))
-    labeled = label_die(decimated, extract_margin_points(crown))
+    labels = label_die(decimated, extract_margin_points(crown))
     oracle = (decimated.barycenters[:, 2] > crease["z"]).astype(np.int64)
-    mismatch = np.mean(labeled.labels != oracle)
+    mismatch = np.mean(labels != oracle)
     assert mismatch < 0.01
 
 
 def test_margin_band_faces_near_crease(labeled_die_case):
     decimated = labeled_die_case["decimated"]
-    labeled = label_die(decimated, extract_margin_points(labeled_die_case["crown"]))
+    labels = label_die(decimated, extract_margin_points(labeled_die_case["crown"]))
     # the label boundary faces straddle the crease within 2 edge lengths
     from scipy.spatial import cKDTree
 
     adjacency = decimated.adjacency()
     interior = adjacency.edge_faces[adjacency.edge_faces[:, 1] >= 0]
-    disagree = labeled.labels[interior[:, 0]] != labeled.labels[interior[:, 1]]
+    disagree = labels[interior[:, 0]] != labels[interior[:, 1]]
     faces = np.unique(interior[disagree])
     d, _ = cKDTree(labeled_die_case["truth_points"]).query(
         decimated.barycenters[faces]
@@ -107,7 +107,7 @@ def test_label_transfer_repeats_exactly():
     for _ in range(2):
         case = generate_case("rerun", np.random.default_rng([99, 1]))
         die = decimate(case.die, 2000)
-        labels.append(label_die(die, extract_margin_points(case.crown_bottom)).labels)
+        labels.append(label_die(die, extract_margin_points(case.crown_bottom)))
     assert np.array_equal(labels[0], labels[1])
 
 

@@ -8,32 +8,29 @@ import pytest
 from scipy.spatial import cKDTree
 
 from marginline.errors import BoundaryExtractionError
-from marginline.labeling import LabeledMesh
 from marginline.margin import (
-    MarginLine,
     _self_intersects_2d,
     extract_boundary_faces,
     extract_margin_line,
     load_margin_json,
+    save_margin_json,
+    save_margin_obj,
 )
 from marginline.shapes import crease_circle, frustum_die, icosphere
 
 
 def _threshold_labels(mesh, z):
-    return LabeledMesh(mesh, (mesh.barycenters[:, 2] > z).astype(np.int64))
+    return (mesh.barycenters[:, 2] > z).astype(np.int64)
 
 
 def test_boundary_faces_straddle_crease(labeled_die_case):
     """Boundary face centers sit within two edge lengths of the analytic
     margin curve."""
-    labeled = _threshold_labels(
-        labeled_die_case["decimated"],
-        labeled_die_case["truth_points"][:, 2].mean(),
-    )
-    centers, face_ids = extract_boundary_faces(labeled)
+    mesh = labeled_die_case["decimated"]
+    labels = _threshold_labels(mesh, labeled_die_case["truth_points"][:, 2].mean())
+    centers, face_ids = extract_boundary_faces(mesh, labels)
     assert len(centers) == len(face_ids)
-    assert np.all(labeled.labels[face_ids] == 1)
-    mesh = labeled.mesh
+    assert np.all(labels[face_ids] == 1)
     edges = mesh.vertices[mesh.faces[:, [0, 1]]]
     mean_edge = float(np.linalg.norm(edges[:, 0] - edges[:, 1], axis=1).mean())
     d = cKDTree(labeled_die_case["truth_points"]).query(centers)[0]
@@ -43,7 +40,7 @@ def test_boundary_faces_straddle_crease(labeled_die_case):
 def test_uniform_labels_raise():
     sphere = icosphere(3)
     with pytest.raises(BoundaryExtractionError):
-        extract_boundary_faces(LabeledMesh(sphere, np.zeros(sphere.n_faces, int)))
+        extract_boundary_faces(sphere, np.zeros(sphere.n_faces, int))
 
 
 def test_scattered_labels_raise():
@@ -52,7 +49,7 @@ def test_scattered_labels_raise():
     labels = np.zeros(sphere.n_faces, dtype=np.int64)
     labels[::97] = 1  # sparse, mostly non-adjacent faces
     try:
-        extract_boundary_faces(LabeledMesh(sphere, labels))
+        extract_boundary_faces(sphere, labels)
     except BoundaryExtractionError:
         pass  # acceptable: no loop at all
 
@@ -63,7 +60,7 @@ def test_label_region_reaching_the_base_names_the_open_chain():
     die, _ = frustum_die()
     labels = (die.barycenters[:, 0] > 0).astype(np.int64)
     with pytest.raises(BoundaryExtractionError) as info:
-        extract_boundary_faces(LabeledMesh(die, labels))
+        extract_boundary_faces(die, labels)
     message = str(info.value)
     assert "the chain is open" in message
     assert "odd-degree ends" in message
@@ -72,11 +69,11 @@ def test_label_region_reaching_the_base_names_the_open_chain():
 
 def test_extract_margin_line_close_to_analytic():
     die, crease = frustum_die()
-    labeled = _threshold_labels(die, crease["z"])
-    margin = extract_margin_line(labeled, die, n_samples=2000, case_id="die")
-    assert margin.n_points == 2000
+    labels = _threshold_labels(die, crease["z"])
+    points = extract_margin_line(die, labels, die, n_samples=2000, case_id="die")
+    assert len(points) == 2000
     truth = crease_circle(crease, n=4096)
-    d = cKDTree(truth).query(margin.points)[0]
+    d = cKDTree(truth).query(points)[0]
     edges = die.vertices[die.faces[:, [0, 1]]]
     mean_edge = float(np.linalg.norm(edges[:, 0] - edges[:, 1], axis=1).mean())
     assert d.max() <= 2.0 * mean_edge
@@ -84,21 +81,21 @@ def test_extract_margin_line_close_to_analytic():
 
 def test_margin_points_lie_on_surface():
     die, crease = frustum_die()
-    labeled = _threshold_labels(die, crease["z"])
-    margin = extract_margin_line(labeled, die, n_samples=500)
-    _, _, dist = die.bvh().closest_points(margin.points)
+    labels = _threshold_labels(die, crease["z"])
+    points = extract_margin_line(die, labels, die, n_samples=500)
+    _, _, dist = die.bvh().closest_points(points)
     assert np.max(np.abs(dist)) < 1e-9
 
 
 def test_json_round_trip(tmp_path):
     die, crease = frustum_die()
-    labeled = _threshold_labels(die, crease["z"])
-    margin = extract_margin_line(labeled, die, n_samples=256, case_id="rt")
+    labels = _threshold_labels(die, crease["z"])
+    margin = extract_margin_line(die, labels, die, n_samples=256, case_id="rt")
     path = tmp_path / "m.json"
-    margin.save_json(path)
+    save_margin_json(path, margin, "rt")
     points, case_id = load_margin_json(path)
     assert case_id == "rt"
-    np.testing.assert_allclose(points, margin.points, atol=1e-12)
+    np.testing.assert_allclose(points, margin, atol=1e-12)
     data = json.loads(path.read_text())
     assert data["closed"] is True
     assert data["n"] == 256
@@ -106,10 +103,10 @@ def test_json_round_trip(tmp_path):
 
 def test_obj_export(tmp_path):
     die, crease = frustum_die()
-    labeled = _threshold_labels(die, crease["z"])
-    margin = extract_margin_line(labeled, die, n_samples=100)
+    labels = _threshold_labels(die, crease["z"])
+    margin = extract_margin_line(die, labels, die, n_samples=100)
     path = tmp_path / "m.obj"
-    margin.save_obj(path)
+    save_margin_obj(path, margin)
     lines = path.read_text().strip().splitlines()
     verts = [l for l in lines if l.startswith("v ")]
     polys = [l for l in lines if l.startswith("l ")]
@@ -120,17 +117,17 @@ def test_obj_export(tmp_path):
     assert len(indices) == 101
 
 
-def _loop_json_and_obj(line):
+def _loop_json_and_obj(points, case_id):
     """Reference: the per-point JSON dict and OBJ f-string writers; returns
     (JSON text, OBJ text)."""
     data = {
-        "case_id": line.case_id,
-        "n": int(line.n_points),
-        "points": [[float(x) for x in p] for p in line.points],
+        "case_id": case_id,
+        "n": len(points),
+        "points": [[float(x) for x in p] for p in points],
         "closed": True,
     }
-    lines = [f"v {p[0]:.9g} {p[1]:.9g} {p[2]:.9g}" for p in line.points]
-    n = line.n_points
+    lines = [f"v {p[0]:.9g} {p[1]:.9g} {p[2]:.9g}" for p in points]
+    n = len(points)
     lines.append("l " + " ".join(str(i) for i in range(1, n + 1)) + " 1")
     return json.dumps(data, separators=(",", ":")), "\n".join(lines) + "\n"
 
@@ -140,10 +137,9 @@ def test_writers_match_loop_reference(tmp_path):
     scale = rng.choice([1e-8, 1.0, 1e5], size=(1000, 1))
     points = rng.normal(size=(1000, 3)) * scale
     points[0, 2] = -0.0
-    line = MarginLine(points=points, case_id="die07")
-    line.save_json(tmp_path / "m.json")
-    line.save_obj(tmp_path / "m.obj")
-    ref_json, ref_obj = _loop_json_and_obj(line)
+    save_margin_json(tmp_path / "m.json", points, "die07")
+    save_margin_obj(tmp_path / "m.obj", points)
+    ref_json, ref_obj = _loop_json_and_obj(points, "die07")
     assert (tmp_path / "m.json").read_bytes() == ref_json.encode()
     assert (tmp_path / "m.obj").read_bytes() == ref_obj.encode()
 

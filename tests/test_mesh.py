@@ -5,6 +5,7 @@ from marginline.errors import EmptyMeshError, TopologyError
 from marginline.mesh import (
     FaceAdjacency,
     TriangleMesh,
+    compact_mesh,
     connected_components,
     extract_boundary_loops,
 )
@@ -91,6 +92,19 @@ def test_transformed_keeps_face_order(unit_sphere):
     assert moved.face_areas.sum() == pytest.approx(
         4 * unit_sphere.face_areas.sum(), rel=1e-9
     )
+
+
+def test_compact_mesh_keeps_face_order_and_vertex_order(unit_sphere):
+    """400 of the sphere's faces, shuffled, keep their order, and their
+    vertices keep the ascending order of their old indices: the faces
+    index the vertices exactly as `np.unique`'s inverse does."""
+    rng = np.random.default_rng(2)
+    subset = unit_sphere.faces[rng.permutation(unit_sphere.n_faces)[:400]]
+    part = compact_mesh(unit_sphere.vertices, subset)
+    used, inverse = np.unique(subset, return_inverse=True)
+    assert np.array_equal(part.vertices, unit_sphere.vertices[used])
+    assert np.array_equal(part.faces, inverse.reshape(-1, 3))
+    assert np.array_equal(part.vertices[part.faces], unit_sphere.vertices[subset])
 
 
 def _adjacency_reference(mesh):

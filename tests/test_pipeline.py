@@ -29,6 +29,7 @@ from marginline.mesh import TriangleMesh
 from marginline.meshio import load_mesh, save_stl_binary
 from marginline.pipeline import (
     PipelineConfig,
+    artifact_path,
     run_pipeline,
     sample_ids,
     stage_evaluate,
@@ -106,6 +107,44 @@ def test_one_bad_die_does_not_stop_the_others(tmp_path, capsys):
     error = json.loads(capsys.readouterr().err)
     assert "b: RegistrationError" in error["message"]
     assert "\n" not in error["message"]
+
+
+@pytest.mark.parametrize(
+    "stage, kind, output",
+    [
+        (stage_features, "labels", "features"),
+        (stage_refine, "probs", "refined_ply"),
+        (stage_extract, "refined", "margin"),
+    ],
+)
+def test_a_per_face_array_of_the_wrong_length_fails_its_own_case(
+    tmp_path, stage, kind, output
+):
+    """A per-face array that an earlier stage wrote, 5 rows short for its
+    die: that case fails naming the file and both lengths, and the stage
+    still writes its output for the other case."""
+    data = tmp_path / "data"
+    manifest = load_manifest(generate_benchmark(data, n_cases=2, seed=5))
+    config = PipelineConfig(target_faces=800)
+    run = tmp_path / "run"
+    for earlier in (stage_preprocess, stage_labels):
+        earlier(manifest, config, run)
+    first, second = (case.case_id for case in manifest)
+    for case_id in (first, second):
+        labels = np.load(artifact_path(run, "labels", case_id))
+        for name, values in (("probs", np.eye(2)[labels]), ("refined", labels)):
+            artifact_path(run, name, case_id).parent.mkdir(exist_ok=True)
+            np.save(artifact_path(run, name, case_id), values)
+    path = artifact_path(run, kind, first)
+    np.save(path, np.load(path)[:-5])
+    n_faces = load_mesh(artifact_path(run, "decimated", first)).n_faces
+
+    with pytest.raises(MarginlineError) as info:
+        stage(manifest, config, run)
+    error = f"{path} has {n_faces - 5} rows for {n_faces} faces"
+    assert f"1 of 2 cases failed: {first}: MarginlineError: {error}" in str(info.value)
+    assert not artifact_path(run, output, first).exists()
+    assert artifact_path(run, output, second).exists()
 
 
 def test_crown_bottom_leaves_features_unchanged(tmp_path):

@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 
 from marginline.errors import NormalizationError, RegistrationError
-from marginline.labeling import LabeledMesh
 from marginline.mesh import TriangleMesh
 from marginline.preprocess import (
     augment,
@@ -95,23 +94,23 @@ def test_normalize_rejects_flat_geometry():
 def test_augmentation_count_matches_protocol():
     """41 dies with 20 random variants each give 861 training samples."""
     mesh, _ = frustum_die(segments=16, rows_below=4, rows_above=3)
-    labels = np.zeros(mesh.n_faces, dtype=np.int64)
     total = 0
     for index in range(41):
-        total += len(augment(LabeledMesh(mesh, labels), 20, 0, index))
+        total += len(augment(mesh, 20, 0, index))
     assert total == 861
 
 
 def test_augmentation_deterministic_and_bounded():
     mesh, _ = frustum_die(segments=16, rows_below=4, rows_above=3)
-    labels = (mesh.barycenters[:, 2] > 3.0).astype(np.int64)
-    a = augment(LabeledMesh(mesh, labels), 5, 12, 3)
-    b = augment(LabeledMesh(mesh, labels), 5, 12, 3)
+    a = augment(mesh, 5, 12, 3)
+    b = augment(mesh, 5, 12, 3)
+    assert a[0] is mesh
     for va, vb in zip(a, b):
-        assert np.array_equal(va.mesh.vertices, vb.mesh.vertices)
-        assert np.array_equal(va.labels, labels)
+        assert np.array_equal(va.vertices, vb.vertices)
+        # the face order is kept, so the mesh's labels hold for each copy
+        assert np.array_equal(va.faces, mesh.faces)
     # scaling stays within the configured band
     base = mesh.face_areas.sum()
     for variant in a[1:]:
-        ratio = variant.mesh.face_areas.sum() / base
+        ratio = variant.face_areas.sum() / base
         assert 0.9**2 * 0.999 <= ratio <= 1.1**2 * 1.001

@@ -144,7 +144,7 @@ def test_curvature_penalty_is_psd_and_ignores_constants(n_coef):
 def test_evaluation_matches_scipy(n_coef):
     rng = np.random.default_rng(n_coef + 1)
     coef = rng.normal(size=(n_coef, 3))
-    spline = SmoothingSpline(coef, n_coef, 1.0, 1.0, 1.0, 1.0)
+    spline = SmoothingSpline(coef, n_coef, 1.0, 1.0, 1.0)
     oracle = BSpline(_knots(n_coef), np.vstack([coef, coef[:3]]), 3,
                      extrapolate="periodic")
     t = _oracle_params(n_coef)

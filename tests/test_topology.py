@@ -8,12 +8,7 @@ import pytest
 from conftest import face_neighbors
 from marginline.decimate import decimate
 from marginline.errors import BoundaryExtractionError
-from marginline.labeling import (
-    LabeledMesh,
-    _dilate,
-    extract_margin_points,
-    label_die,
-)
+from marginline.labeling import _dilate, extract_margin_points, label_die
 from marginline.margin import _label_boundary_edges, extract_boundary_faces
 from marginline.mesh import (
     TriangleMesh,
@@ -130,15 +125,15 @@ def boundary_loops_reference(mesh):
     return loops
 
 
-def boundary_faces_reference(labeled):
+def boundary_faces_reference(mesh, labels):
     """Label-1 faces along the longest closed label-boundary loop."""
-    ev, one_side = _label_boundary_edges(labeled)
+    ev, one_side = _label_boundary_edges(mesh, labels)
     if len(ev) == 0:
         raise BoundaryExtractionError("labels are uniform: no label boundary")
     loops = edge_loops_reference(ev)
     if not loops:
         raise BoundaryExtractionError("no closed loop")
-    verts = labeled.mesh.vertices
+    verts = mesh.vertices
     lengths = [
         sum(float(np.linalg.norm(verts[ev[e, 0]] - verts[ev[e, 1]])) for e in loop)
         for loop in loops
@@ -168,21 +163,20 @@ def _assert_matches_references(mesh, labels):
         np.flatnonzero(mask).tolist(), neighbors
     )
 
-    ev, _ = _label_boundary_edges(LabeledMesh(mesh, labels))
+    ev, _ = _label_boundary_edges(mesh, labels)
     walked = walk_closed_loops(ev)
     assert [e.tolist() for _, e in walked] == edge_loops_reference(ev)
     for verts, edges in walked:  # edge k joins vertices k and k + 1
         pairs = np.sort(np.stack([verts, np.roll(verts, -1)], axis=1), axis=1)
         assert np.array_equal(pairs, ev[edges])
 
-    labeled = LabeledMesh(mesh, labels)
     try:
-        expected = boundary_faces_reference(labeled)
+        expected = boundary_faces_reference(mesh, labels)
     except BoundaryExtractionError:
         with pytest.raises(BoundaryExtractionError):
-            extract_boundary_faces(labeled)
+            extract_boundary_faces(mesh, labels)
     else:
-        centers, face_ids = extract_boundary_faces(labeled)
+        centers, face_ids = extract_boundary_faces(mesh, labels)
         assert np.array_equal(face_ids, expected)
         assert np.array_equal(centers, mesh.barycenters[expected])
 
@@ -201,7 +195,7 @@ def transferred_dies():
     for seed in (3, 29, 41):
         case = generate_case(f"topo{seed}", np.random.default_rng([seed, 0]))
         die = decimate(case.die, 2000)
-        labels = label_die(die, extract_margin_points(case.crown_bottom)).labels
+        labels = label_die(die, extract_margin_points(case.crown_bottom))
         dies.append((die, labels))
     return dies
 
@@ -245,7 +239,7 @@ def test_pinch_vertex_label_boundary(squares):
     edges share it."""
     patch = grid_patch(n=6)
     labels = _grid_labels(6, squares)
-    ev, _ = _label_boundary_edges(LabeledMesh(patch, labels))
+    ev, _ = _label_boundary_edges(patch, labels)
     assert np.bincount(ev.ravel()).max() == 4
     _assert_matches_references(patch, labels)
     assert sum(len(e) for _, e in walk_closed_loops(ev)) == len(ev)
@@ -267,8 +261,8 @@ def test_open_label_boundary_has_no_loop():
     """A label boundary running from rim to rim closes no loop."""
     patch = grid_patch(n=6)
     labels = (patch.barycenters[:, 0] > 3.0).astype(np.int64)
-    ev, _ = _label_boundary_edges(LabeledMesh(patch, labels))
+    ev, _ = _label_boundary_edges(patch, labels)
     assert len(ev) > 0
     assert walk_closed_loops(ev) == [] == edge_loops_reference(ev)
     with pytest.raises(BoundaryExtractionError, match="form no closed loop"):
-        extract_boundary_faces(LabeledMesh(patch, labels))
+        extract_boundary_faces(patch, labels)
