@@ -30,7 +30,6 @@ from .mesh import (
 from .meshio import (
     load_mesh,
     save_ply,
-    save_stl_ascii,
     save_stl_binary,
 )
 from .preprocess import RigidTransform, augment, normalize, obb_register
@@ -73,6 +72,6 @@ __all__ = [
     "extract_margin_line", "fit_smoothing_spline", "generate_benchmark",
     "graph_cut_refine", "label_die", "load_manifest",
     "load_mesh", "margin_distance_stats", "normalize", "obb_register",
-    "run_pipeline", "save_ply", "save_stl_ascii", "save_stl_binary",
+    "run_pipeline", "save_ply", "save_stl_binary",
     "segmentation_metrics", "smoothness_bound", "spearman",
 ]

@@ -27,10 +27,11 @@ def load_archive(path, parse, what):
     ValueError naming `path` and the `what` it should hold."""
     with open(path, "rb") as fh:
         try:
-            archive = np.load(fh, allow_pickle=False)
-            if not isinstance(archive, np.lib.npyio.NpzFile):
-                raise ValueError("a bare .npy array, not an .npz archive")
-            with archive:
+            # zip magic: numpy would take a bare .npy, or a pickle, too
+            if fh.read(4) != b"PK\x03\x04":
+                raise ValueError("not an .npz archive")
+            fh.seek(0)
+            with np.load(fh, allow_pickle=False) as archive:
                 return parse(archive)
         except Exception as exc:
             # corrupt bytes raise what the readers hit: BadZipFile, TokenError, ...

@@ -14,7 +14,7 @@ import traceback
 from pathlib import Path
 
 from . import pipeline as pl
-from .errors import MarginlineError
+from .errors import DATA_ERRORS, MarginlineError
 from .manifest import load_manifest
 from .synthetic import generate_benchmark
 
@@ -127,7 +127,7 @@ def main(argv=None):
     except Exception as exc:
         error = {"error": type(exc).__name__, "message": str(exc)}
         print(json.dumps(error), file=sys.stderr)
-        if isinstance(exc, (MarginlineError, ValueError, FileNotFoundError)):
+        if isinstance(exc, DATA_ERRORS):
             return 1
         traceback.print_exc()
         return 3

@@ -190,7 +190,10 @@ def _greedy_matching(u, v, nv):
 
 
 def _distinct(x):
-    """Sorted distinct values of an int array."""
+    """Sorted distinct values of an int array, by sort and mask. Plain
+    `np.unique` (numpy 2.4.6) is 6-8x slower on the 0.7k-9k-element
+    arrays a full-resolution die passes here, and swapped in, it took
+    decimating five 38k-54k-face dies from 0.81 s to 0.98 s (min of 5)."""
     x = np.sort(x)
     first = np.ones(len(x), dtype=bool)
     first[1:] = x[1:] != x[:-1]

@@ -55,3 +55,7 @@ class MetricError(MarginlineError):
 
 class ManifestError(MarginlineError):
     pass
+
+
+# bad input data: fails one case of a stage, and exits 1 at the command line
+DATA_ERRORS = (MarginlineError, ValueError, FileNotFoundError)

@@ -92,34 +92,17 @@ def _vertex_mean_curvature(mesh: TriangleMesh):
     return 0.5 * np.einsum("ij,ij->i", K, vertex_normals(mesh))
 
 
-def _radius_average(points, values, radius):
-    """Mean of `values` over the points within `radius` of each point,
-    the point itself included: sums and counts over the point pairs
-    within the radius, taken with `np.bincount`."""
-    n = len(points)
-    pairs = cKDTree(points).query_pairs(radius, output_type="ndarray")
-    i, j = pairs[:, 0], pairs[:, 1]
-    sums = values + np.bincount(i, values[j], n) + np.bincount(j, values[i], n)
-    counts = 1 + np.bincount(i, minlength=n) + np.bincount(j, minlength=n)
-    return sums / counts
-
-
 def compute_mean_curvature(mesh: TriangleMesh):
     """Per-vertex discrete mean curvature in 1/mm, convex positive.
 
     Cotangent Laplace-Beltrami with mixed Voronoi areas, then averaged
     over all vertices within the maximum edge length of the mesh, the
-    vertex itself included. Boundary vertices use the one-sided sums
-    from their incident wedges.
-
-    The average sums over vertex pairs, so it differs from a per-vertex
-    mean over the same neighbours only in summation order (a few ulp).
+    vertex itself included: the product with the row-normalized
+    `_radius_matrix` of the vertices. Boundary vertices use the
+    one-sided sums from their incident wedges.
     """
-    return _radius_average(
-        mesh.vertices,
-        _vertex_mean_curvature(mesh),
-        float(mesh.edge_lengths.max()),
-    )
+    values = _vertex_mean_curvature(mesh)  # its temporaries go before the matrix's
+    return _radius_matrix(mesh.vertices, float(mesh.edge_lengths.max())) @ values
 
 
 N_CHANNELS = 18
@@ -149,26 +132,29 @@ class AdjacencyPair(NamedTuple):
     a_large: sp.csr_matrix
 
 
-def _radius_matrix(barycenters, radius):
-    """A_S or A_L straight in canonical CSR: row i holds 1/count_i at
-    each point within `radius` of point i (itself included), count_i
-    being their number, in ascending column order: entries are sorted as
-    the codes row * n + col."""
-    n = len(barycenters)
-    pairs = cKDTree(barycenters).query_pairs(radius, output_type="ndarray")
+def _radius_matrix(points, radius):
+    """The neighbour-mean operator of `points` at `radius` (A_S and A_L
+    over barycenters, the curvature smoothing over vertices) straight in
+    canonical CSR: row i holds 1/count_i at each point within `radius`
+    of point i (itself included), count_i being their number, in
+    ascending column order: entries are sorted as the codes row * n + col."""
+    n = len(points)
+    pairs = cKDTree(points).query_pairs(radius, output_type="ndarray")
     codes = np.empty(2 * len(pairs) + n, dtype=np.int64)
     # each pair in both directions, then the self-loops
     for part, (i, j) in zip(np.split(codes[:-n], 2), ((0, 1), (1, 0))):
         np.multiply(pairs[:, i], n, out=part)
         part += pairs[:, j]
-    del pairs
+    del pairs, part
     codes[-n:] = np.arange(n) * (n + 1)
     codes.sort()
     indptr = np.searchsorted(codes, np.arange(n + 1) * n)
     np.remainder(codes, n, out=codes)  # now the column indices
+    indices = codes.astype(np.int32)  # csr_matrix's dtype; codes go before data
+    del codes
     counts = np.diff(indptr)
     data = np.repeat(1.0 / counts, counts)
-    return sp.csr_matrix((data, codes, indptr), shape=(n, n))
+    return sp.csr_matrix((data, indices, indptr), shape=(n, n))
 
 
 def build_adjacency(

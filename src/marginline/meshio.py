@@ -1,4 +1,5 @@
-"""STL and PLY reading/writing.
+"""STL and PLY reading/writing: STL is read in ASCII or binary form and
+written binary, PLY read and written in ASCII.
 
 STL stores a triangle soup; on load, vertices closer than the welding
 tolerance (1e-6 mm) are merged into a single indexed vertex. PLY export
@@ -208,22 +209,6 @@ def save_stl_binary(mesh, path):
         fh.write(b"\x00" * 80)
         fh.write(struct.pack("<I", len(tris)))
         fh.write(rec.tobytes())
-
-
-_STL_FACET = (
-    "facet normal %.9e %.9e %.9e\n  outer loop\n"
-    + "    vertex %.9e %.9e %.9e\n" * 3
-    + "  endloop\nendfacet\n"
-)
-
-
-def save_stl_ascii(mesh, path):
-    # one %-format over the flat (normal, 3 vertices) rows of every facet
-    rows = np.concatenate(
-        [mesh.face_normals, mesh.vertices[mesh.faces].reshape(-1, 9)], axis=1
-    )
-    body = (_STL_FACET * len(rows)) % tuple(rows.ravel().tolist())
-    Path(path).write_text("solid mesh\n" + body + "endsolid mesh\n")
 
 
 def save_ply(mesh, path, labels=None):

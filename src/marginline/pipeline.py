@@ -12,13 +12,15 @@ re-entered at any point. `artifact_path` names every per-case file, and
 
 Every stage but train is one function of a single case, mapped over the
 stage's cases by `_each_case`, which holds the batch policy: a case
-that raises a `MarginlineError` does not stop the others, and once the
-last case is done the stage raises one `MarginlineError` naming every
-failed case id with its error class and message, chained from the first
-failure. Any other exception propagates at once. `run_stages` is the one
-entry point of the library and the command line: it validates the
-config, creates the run directory, writes `config.json` and runs the
-stages in order.
+that raises one of `errors.DATA_ERRORS` (a `MarginlineError`, or the
+`ValueError` or `FileNotFoundError` of an unreadable or missing upstream
+file) does not stop the others, and once the last case is done the
+stage raises one `MarginlineError` naming every failed case id with its
+error class and message, chained from the first failure. Any other
+exception, such as an `IndexError`, propagates at once. `run_stages` is
+the one entry point of the library and the command line: it validates
+the config, creates the run directory, writes `config.json` and runs
+the stages in order.
 """
 
 from __future__ import annotations
@@ -35,7 +37,7 @@ import numpy as np
 from . import metrics as metrics_mod
 from .decimate import decimate
 from .ensemble import combined_field, strategy_fold
-from .errors import ManifestError, MarginlineError
+from .errors import DATA_ERRORS, ManifestError, MarginlineError
 from .features import (
     AdjacencyPair,
     assemble_features,
@@ -168,7 +170,7 @@ def _each_case(stage, cases, run_dir, per_case):
     for case in cases:
         try:
             per_case(case, partial(artifact_path, run_dir, case_id=case.case_id))
-        except MarginlineError as exc:
+        except DATA_ERRORS as exc:
             failures.append((case.case_id, exc))
     if failures:
         raise MarginlineError(

@@ -86,10 +86,6 @@ def graph_cut_refine(mesh: TriangleMesh, probs, config: GraphCutConfig = None):
     if probs.shape != (n, 2):
         raise ValueError(f"expected ({n}, 2) probabilities, got {probs.shape}")
     unary = -np.log(np.clip(probs, config.prob_floor, None))
-
-    if config.smoothness == 0.0:
-        return probs.argmax(axis=1).astype(np.int64)
-
     fa, fb, w = _pairwise_terms(mesh, config)
     labels, _, _ = _min_cut(unary, fa, fb, config.smoothness * w)
     return labels

@@ -120,17 +120,13 @@ class SmoothingSpline:
     residual: float  # achieved sum of squared residuals, mm^2
     penalty_weight: float
 
-    @property
-    def knots(self):
-        return _knots(self.n_coef)
-
     def __call__(self, t):
         """Evaluate at parameters t in [0, 1) (wrapped); shape
         t.shape + (3,)."""
         t = np.asarray(t, dtype=np.float64)
         x = np.mod(t.ravel(), 1.0)
         x[x == 1.0] = 0.0  # mod's answer for a tiny negative t
-        values, ell = _basis(x, self.knots, 0)
+        values, ell = _basis(x, _knots(self.n_coef), 0)
         out = np.zeros((len(x), 3))
         for a in range(DEGREE + 1):
             coef = self.coefficients[(ell - DEGREE + a) % self.n_coef]

@@ -8,7 +8,6 @@ crown-bottom shells, a dataset manifest, and per-case truth polylines.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -17,17 +16,10 @@ from .manifest import save_manifest
 from .margin import load_margin_json, save_margin_json
 from .mesh import TriangleMesh, compact_mesh
 from .meshio import save_stl_binary
+from .preprocess import rotation_xyz
 from .shapes import crease_circle, frustum_die
 
 TRUTH_POINTS = 2048  # samples of each case's analytic crease
-
-
-@dataclass
-class SyntheticCase:
-    case_id: str
-    die: TriangleMesh
-    crown_bottom: TriangleMesh
-    truth_points: np.ndarray
 
 
 def _crown_shell(die, crease):
@@ -37,13 +29,9 @@ def _crown_shell(die, crease):
     return compact_mesh(die.vertices, die.faces[above])
 
 
-def _rotate_z(points, angle):
-    c, s = np.cos(angle), np.sin(angle)
-    rot = np.array([[c, -s, 0.0], [s, c, 0.0], [0.0, 0.0, 1.0]])
-    return points @ rot.T
-
-
-def generate_case(case_id, rng) -> SyntheticCase:
+def generate_case(rng):
+    """A random die as `(die, crown_bottom, truth_points)`: the crown is
+    the die above the crease, and the truth points sample the crease."""
     # squat proportions keep the variance ordering x > y > z unambiguous
     # for the canonical-pose registration
     base_radius = rng.uniform(5.8, 6.5)
@@ -66,10 +54,10 @@ def generate_case(case_id, rng) -> SyntheticCase:
     crown = _crown_shell(die, crease)
     truth = crease_circle(crease, TRUTH_POINTS)
 
-    die = TriangleMesh(_rotate_z(die.vertices, spin) + shift, die.faces)
-    crown = TriangleMesh(_rotate_z(crown.vertices, spin) + shift, crown.faces)
-    truth = _rotate_z(truth, spin) + shift
-    return SyntheticCase(case_id, die, crown, truth)
+    rot = rotation_xyz(0.0, 0.0, spin).T
+    die = TriangleMesh(die.vertices @ rot + shift, die.faces)
+    crown = TriangleMesh(crown.vertices @ rot + shift, crown.faces)
+    return die, crown, truth @ rot + shift
 
 
 def generate_benchmark(out_dir, n_cases=20, seed=7):
@@ -81,18 +69,16 @@ def generate_benchmark(out_dir, n_cases=20, seed=7):
 
     entries = []
     for i in range(n_cases):
-        rng = np.random.default_rng([seed, i])
-        case = generate_case(f"synth{i:03d}", rng)
-        die_name = f"{case.case_id}_die.stl"
-        crown_name = f"{case.case_id}_crown_bottom.stl"
-        save_stl_binary(case.die, out_dir / die_name)
-        save_stl_binary(case.crown_bottom, out_dir / crown_name)
-        save_margin_json(
-            truth_dir / f"{case.case_id}_margin.json", case.truth_points, case.case_id
-        )
+        case_id = f"synth{i:03d}"
+        die, crown, truth = generate_case(np.random.default_rng([seed, i]))
+        die_name = f"{case_id}_die.stl"
+        crown_name = f"{case_id}_crown_bottom.stl"
+        save_stl_binary(die, out_dir / die_name)
+        save_stl_binary(crown, out_dir / crown_name)
+        save_margin_json(truth_dir / f"{case_id}_margin.json", truth, case_id)
         entries.append(
             {
-                "case_id": case.case_id,
+                "case_id": case_id,
                 "die_path": die_name,
                 "crown_bottom_path": crown_name,
                 "arch": "lower",

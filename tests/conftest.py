@@ -56,16 +56,12 @@ def decimated_hires_die(hires_die):
 def labeled_die_case():
     """One registered + decimated synthetic case with its crown shell,
     shared by labeling and margin tests."""
-    rng = np.random.default_rng([99, 0])
-    case = generate_case("fixture000", rng)
-    registered, transform = obb_register(case.die)
+    die, crown_bottom, truth_points = generate_case(np.random.default_rng([99, 0]))
+    registered, transform = obb_register(die)
     decimated = decimate(registered, 2000)
-    crown = TriangleMesh(
-        transform.apply(case.crown_bottom.vertices), case.crown_bottom.faces
-    )
-    truth = transform.apply(case.truth_points)
+    crown = TriangleMesh(transform.apply(crown_bottom.vertices), crown_bottom.faces)
+    truth = transform.apply(truth_points)
     return {
-        "case": case,
         "registered": registered,
         "decimated": decimated,
         "crown": crown,

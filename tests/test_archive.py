@@ -112,6 +112,21 @@ def test_loaders_refuse_foreign_input_naming_the_path(
         load(path)
 
 
+@pytest.mark.parametrize(
+    "data", [b"\x80garbage, not an archive", _bare_npy()], ids=("garbage", "bare npy")
+)
+@pytest.mark.parametrize("load", LOADERS, ids=("cache", "checkpoint"))
+def test_bytes_that_are_not_an_npz_are_not_taken_for_a_pickle(tmp_path, data, load):
+    """Bytes without the zip magic are refused as no archive at all;
+    numpy's advice to load the file with pickles allowed never shows."""
+    path = tmp_path / "foreign.bin"
+    path.write_bytes(data)
+    with pytest.raises(ValueError, match=re.escape(f"{path}: not a ")) as info:
+        load(path)
+    assert str(info.value).endswith(": not an .npz archive")
+    assert "pickle" not in str(info.value).lower()
+
+
 def test_integer_tensor_refusal_names_the_tensor(tmp_path, cache_parts):
     path = tmp_path / "foreign.bin"
     _write_foreign("integer tensor", path, cache_parts)

@@ -207,8 +207,8 @@ def test_working_set_stays_bounded_on_a_full_resolution_die():
 
 
 def _registered_case(seed):
-    case = generate_case(f"dec{seed}", np.random.default_rng([seed, 0]))
-    registered, _ = obb_register(case.die)
+    die, _, _ = generate_case(np.random.default_rng([seed, 0]))
+    registered, _ = obb_register(die)
     return registered
 
 

@@ -52,15 +52,15 @@ def _smoothing_meshes():
         "cylinder": lambda: open_cylinder(
             radius=5.0, height=20.0, segments=64, rings=40
         ),
-        "case_die": lambda: generate_case("c", np.random.default_rng(5)).die,
+        "case_die": lambda: generate_case(np.random.default_rng(5))[0],
     }
 
 
 @pytest.mark.parametrize("name", [*_smoothing_meshes(), "hires_decimated"])
 def test_pair_smoothing_matches_per_vertex_loop(name, request):
-    """The pair-sum average has the per-vertex loop's neighbour sets and
-    its values to 1e-12 of the field's largest magnitude (values near 0
-    differ in their last digits only by summation order)."""
+    """The neighbour-mean smoothing has the per-vertex loop's neighbour
+    sets and its values to 1e-12 of the field's largest magnitude (values
+    near 0 differ in their last digits only by summation order)."""
     if name == "hires_decimated":
         mesh = request.getfixturevalue("decimated_hires_die")
     else:

@@ -105,9 +105,9 @@ def test_label_transfer_repeats_exactly():
 
     labels = []
     for _ in range(2):
-        case = generate_case("rerun", np.random.default_rng([99, 1]))
-        die = decimate(case.die, 2000)
-        labels.append(label_die(die, extract_margin_points(case.crown_bottom)))
+        die, crown, _ = generate_case(np.random.default_rng([99, 1]))
+        die = decimate(die, 2000)
+        labels.append(label_die(die, extract_margin_points(crown)))
     assert np.array_equal(labels[0], labels[1])
 
 

@@ -14,7 +14,6 @@ from marginline.meshio import (
     _weld,
     load_mesh,
     save_ply,
-    save_stl_ascii,
     save_stl_binary,
     soup_to_mesh,
 )
@@ -36,7 +35,7 @@ def test_binary_stl_round_trip(tmp_path, unit_sphere):
 def test_ascii_stl_round_trip(tmp_path):
     mesh = icosphere(subdivisions=1, radius=2.0)
     path = tmp_path / "mesh.stl"
-    save_stl_ascii(mesh, path)
+    _loop_save_stl_ascii(mesh, path)
     back = load_mesh(path)
     assert back.n_faces == mesh.n_faces
     assert back.n_vertices == mesh.n_vertices
@@ -218,7 +217,8 @@ def _loop_save_ply(mesh, path, labels=None):
 
 
 def _loop_save_stl_ascii(mesh, path):
-    """Reference: the per-facet f-string ASCII STL writer."""
+    """ASCII STL bytes for the reader's tests, one f-string per line:
+    the package writes only binary STL."""
     buf = io.StringIO()
     buf.write("solid mesh\n")
     for tri, n in zip(mesh.vertices[mesh.faces], mesh.face_normals):
@@ -255,12 +255,6 @@ def test_ply_writer_matches_loop_reference(tmp_path, awkward_mesh, labeling):
     assert (tmp_path / "got.ply").read_bytes() == (tmp_path / "ref.ply").read_bytes()
 
 
-def test_ascii_stl_writer_matches_loop_reference(tmp_path, awkward_mesh):
-    save_stl_ascii(awkward_mesh, tmp_path / "got.stl")
-    _loop_save_stl_ascii(awkward_mesh, tmp_path / "ref.stl")
-    assert (tmp_path / "got.stl").read_bytes() == (tmp_path / "ref.stl").read_bytes()
-
-
 @pytest.fixture(scope="module")
 def mesh_files(tmp_path_factory):
     """Small valid files of every format `load_mesh` reads."""
@@ -268,7 +262,7 @@ def mesh_files(tmp_path_factory):
     mesh = icosphere(subdivisions=0)
     save_ply(mesh, root / "plain.ply")
     save_ply(mesh, root / "labeled.ply", np.arange(mesh.n_faces) % 2)
-    save_stl_ascii(mesh, root / "ascii.stl")
+    _loop_save_stl_ascii(mesh, root / "ascii.stl")
     save_stl_binary(mesh, root / "binary.stl")
     return [p.read_bytes() for p in sorted(root.iterdir())]
 

@@ -147,6 +147,63 @@ def test_a_per_face_array_of_the_wrong_length_fails_its_own_case(
     assert artifact_path(run, output, second).exists()
 
 
+@pytest.fixture(scope="module")
+def predicted_run(tmp_path_factory):
+    """Three seed-5 cases at 800 faces run through predict (2 folds, 1
+    epoch): (manifest path, run directory)."""
+    root = tmp_path_factory.mktemp("predicted")
+    manifest_path = generate_benchmark(root / "data", n_cases=3, seed=5)
+    config = PipelineConfig(
+        target_faces=800, folds=2, epochs=1, width_scale=0.125, batch_size=4
+    )
+    stages = [fn for _, fn in pipeline.STAGES[:5]]
+    pipeline.run_stages(stages, load_manifest(manifest_path), config, root / "run")
+    return manifest_path, root / "run"
+
+
+@pytest.mark.parametrize(
+    "command, kind, failed, damage, error, output",
+    [
+        ("refine", "probs", 0, None, FileNotFoundError, "refined"),
+        ("predict", "features", 1, b"\x80 not a cache", ValueError, "probs"),
+    ],
+    ids=("missing probs", "garbage features"),
+)
+def test_a_missing_or_unreadable_upstream_file_fails_its_own_case(
+    tmp_path, capsys, predicted_run, command, kind, failed, damage, error, output
+):
+    """An upstream file deleted (None) or overwritten with garbage: the
+    stage fails naming that case with the reader's error, after writing
+    its output for the other two, and the command line exits 1."""
+    manifest_path, predicted = predicted_run
+    run = tmp_path / "run"
+    shutil.copytree(predicted, run)
+    manifest = load_manifest(manifest_path)
+    ids = [case.case_id for case in manifest]
+    for case_id in ids:
+        artifact_path(run, output, case_id).unlink(missing_ok=True)
+    path = artifact_path(run, kind, ids[failed])
+    if damage is None:
+        path.unlink()
+    else:
+        path.write_bytes(damage)
+
+    stage = dict(pipeline.STAGES)[command]
+    with pytest.raises(MarginlineError) as info:
+        stage(manifest, PipelineConfig.from_json(run / "config.json"), run)
+    named = f"1 of 3 cases failed: {ids[failed]}: {error.__name__}: "
+    assert named in str(info.value)
+    assert str(path) in str(info.value)
+    assert isinstance(info.value.__cause__, error)
+    written = [artifact_path(run, output, case_id).exists() for case_id in ids]
+    assert written == [k != failed for k in range(3)]
+
+    code = main([command, "--manifest", str(manifest_path), "--run-dir", str(run)])
+    assert code == 1
+    message = json.loads(capsys.readouterr().err)["message"]
+    assert named in message
+
+
 def test_crown_bottom_leaves_features_unchanged(tmp_path):
     """A die is featurized from its decimated mesh as preprocess wrote
     it, whether or not a crown bottom gives it labels."""

@@ -117,9 +117,8 @@ def test_crown_bottom_is_the_die_above_the_crease(seed):
     """A synthetic case's crown bottom is the die's faces above the crease:
     the same triangles, coordinate for coordinate and in face order, and
     its one boundary loop is the die's crease ring."""
-    case = generate_case("crown", np.random.default_rng([seed, 0]))
-    die, crown = case.die, case.crown_bottom
-    crease_z = case.truth_points[0, 2]
+    die, crown, truth = generate_case(np.random.default_rng([seed, 0]))
+    crease_z = truth[0, 2]
     # the nearest barycenters lie a third of a row off the crease
     above = die.barycenters[:, 2] > crease_z + 1e-6
     assert np.array_equal(crown.vertices[crown.faces], die.vertices[die.faces[above]])

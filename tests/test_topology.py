@@ -193,9 +193,9 @@ def transferred_dies():
     """Three synthetic dies at 2000 faces with their transferred labels."""
     dies = []
     for seed in (3, 29, 41):
-        case = generate_case(f"topo{seed}", np.random.default_rng([seed, 0]))
-        die = decimate(case.die, 2000)
-        labels = label_die(die, extract_margin_points(case.crown_bottom))
+        die, crown, _ = generate_case(np.random.default_rng([seed, 0]))
+        die = decimate(die, 2000)
+        labels = label_die(die, extract_margin_points(crown))
         dies.append((die, labels))
     return dies
 
