@@ -1,5 +1,6 @@
-"""Margin line generation: label-boundary faces, full-resolution surface
-projection, periodic smoothing spline, and the sampled surface loop."""
+"""Margin line generation: the label boundary cut again on the
+full-resolution scan within a narrow band, a periodic smoothing spline
+through the cut's vertices, and the sampled surface loop."""
 
 from __future__ import annotations
 
@@ -8,30 +9,32 @@ import warnings
 from pathlib import Path
 
 import numpy as np
+from scipy.spatial import cKDTree
 
 from .errors import BoundaryExtractionError
-from .mesh import TriangleMesh, closed_loops
+from .mesh import TriangleMesh, closed_loops, compact_mesh
+from .refine import cleanup_components, graph_cut_refine
 from .spline import fit_smoothing_spline
+
+# the band's half-width, in mean edge lengths of the decimated die, and
+# the points sampled along each of its label-boundary edges
+BAND_EDGES = 2.0
+EDGE_SAMPLES = 5
 
 
 def _label_boundary_edges(mesh: TriangleMesh, labels):
-    """Mesh edges separating label-1 from label-0 faces, with the label-1
-    face of each edge."""
+    """Vertex pairs of the mesh edges whose two faces carry different
+    labels."""
     ef, ev = mesh.adjacency().interior_edges()
-    diff = labels[ef[:, 0]] != labels[ef[:, 1]]
-    ef = ef[diff]
-    ev = ev[diff]
-    one_side = np.where(labels[ef[:, 0]] == 1, ef[:, 0], ef[:, 1])
-    return ev, one_side
+    return ev[labels[ef[:, 0]] != labels[ef[:, 1]]]
 
 
 def extract_boundary_faces(mesh: TriangleMesh, labels):
-    """Ordered centers of the label-1 faces adjacent to label-0 faces
-    (`labels` one int per face of `mesh`), following the longest closed
-    loop of label-boundary edges.
+    """Vertices of the longest closed loop of edges between label-1 and
+    label-0 faces (`labels` one int per face of `mesh`), in loop order.
 
-    Returns (centers (k, 3), face ids (k,))."""
-    ev, one_side = _label_boundary_edges(mesh, labels)
+    Returns (points (k, 3), vertex ids (k,))."""
+    ev = _label_boundary_edges(mesh, labels)
     if len(ev) == 0:
         raise BoundaryExtractionError("labels are uniform: no label boundary")
     loops = closed_loops(mesh, ev)
@@ -44,13 +47,50 @@ def extract_boundary_faces(mesh: TriangleMesh, labels):
             f"is open, and its odd-degree ends (vertices {ends.tolist()}) lie "
             "on the mesh boundary, which the label-1 region reaches"
         )
-    _, loop, _ = loops[0]
-    faces = []
-    for f in one_side[loop].tolist():
-        if not faces or (f != faces[-1] and f != faces[0]):
-            faces.append(f)
-    face_ids = np.asarray(faces, dtype=np.int64)
-    return mesh.barycenters[face_ids], face_ids
+    verts = loops[0][0]
+    return mesh.vertices[verts], verts
+
+
+def _band_cut(mesh: TriangleMesh, labels, die: TriangleMesh):
+    """Labels of `die`'s faces, with the label boundary of `mesh` (a
+    decimation of `die`) cut again on `die`.
+
+    The band is the faces of `die` whose barycenter lies within
+    BAND_EDGES mean edges of `mesh` from a point on that boundary. A face
+    outside it takes the label of the nearest barycenter of `mesh`. The
+    band is cut by `graph_cut_refine` at its defaults, with a flat unary
+    except on faces that share an edge with an outside face, which are
+    held to that face's label. Returns (labels, band submesh)."""
+    ev = _label_boundary_edges(mesh, labels)
+    if len(ev) == 0:
+        raise BoundaryExtractionError("labels are uniform: no label boundary")
+    a, b = mesh.vertices[ev[:, 0]], mesh.vertices[ev[:, 1]]
+    t = np.linspace(0.0, 1.0, EDGE_SAMPLES)[:, None, None]
+    samples = (a + t * (b - a)).reshape(-1, 3)
+    edges = mesh.adjacency().edge_vertices
+    mean_edge = np.linalg.norm(
+        mesh.vertices[edges[:, 0]] - mesh.vertices[edges[:, 1]], axis=1
+    ).mean()
+    dist, _ = cKDTree(samples).query(
+        die.barycenters, distance_upper_bound=BAND_EDGES * mean_edge
+    )
+    band = np.isfinite(dist)
+    out = np.empty(die.n_faces, dtype=np.int64)
+    _, nearest = cKDTree(mesh.barycenters).query(die.barycenters[~band])
+    out[~band] = labels[nearest]
+
+    ids = np.flatnonzero(band)
+    sub = compact_mesh(die.vertices, die.faces[ids])
+    ef, _ = die.adjacency().interior_edges()
+    ef = ef[band[ef[:, 0]] != band[ef[:, 1]]]
+    inside = band[ef[:, 0]]
+    rim = np.where(inside, ef[:, 0], ef[:, 1])
+    outer = np.where(inside, ef[:, 1], ef[:, 0])
+    probs = np.full((len(ids), 2), 0.5)
+    probs[np.searchsorted(ids, rim)] = np.eye(2)[out[outer]]
+    cut = graph_cut_refine(sub, probs)
+    out[ids] = cleanup_components(cut, sub.adjacency())
+    return out, sub
 
 
 def save_margin_json(path, points, case_id):
@@ -111,17 +151,19 @@ def extract_margin_line(
     n_samples,
     case_id="",
 ):
-    """Boundary face centers of `mesh` under `labels` -> closest points
-    on the original die -> periodic smoothing spline -> n_samples
-    parameter-uniform samples, each projected back onto the die surface.
-    Returns those (n_samples, 3) points in loop order; `case_id` only
-    names the case in a warning."""
-    centers, _ = extract_boundary_faces(mesh, labels)
-    bvh = original_die.bvh()
-    projected, _, _ = bvh.closest_points(centers)
-    spline = fit_smoothing_spline(projected)
-    sampled = spline.sample(n_samples)
-    on_surface, _, _ = bvh.closest_points(sampled)
+    """The margin of `mesh` under `labels` on `original_die`, the
+    full-resolution die that `mesh` was decimated from.
+
+    The label boundary is cut again on `original_die` within a band
+    around it (see `_band_cut`); a periodic smoothing spline is fitted to
+    the vertices of the longest loop of the cut's boundary, and its
+    n_samples parameter-uniform samples are projected onto the band's
+    faces. Returns those (n_samples, 3) points in loop order; `case_id`
+    only names the case in a warning."""
+    die_labels, band = _band_cut(mesh, labels, original_die)
+    loop, _ = extract_boundary_faces(original_die, die_labels)
+    spline = fit_smoothing_spline(loop)
+    on_surface, _, _ = band.bvh().closest_points(spline.sample(n_samples))
     if _self_intersects_2d(on_surface):
         warnings.warn(f"margin line for case {case_id!r} self-intersects")
     return on_surface

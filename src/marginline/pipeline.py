@@ -355,7 +355,7 @@ def stage_refine(manifest: DatasetManifest, config: PipelineConfig, run_dir):
 
 
 def stage_extract(manifest: DatasetManifest, config: PipelineConfig, run_dir):
-    """Margin line per case, projected onto the full-resolution die."""
+    """Margin line per case, cut and sampled on the full-resolution die."""
 
     def one(case, path):
         decimated = load_mesh(path("decimated"))

@@ -1,5 +1,6 @@
-"""Tests for margin line extraction: label-boundary faces, spline
-projection onto the original surface, and serialization."""
+"""Tests for margin line extraction: the label-boundary loop, the band cut
+on the full-resolution die, the spline's samples on its surface, and
+serialization."""
 
 import json
 
@@ -24,17 +25,18 @@ def _threshold_labels(mesh, z):
 
 
 def test_boundary_faces_straddle_crease(labeled_die_case):
-    """Boundary face centers sit within two edge lengths of the analytic
-    margin curve."""
+    """The boundary loop's vertices are decimated vertices on the crease:
+    within a tenth of a mean edge of the analytic margin curve, where a
+    boundary face's center would sit about a third of a face off it."""
     mesh = labeled_die_case["decimated"]
     labels = _threshold_labels(mesh, labeled_die_case["truth_points"][:, 2].mean())
-    centers, face_ids = extract_boundary_faces(mesh, labels)
-    assert len(centers) == len(face_ids)
-    assert np.all(labels[face_ids] == 1)
+    points, vertex_ids = extract_boundary_faces(mesh, labels)
+    assert len(points) == len(vertex_ids) == len(np.unique(vertex_ids))
+    assert np.array_equal(points, mesh.vertices[vertex_ids])
     edges = mesh.vertices[mesh.faces[:, [0, 1]]]
     mean_edge = float(np.linalg.norm(edges[:, 0] - edges[:, 1], axis=1).mean())
-    d = cKDTree(labeled_die_case["truth_points"]).query(centers)[0]
-    assert d.max() <= 2.0 * mean_edge
+    d = cKDTree(labeled_die_case["truth_points"]).query(points)[0]
+    assert d.max() <= 0.1 * mean_edge
 
 
 def test_uniform_labels_raise():
@@ -68,15 +70,46 @@ def test_label_region_reaching_the_base_names_the_open_chain():
 
 
 def test_extract_margin_line_close_to_analytic():
+    """The band cut puts the line on the crease: 4.8 um max on the default
+    die, against 150 um for a spline through boundary face centers."""
     die, crease = frustum_die()
     labels = _threshold_labels(die, crease["z"])
     points = extract_margin_line(die, labels, die, n_samples=2000, case_id="die")
     assert len(points) == 2000
     truth = crease_circle(crease, n=4096)
     d = cKDTree(truth).query(points)[0]
-    edges = die.vertices[die.faces[:, [0, 1]]]
-    mean_edge = float(np.linalg.norm(edges[:, 0] - edges[:, 1], axis=1).mean())
-    assert d.max() <= 2.0 * mean_edge
+    assert d.max() <= 0.010
+
+
+@pytest.mark.parametrize("offset", [-0.3, -0.15, 0.0, 0.15, 0.3])
+def test_band_cut_snaps_to_the_crease_from_an_offset_boundary(
+    standard_die, hires_die, decimated_hires_die, offset
+):
+    """Decimated labels whose boundary runs up to about a face (0.31 mm
+    mean edge) above or below the crease: the cut on the full-resolution
+    die finds the crease (0.41 um max for every offset)."""
+    crease = standard_die[1]  # the hires die's crease too
+    labels = _threshold_labels(decimated_hires_die, crease["z"] + offset)
+    points = extract_margin_line(decimated_hires_die, labels, hires_die, n_samples=2000)
+    d = cKDTree(crease_circle(crease, n=65536)).query(points)[0]
+    assert d.max() <= 1e-3
+
+
+def test_band_cut_of_a_boundary_off_the_crease_closes_on_the_surface(
+    standard_die, hires_die, decimated_hires_die
+):
+    """A boundary tilted across the crease: the band holds the crease only
+    where the two cross. The cut's boundary still closes on the full die,
+    and the samples lie on its surface."""
+    crease = standard_die[1]  # the hires die's crease too
+    mesh = decimated_hires_die
+    labels = (
+        mesh.barycenters[:, 2] > crease["z"] + 0.4 * mesh.barycenters[:, 0]
+    ).astype(np.int64)
+    points = extract_margin_line(mesh, labels, hires_die, n_samples=500)
+    assert points.shape == (500, 3)
+    _, _, dist = hires_die.bvh().closest_points(points)
+    assert np.max(np.abs(dist)) < 1e-9
 
 
 def test_margin_points_lie_on_surface():

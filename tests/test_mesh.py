@@ -8,6 +8,7 @@ from marginline.mesh import (
     compact_mesh,
     connected_components,
     extract_boundary_loops,
+    first_positions,
 )
 from marginline.shapes import grid_patch, icosphere, open_cylinder
 
@@ -83,6 +84,22 @@ def test_connected_components_order():
     comps = connected_components(np.array([0, 1, 6, 7]), adjacency)
     assert len(comps) == 2
     assert len(comps[0]) >= len(comps[1])
+
+
+def test_first_positions_match_unique():
+    """Byte for byte `np.unique(values, return_index=True)`'s positions,
+    on random component arrays in which every id occurs."""
+    rng = np.random.default_rng(8)
+    for n in (1, 2, 7, 300, 5000):
+        for n_ids in {1, min(n, 3), min(n, 40), n}:
+            values = np.concatenate([np.arange(n_ids), rng.integers(0, n_ids, n - n_ids)])
+            values = rng.permutation(values).astype(np.int32)
+            got = first_positions(values, n_ids)
+            expected = np.unique(values, return_index=True)[1]
+            assert got.dtype == expected.dtype
+            assert got.tobytes() == expected.tobytes()
+    # an id that never occurs is placed past the end
+    assert first_positions(np.array([2, 0, 2]), 4).tolist() == [1, 3, 0, 3]
 
 
 def test_transformed_keeps_face_order(unit_sphere):

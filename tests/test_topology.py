@@ -125,9 +125,10 @@ def boundary_loops_reference(mesh):
     return loops
 
 
-def boundary_faces_reference(mesh, labels):
-    """Label-1 faces along the longest closed label-boundary loop."""
-    ev, one_side = _label_boundary_edges(mesh, labels)
+def boundary_vertices_reference(mesh, labels):
+    """Vertices of the longest closed label-boundary loop, in walk order
+    from its first edge's first vertex."""
+    ev = _label_boundary_edges(mesh, labels)
     if len(ev) == 0:
         raise BoundaryExtractionError("labels are uniform: no label boundary")
     loops = edge_loops_reference(ev)
@@ -138,12 +139,13 @@ def boundary_faces_reference(mesh, labels):
         sum(float(np.linalg.norm(verts[ev[e, 0]] - verts[ev[e, 1]])) for e in loop)
         for loop in loops
     ]
-    faces = []
-    for eid in loops[int(np.argmax(lengths))]:
-        f = int(one_side[eid])
-        if not faces or (f != faces[-1] and f != faces[0]):
-            faces.append(f)
-    return np.asarray(faces, dtype=np.int64)
+    loop = loops[int(np.argmax(lengths))]
+    walk = [int(ev[loop[0], 0])]
+    for eid in loop:
+        a, b = (int(v) for v in ev[eid])
+        walk.append(b if a == walk[-1] else a)
+    assert walk[-1] == walk[0]
+    return np.asarray(walk[:-1], dtype=np.int64)
 
 
 # -- comparisons ------------------------------------------------------------
@@ -163,7 +165,7 @@ def _assert_matches_references(mesh, labels):
         np.flatnonzero(mask).tolist(), neighbors
     )
 
-    ev, _ = _label_boundary_edges(mesh, labels)
+    ev = _label_boundary_edges(mesh, labels)
     walked = walk_closed_loops(ev)
     assert [e.tolist() for _, e in walked] == edge_loops_reference(ev)
     for verts, edges in walked:  # edge k joins vertices k and k + 1
@@ -171,14 +173,14 @@ def _assert_matches_references(mesh, labels):
         assert np.array_equal(pairs, ev[edges])
 
     try:
-        expected = boundary_faces_reference(mesh, labels)
+        expected = boundary_vertices_reference(mesh, labels)
     except BoundaryExtractionError:
         with pytest.raises(BoundaryExtractionError):
             extract_boundary_faces(mesh, labels)
     else:
-        centers, face_ids = extract_boundary_faces(mesh, labels)
-        assert np.array_equal(face_ids, expected)
-        assert np.array_equal(centers, mesh.barycenters[expected])
+        points, vertex_ids = extract_boundary_faces(mesh, labels)
+        assert np.array_equal(vertex_ids, expected)
+        assert np.array_equal(points, mesh.vertices[expected])
 
 
 def _assert_boundary_loops_match(mesh):
@@ -239,7 +241,7 @@ def test_pinch_vertex_label_boundary(squares):
     edges share it."""
     patch = grid_patch(n=6)
     labels = _grid_labels(6, squares)
-    ev, _ = _label_boundary_edges(patch, labels)
+    ev = _label_boundary_edges(patch, labels)
     assert np.bincount(ev.ravel()).max() == 4
     _assert_matches_references(patch, labels)
     assert sum(len(e) for _, e in walk_closed_loops(ev)) == len(ev)
@@ -261,7 +263,7 @@ def test_open_label_boundary_has_no_loop():
     """A label boundary running from rim to rim closes no loop."""
     patch = grid_patch(n=6)
     labels = (patch.barycenters[:, 0] > 3.0).astype(np.int64)
-    ev, _ = _label_boundary_edges(patch, labels)
+    ev = _label_boundary_edges(patch, labels)
     assert len(ev) > 0
     assert walk_closed_loops(ev) == [] == edge_loops_reference(ev)
     with pytest.raises(BoundaryExtractionError, match="form no closed loop"):
