@@ -2,8 +2,8 @@
 
 Pipeline: canonical-pose registration, decimation, label transfer from
 crown bottoms, cell featurization, graph-constrained mesh segmentation with
-k-fold ensembling, graph-cut refinement, and periodic smoothing-spline
-margin extraction projected back onto the original scan.
+k-fold ensembling, a banded graph cut on the full-resolution scan, and
+periodic smoothing-spline margin extraction on that scan.
 """
 
 from .errors import (

@@ -45,9 +45,9 @@ COMMANDS = {
         ("folds", "epochs", "width_scale", "seed"),
     ),
     "predict": ((pl.stage_predict,), "run the ensemble on the dataset", ("ensemble",)),
-    "refine": ((pl.stage_refine,), "graph-cut label refinement", ()),
+    "refine": ((pl.stage_refine,), "keep the ensemble's vote, islands removed", ()),
     "extract": (
-        (pl.stage_extract,), "fit and sample the margin lines", ("n_samples",)
+        (pl.stage_extract,), "cut, fit and sample the margin lines", ("n_samples",)
     ),
     "evaluate": ((pl.stage_evaluate,), "score predictions against truth", ()),
     "pipeline": (

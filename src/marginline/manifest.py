@@ -2,10 +2,11 @@
 
 Schema (one entry per case):
     {"case_id": str, "die_path": str, "crown_bottom_path": str|null,
-     "arch": "upper"|"lower", "tooth_position": 11|21|31|41,
      "rating": float|null, "split": "train"|"test"}
 
-Keys outside this schema are accepted and ignored.
+Keys outside this schema are accepted and ignored: among them `arch`
+and `tooth_position`, which no stage reads (registration puts every die
+base down, whatever its arch).
 
 Paths are resolved relative to the manifest file. A directory stands for
 the `manifest.json` in it; one without a manifest is scanned instead:
@@ -21,16 +22,11 @@ from pathlib import Path
 
 from .errors import ManifestError
 
-TOOTH_POSITIONS = (11, 21, 31, 41)
-
-
 @dataclass
 class CaseEntry:
     case_id: str
     die_path: Path
     crown_bottom_path: Path | None
-    arch: str
-    tooth_position: int
     rating: float | None
     split: str
 
@@ -80,17 +76,10 @@ def _validate_entry(raw, base, index):
     where = f"manifest entry {index}"
     if not isinstance(raw, dict):
         raise ManifestError(f"{where}: {raw!r} is not a JSON object")
-    for key in ("case_id", "die_path", "arch"):
+    for key in ("case_id", "die_path"):
         if key not in raw:
             raise ManifestError(f"{where}: missing required key {key!r}")
     case_id = _check_case_id(raw["case_id"], where)
-    if raw["arch"] not in ("upper", "lower"):
-        raise ManifestError(f"{where}: arch must be 'upper' or 'lower'")
-    pos = raw.get("tooth_position", 11)
-    if pos not in TOOTH_POSITIONS:
-        raise ManifestError(
-            f"{where}: tooth_position {pos!r} not in {TOOTH_POSITIONS}"
-        )
     rating = raw.get("rating")
     # bool is an int, but `true` is no rating
     if isinstance(rating, bool) or not (
@@ -108,8 +97,6 @@ def _validate_entry(raw, base, index):
         case_id=case_id,
         die_path=die,
         crown_bottom_path=crown,
-        arch=raw["arch"],
-        tooth_position=int(pos),
         rating=None if rating is None else float(rating),
         split=split,
     )
@@ -149,8 +136,6 @@ def scan_directory(directory) -> DatasetManifest:
                 case_id=case_id,
                 die_path=die.resolve(),
                 crown_bottom_path=crown.resolve() if crown.exists() else None,
-                arch="lower",
-                tooth_position=31,
                 rating=None,
                 split="train",
             )

@@ -1,6 +1,7 @@
-"""Margin line generation: the label boundary cut again on the
-full-resolution scan within a narrow band, a periodic smoothing spline
-through the cut's vertices, and the sampled surface loop."""
+"""Margin line generation: the graph-cut problem that cuts a decimated
+die's label boundary again on the full-resolution scan within a narrow
+band, a periodic smoothing spline through the scan's label-boundary
+vertices, and the sampled surface loop."""
 
 from __future__ import annotations
 
@@ -13,7 +14,6 @@ from scipy.spatial import cKDTree
 
 from .errors import BoundaryExtractionError
 from .mesh import TriangleMesh, closed_loops, compact_mesh
-from .refine import cleanup_components, graph_cut_refine
 from .spline import fit_smoothing_spline
 
 # the band's half-width, in mean edge lengths of the decimated die, and
@@ -51,16 +51,17 @@ def extract_boundary_faces(mesh: TriangleMesh, labels):
     return mesh.vertices[verts], verts
 
 
-def _band_cut(mesh: TriangleMesh, labels, die: TriangleMesh):
-    """Labels of `die`'s faces, with the label boundary of `mesh` (a
-    decimation of `die`) cut again on `die`.
+def band_problem(mesh: TriangleMesh, labels, die: TriangleMesh):
+    """The label boundary of `mesh` (a decimation of `die`, `labels` one
+    int per face of `mesh`) as a graph-cut problem on `die`.
 
     The band is the faces of `die` whose barycenter lies within
     BAND_EDGES mean edges of `mesh` from a point on that boundary. A face
     outside it takes the label of the nearest barycenter of `mesh`. The
-    band is cut by `graph_cut_refine` at its defaults, with a flat unary
-    except on faces that share an edge with an outside face, which are
-    held to that face's label. Returns (labels, band submesh)."""
+    band's unary is flat, except on faces that share an edge with an
+    outside face, which are held to that face's label. Returns (labels of
+    `die`'s faces, -1 in the band; the band's face ids, ascending; the
+    band's submesh; its (len(ids), 2) unary probabilities)."""
     ev = _label_boundary_edges(mesh, labels)
     if len(ev) == 0:
         raise BoundaryExtractionError("labels are uniform: no label boundary")
@@ -75,22 +76,19 @@ def _band_cut(mesh: TriangleMesh, labels, die: TriangleMesh):
         die.barycenters, distance_upper_bound=BAND_EDGES * mean_edge
     )
     band = np.isfinite(dist)
-    out = np.empty(die.n_faces, dtype=np.int64)
+    out = np.full(die.n_faces, -1, dtype=np.int64)
     _, nearest = cKDTree(mesh.barycenters).query(die.barycenters[~band])
     out[~band] = labels[nearest]
 
     ids = np.flatnonzero(band)
-    sub = compact_mesh(die.vertices, die.faces[ids])
     ef, _ = die.adjacency().interior_edges()
     ef = ef[band[ef[:, 0]] != band[ef[:, 1]]]
     inside = band[ef[:, 0]]
     rim = np.where(inside, ef[:, 0], ef[:, 1])
     outer = np.where(inside, ef[:, 1], ef[:, 0])
-    probs = np.full((len(ids), 2), 0.5)
-    probs[np.searchsorted(ids, rim)] = np.eye(2)[out[outer]]
-    cut = graph_cut_refine(sub, probs)
-    out[ids] = cleanup_components(cut, sub.adjacency())
-    return out, sub
+    unary = np.full((len(ids), 2), 0.5)
+    unary[np.searchsorted(ids, rim)] = np.eye(2)[out[outer]]
+    return out, ids, compact_mesh(die.vertices, die.faces[ids]), unary
 
 
 def save_margin_json(path, points, case_id):
@@ -144,26 +142,20 @@ def _self_intersects_2d(points):
     return bool(np.any(~skip & (0 < t) & (t < 1) & (0 < u) & (u < 1)))
 
 
-def extract_margin_line(
-    mesh: TriangleMesh,
-    labels,
-    original_die: TriangleMesh,
-    n_samples,
-    case_id="",
-):
-    """The margin of `mesh` under `labels` on `original_die`, the
-    full-resolution die that `mesh` was decimated from.
+def extract_margin_line(die: TriangleMesh, labels, n_samples, case_id=""):
+    """The margin of `die` under `labels` (one int per face of `die`).
 
-    The label boundary is cut again on `original_die` within a band
-    around it (see `_band_cut`); a periodic smoothing spline is fitted to
-    the vertices of the longest loop of the cut's boundary, and its
-    n_samples parameter-uniform samples are projected onto the band's
-    faces. Returns those (n_samples, 3) points in loop order; `case_id`
-    only names the case in a warning."""
-    die_labels, band = _band_cut(mesh, labels, original_die)
-    loop, _ = extract_boundary_faces(original_die, die_labels)
+    A periodic smoothing spline is fitted to the vertices of the longest
+    label-boundary loop, and its n_samples parameter-uniform samples are
+    projected onto the faces that touch that loop. Returns those
+    (n_samples, 3) points in loop order; `case_id` only names the case
+    in a warning."""
+    loop, verts = extract_boundary_faces(die, labels)
     spline = fit_smoothing_spline(loop)
-    on_surface, _, _ = band.bvh().closest_points(spline.sample(n_samples))
+    on_loop = np.zeros(len(die.vertices), dtype=bool)
+    on_loop[verts] = True
+    ring = compact_mesh(die.vertices, die.faces[on_loop[die.faces].any(axis=1)])
+    on_surface, _, _ = ring.bvh().closest_points(spline.sample(n_samples))
     if _self_intersects_2d(on_surface):
         warnings.warn(f"margin line for case {case_id!r} self-intersects")
     return on_surface

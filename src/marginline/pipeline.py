@@ -49,6 +49,7 @@ from .features import (
 from .labeling import extract_margin_points, label_die
 from .manifest import DatasetManifest
 from .margin import (
+    band_problem,
     extract_margin_line,
     load_margin_json,
     save_margin_json,
@@ -221,13 +222,11 @@ def stage_preprocess(manifest: DatasetManifest, config: PipelineConfig, run_dir)
 
     def one(case, path):
         die = load_mesh(case.die_path)
-        registered, transform = obb_register(die, arch=case.arch)
+        registered, transform = obb_register(die)
         decimated = decimate(registered, config.target_faces)
         save_stl_binary(decimated, path("decimated"))
         _save_transform(
-            path("transform"),
-            transform,
-            {"arch": case.arch, "target_faces": config.target_faces},
+            path("transform"), transform, {"target_faces": config.target_faces}
         )
 
     return _each_case("preprocess", manifest, run_dir, one)
@@ -332,7 +331,7 @@ def stage_predict(manifest: DatasetManifest, config: PipelineConfig, run_dir):
     def one(case, path):
         feats, adj, _ = load_feature_cache(path("features"))
         fields = thread_map(lambda params: forward(params, feats.matrix, adj), models)
-        # refine cuts this field, whose argmax is the ensemble's label
+        # refine keeps this field's argmax, the ensemble's label
         field = combined_field(fields, config.ensemble)
         np.save(path("probs"), field)
 
@@ -340,31 +339,41 @@ def stage_predict(manifest: DatasetManifest, config: PipelineConfig, run_dir):
 
 
 def stage_refine(manifest: DatasetManifest, config: PipelineConfig, run_dir):
-    """Graph-cut smoothing of the ensembled fields plus island removal,
-    at `GraphCutConfig`'s λ and σ."""
+    """The ensemble's vote on each decimated die, with label-1 islands
+    removed: the labels that evaluate scores and extract cuts again."""
 
     def one(case, path):
         mesh = load_mesh(path("decimated"))
         probs = _load_per_face(path("probs"), mesh)
-        labels = graph_cut_refine(mesh, probs)
-        labels = cleanup_components(labels, mesh.adjacency())
+        labels = cleanup_components(probs.argmax(axis=1), mesh.adjacency())
         np.save(path("refined"), labels)
         save_ply(mesh, path("refined_ply"), labels)
 
     return _each_case("refine", _prediction_cases(manifest), run_dir, one)
 
 
+def _scan_labels(decimated: TriangleMesh, labels, scan: TriangleMesh):
+    """Labels of `scan`'s faces: the label boundary of `decimated` (its
+    decimation, in the same frame) cut again on `scan` within a band
+    (`margin.band_problem`) by `graph_cut_refine` at `GraphCutConfig`'s
+    λ and σ, with label-1 islands of the band removed."""
+    out, band, sub, unary = band_problem(decimated, labels, scan)
+    out[band] = cleanup_components(graph_cut_refine(sub, unary), sub.adjacency())
+    return out
+
+
 def stage_extract(manifest: DatasetManifest, config: PipelineConfig, run_dir):
-    """Margin line per case, cut and sampled on the full-resolution die."""
+    """Margin line per case: the decimated die's labels cut again on the
+    registered full-resolution scan (the pipeline's one graph cut), then
+    walked, fitted and sampled there."""
 
     def one(case, path):
         decimated = load_mesh(path("decimated"))
         labels = _load_per_face(path("refined"), decimated)
-        original = _registered(load_mesh(case.die_path), path("transform"))
+        scan = _registered(load_mesh(case.die_path), path("transform"))
         points = extract_margin_line(
-            decimated,
-            labels,
-            original,
+            scan,
+            _scan_labels(decimated, labels, scan),
             n_samples=config.n_samples,
             case_id=case.case_id,
         )

@@ -14,8 +14,8 @@ leaves free, are fixed deterministically:
     largest |x| decides.
   * y completes a right-handed frame.
 
-Upper-arch meshes receive an additional 180 degree rotation about x so
-that all dies share one orientation.
+The pose depends on the geometry alone: an upper-arch die is registered
+as a lower one is, base down.
 """
 
 from __future__ import annotations
@@ -40,13 +40,6 @@ class RigidTransform:
     def inverse(self):
         return RigidTransform(self.rotation.T, -self.rotation.T @ self.translation)
 
-    def compose(self, other):
-        """Transform equal to applying `other` first, then self."""
-        return RigidTransform(
-            self.rotation @ other.rotation,
-            self.rotation @ other.translation + self.translation,
-        )
-
 
 # ranges augmented copies draw their rotations (degrees) and per-axis
 # scales from, uniformly
@@ -67,10 +60,8 @@ def rotation_xyz(rx, ry, rz):
     return Rz @ Ry @ Rx
 
 
-def obb_register(mesh: TriangleMesh, arch="lower"):
+def obb_register(mesh: TriangleMesh):
     """Canonical-pose registration; returns (registered mesh, transform)."""
-    if arch not in ("upper", "lower"):
-        raise ValueError(f"arch must be 'upper' or 'lower', got {arch!r}")
     try:
         hull = ConvexHull(mesh.vertices)
     except QhullError as exc:
@@ -112,9 +103,6 @@ def obb_register(mesh: TriangleMesh, arch="lower"):
 
     rotation = axes
     transform = RigidTransform(rotation, -rotation @ center)
-    if arch == "upper":
-        flip = RigidTransform(rotation_xyz(np.pi, 0.0, 0.0), np.zeros(3))
-        transform = flip.compose(transform)
     registered = TriangleMesh(transform.apply(mesh.vertices), mesh.faces)
     return registered, transform
 

@@ -81,8 +81,6 @@ def generate_benchmark(out_dir, n_cases=20, seed=7):
                 "case_id": case_id,
                 "die_path": die_name,
                 "crown_bottom_path": crown_name,
-                "arch": "lower",
-                "tooth_position": 31,
                 "rating": None,
                 "split": "train",
             }

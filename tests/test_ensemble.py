@@ -112,8 +112,8 @@ def test_democracy_field_carries_the_vote():
 )
 @settings(max_examples=50, deadline=None)
 def test_combined_field_argmax_is_the_label(m, n, seed):
-    """The field refine cuts has, face by face, the label each strategy's
-    rule gives (loop references), exact ties included."""
+    """The field whose argmax refine keeps has, face by face, the label
+    each strategy's rule gives (loop references), exact ties included."""
     rng = np.random.default_rng(seed)
     # coarse probabilities, so that confidences, votes and sums often tie
     p = rng.integers(0, 5, size=(m, n)) / 4.0

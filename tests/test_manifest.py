@@ -31,8 +31,6 @@ def _entry(**overrides):
         "case_id": "a",
         "die_path": "a_die.stl",
         "crown_bottom_path": "a_crown_bottom.stl",
-        "arch": "lower",
-        "tooth_position": 31,
         "rating": 3,
         "split": "train",
     }
@@ -46,8 +44,6 @@ def test_round_trip(tmp_path):
     m = load_manifest(path)
     assert len(m) == 2
     a = _by_id(m, "a")
-    assert a.arch == "lower"
-    assert a.tooth_position == 31
     assert a.rating == 3.0
     assert a.die_path.exists()
     b = _by_id(m, "b")
@@ -66,23 +62,21 @@ def test_plain_list_accepted(tmp_path):
 def test_defaults(tmp_path):
     (tmp_path / "a_die.stl").touch()
     path = tmp_path / "m.json"
-    path.write_text(json.dumps([{"case_id": "a", "die_path": "a_die.stl",
-                                 "arch": "upper"}]))
+    path.write_text(json.dumps([{"case_id": "a", "die_path": "a_die.stl"}]))
     case = _by_id(load_manifest(path), "a")
     assert case.split == "train"
-    assert case.tooth_position == 11
+    assert case.crown_bottom_path is None
     assert case.rating is None
 
 
 def test_validation_errors(tmp_path):
     (tmp_path / "a_die.stl").touch()
     bad = [
-        _entry(arch="sideways", crown_bottom_path=None),
-        _entry(tooth_position=12, crown_bottom_path=None),
         _entry(rating=5, crown_bottom_path=None),
         _entry(split="holdout", crown_bottom_path=None),
         _entry(die_path="missing_die.stl", crown_bottom_path=None),
-        {"die_path": "a_die.stl", "arch": "lower"},  # no case_id
+        {"die_path": "a_die.stl"},  # no case_id
+        {"case_id": "a"},  # no die_path
     ]
     for entry in bad:
         path = tmp_path / "m.json"
@@ -160,11 +154,11 @@ def test_directory_scan(tmp_path):
 def test_directory_with_a_manifest_reads_it(tmp_path):
     """The directory stands for its manifest.json: the file's metadata,
     not the scan's defaults."""
-    path = _write(tmp_path, [_entry(arch="upper", split="test", rating=3)])
+    path = _write(tmp_path, [_entry(split="test", rating=3)])
     from_dir, from_file = load_manifest(tmp_path), load_manifest(path)
     assert from_dir.cases == from_file.cases
     case = _by_id(from_dir, "a")
-    assert (case.arch, case.split, case.rating) == ("upper", "test", 3.0)
+    assert (case.split, case.rating) == ("test", 3.0)
 
 
 def test_empty_directory_raises(tmp_path):
@@ -182,6 +176,18 @@ def test_extra_keys_accepted_and_ignored(tmp_path):
     assert load_manifest(path).cases == load_manifest(plain).cases
 
 
+def test_arch_and_tooth_position_are_ignored_keys(tmp_path):
+    """No stage reads a case's arch or tooth position, so the manifest
+    takes any value for them, as for any key outside its schema."""
+    (tmp_path / "a_die.stl").touch()
+    path = tmp_path / "m.json"
+    plain = tmp_path / "plain.json"
+    entry = _entry(crown_bottom_path=None, arch="sideways", tooth_position=12)
+    path.write_text(json.dumps([entry]))
+    plain.write_text(json.dumps([_entry(crown_bottom_path=None)]))
+    assert load_manifest(path).cases == load_manifest(plain).cases
+
+
 @pytest.mark.parametrize(
     "raw, names",
     [
@@ -190,7 +196,7 @@ def test_extra_keys_accepted_and_ignored(tmp_path):
         (["case_id die_path arch"], "manifest entry 0"),
         ([_entry(crown_bottom_path=None), _entry(die_path=3)], "manifest entry 1"),
         ([_entry(crown_bottom_path=7)], "manifest entry 0"),
-        ([_entry(tooth_position=None, crown_bottom_path=None)], "manifest entry 0"),
+        ([_entry(split=None, crown_bottom_path=None)], "manifest entry 0"),
         ([_entry(rating=[3], crown_bottom_path=None)], "manifest entry 0"),
         ([_entry(die_path="", crown_bottom_path=None)], "manifest entry 0"),
         ([_entry(die_path="x" * 300, crown_bottom_path=None)], "manifest entry 0"),

@@ -17,11 +17,20 @@ from marginline.margin import (
     save_margin_json,
     save_margin_obj,
 )
+from marginline.pipeline import _scan_labels
+from marginline.refine import cleanup_components, graph_cut_refine
 from marginline.shapes import crease_circle, frustum_die, icosphere
+from marginline.spline import fit_smoothing_spline
 
 
 def _threshold_labels(mesh, z):
     return (mesh.barycenters[:, 2] > z).astype(np.int64)
+
+
+def _margin(mesh, labels, die, n_samples, case_id=""):
+    """The margin as `stage_extract` makes it: `labels` of `mesh` (a
+    decimation of `die`) cut again on `die`, then walked and sampled."""
+    return extract_margin_line(die, _scan_labels(mesh, labels, die), n_samples, case_id)
 
 
 def test_boundary_faces_straddle_crease(labeled_die_case):
@@ -74,7 +83,7 @@ def test_extract_margin_line_close_to_analytic():
     die, against 150 um for a spline through boundary face centers."""
     die, crease = frustum_die()
     labels = _threshold_labels(die, crease["z"])
-    points = extract_margin_line(die, labels, die, n_samples=2000, case_id="die")
+    points = _margin(die, labels, die, n_samples=2000, case_id="die")
     assert len(points) == 2000
     truth = crease_circle(crease, n=4096)
     d = cKDTree(truth).query(points)[0]
@@ -90,7 +99,7 @@ def test_band_cut_snaps_to_the_crease_from_an_offset_boundary(
     die finds the crease (0.41 um max for every offset)."""
     crease = standard_die[1]  # the hires die's crease too
     labels = _threshold_labels(decimated_hires_die, crease["z"] + offset)
-    points = extract_margin_line(decimated_hires_die, labels, hires_die, n_samples=2000)
+    points = _margin(decimated_hires_die, labels, hires_die, n_samples=2000)
     d = cKDTree(crease_circle(crease, n=65536)).query(points)[0]
     assert d.max() <= 1e-3
 
@@ -106,16 +115,55 @@ def test_band_cut_of_a_boundary_off_the_crease_closes_on_the_surface(
     labels = (
         mesh.barycenters[:, 2] > crease["z"] + 0.4 * mesh.barycenters[:, 0]
     ).astype(np.int64)
-    points = extract_margin_line(mesh, labels, hires_die, n_samples=500)
+    points = _margin(mesh, labels, hires_die, n_samples=500)
     assert points.shape == (500, 3)
     _, _, dist = hires_die.bvh().closest_points(points)
     assert np.max(np.abs(dist)) < 1e-9
 
 
+@pytest.mark.parametrize("offset", [-0.3, -0.15, 0.0, 0.15, 0.3])
+def test_band_cut_seeded_by_the_vote_equals_one_seeded_by_a_decimated_cut(
+    standard_die, hires_die, decimated_hires_die, offset
+):
+    """The band cut on the full-resolution die gives the same labels
+    whether it starts from the ensemble's vote (argmax, islands removed)
+    or from a graph cut of the same field on the decimated die. A 0.6/0.4
+    field makes the decimated cut move 52-260 faces at offsets -0.15,
+    0.15 and 0.3 mm."""
+    crease = standard_die[1]  # the hires die's crease too
+    mesh = decimated_hires_die
+    above = _threshold_labels(mesh, crease["z"] + offset)
+    probs = np.where(above[:, None] == 1, [0.4, 0.6], [0.6, 0.4])
+    vote = cleanup_components(probs.argmax(axis=1), mesh.adjacency())
+    cut = cleanup_components(graph_cut_refine(mesh, probs), mesh.adjacency())
+    from_vote = _scan_labels(mesh, vote, hires_die)
+    assert np.array_equal(from_vote, _scan_labels(mesh, cut, hires_die))
+
+
+@pytest.mark.parametrize("cut", [True, False], ids=("scan", "decimated"))
+def test_projection_onto_the_loops_faces_equals_the_whole_die(
+    standard_die, hires_die, decimated_hires_die, cut
+):
+    """Projecting the spline's samples onto the faces that touch the loop
+    gives the whole die's closest points, byte for byte: on the
+    full-resolution die under the band cut's labels, and on a decimated
+    die under labels of its own."""
+    crease = standard_die[1]  # the hires die's crease too
+    die = decimated_hires_die
+    labels = _threshold_labels(die, crease["z"] + 0.15)
+    if cut:
+        die, labels = hires_die, _scan_labels(die, labels, hires_die)
+    points = extract_margin_line(die, labels, n_samples=2000)
+    loop, _ = extract_boundary_faces(die, labels)
+    samples = fit_smoothing_spline(loop).sample(2000)
+    whole, _, _ = die.bvh().closest_points(samples)
+    assert points.tobytes() == whole.tobytes()
+
+
 def test_margin_points_lie_on_surface():
     die, crease = frustum_die()
     labels = _threshold_labels(die, crease["z"])
-    points = extract_margin_line(die, labels, die, n_samples=500)
+    points = _margin(die, labels, die, n_samples=500)
     _, _, dist = die.bvh().closest_points(points)
     assert np.max(np.abs(dist)) < 1e-9
 
@@ -123,7 +171,7 @@ def test_margin_points_lie_on_surface():
 def test_json_round_trip(tmp_path):
     die, crease = frustum_die()
     labels = _threshold_labels(die, crease["z"])
-    margin = extract_margin_line(die, labels, die, n_samples=256, case_id="rt")
+    margin = _margin(die, labels, die, n_samples=256, case_id="rt")
     path = tmp_path / "m.json"
     save_margin_json(path, margin, "rt")
     points, case_id = load_margin_json(path)
@@ -137,7 +185,7 @@ def test_json_round_trip(tmp_path):
 def test_obj_export(tmp_path):
     die, crease = frustum_die()
     labels = _threshold_labels(die, crease["z"])
-    margin = extract_margin_line(die, labels, die, n_samples=100)
+    margin = _margin(die, labels, die, n_samples=100)
     path = tmp_path / "m.obj"
     save_margin_obj(path, margin)
     lines = path.read_text().strip().splitlines()

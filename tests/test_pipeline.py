@@ -25,6 +25,7 @@ from marginline.manifest import (
     load_manifest,
     save_manifest,
 )
+from marginline.margin import load_margin_json
 from marginline.mesh import TriangleMesh
 from marginline.meshio import load_mesh, save_stl_binary
 from marginline.pipeline import (
@@ -44,6 +45,7 @@ from marginline.pipeline import (
 from marginline.segnet import NetworkParams, forward
 from marginline.segnet import train as train_mod
 from marginline.preprocess import obb_register, rotation_xyz
+from marginline.refine import cleanup_components
 from marginline.shapes import frustum_die, grid_patch, icosphere
 from marginline.synthetic import generate_benchmark
 
@@ -398,7 +400,7 @@ def test_train_and_predict_do_not_depend_on_the_thread_count(tmp_path, monkeypat
 
 
 # the one case of `_three_fold_run`
-DIE = CaseEntry("die", "die.stl", None, "upper", 11, None, "test")
+DIE = CaseEntry("die", "die.stl", None, None, "test")
 
 
 def _three_fold_run(run):
@@ -424,9 +426,9 @@ def _three_fold_run(run):
 
 
 def test_democracy_vote_reaches_refine(tmp_path, monkeypatch):
-    """Under `democracy`, refine cuts a field whose argmax is the vote.
-    On the band 0 < z <= 0.5 two of three folds call 1 with little
-    confidence and one calls 0 with much: the vote is 1, the mean 0.37."""
+    """Under `democracy`, refine keeps the vote. On the band 0 < z <= 0.5
+    two of three folds call 1 with little confidence and one calls 0
+    with much: the vote is 1, the mean 0.37."""
     run = tmp_path / "run"
     mesh = _three_fold_run(run)
 
@@ -440,21 +442,36 @@ def test_democracy_vote_reaches_refine(tmp_path, monkeypatch):
         p1[band] = 0.01 if fold == 3 else 0.55
         return np.stack([1.0 - p1, p1], axis=1)
 
-    real_refine, cut = pipeline.graph_cut_refine, []
-
-    def recording_refine(mesh, probs):
-        cut.append(probs)
-        return real_refine(mesh, probs)
-
     monkeypatch.setattr(pipeline, "forward", fold_field)
-    monkeypatch.setattr(pipeline, "graph_cut_refine", recording_refine)
     config = PipelineConfig(folds=3, ensemble="democracy")
     manifest = DatasetManifest([DIE])
     stage_predict(manifest, config, run)
     stage_refine(manifest, config, run)
-    assert len(cut) == 1
-    assert np.array_equal(cut[0].argmax(axis=1), (z > 0.0).astype(np.int64))
+    refined = np.load(artifact_path(run, "refined", "die"))
+    assert np.array_equal(refined, (z > 0.0).astype(np.int64))
     assert sorted(p.name for p in (run / "predict").iterdir()) == ["die_probs.npy"]
+
+
+def test_refine_writes_the_vote_without_islands(tmp_path, monkeypatch, predicted_run):
+    """Refine runs no graph cut: each case's labels are the argmax of the
+    ensemble's field with label-1 islands removed, as int64."""
+    manifest_path, predicted = predicted_run
+    run = tmp_path / "run"
+    shutil.copytree(predicted, run)
+    manifest = load_manifest(manifest_path)
+
+    def no_cut(*args):
+        raise AssertionError("refine ran a graph cut")
+
+    monkeypatch.setattr(pipeline, "graph_cut_refine", no_cut)
+    stage_refine(manifest, PipelineConfig.from_json(run / "config.json"), run)
+    for case in manifest:
+        mesh = load_mesh(artifact_path(run, "decimated", case.case_id))
+        probs = np.load(artifact_path(run, "probs", case.case_id))
+        vote = cleanup_components(probs.argmax(axis=1), mesh.adjacency())
+        refined = np.load(artifact_path(run, "refined", case.case_id))
+        assert refined.dtype == np.int64
+        assert np.array_equal(refined, vote)
 
 
 def test_predict_runs_every_fold_that_train_saved(tmp_path, monkeypatch):
@@ -619,10 +636,8 @@ def test_config_file_that_is_not_an_object_is_refused(tmp_path, raw):
     assert str(path) in str(info.value)
 
 
-@pytest.mark.parametrize("arch", ["lower", "upper"])
-def test_registered_scan_rebuilt_from_its_transform_bit_for_bit(tmp_path, arch):
-    """The saved transform moves the scan exactly as registration did;
-    for the upper arch the transform has the flip composed in."""
+def test_registered_scan_rebuilt_from_its_transform_bit_for_bit(tmp_path):
+    """The saved transform moves the scan exactly as registration did."""
     mesh, _ = frustum_die(
         base_radius=6.2, margin_radius=4.0, margin_height=3.6, crown_height=2.6,
         scale_xy=(1.0, 0.86),
@@ -630,11 +645,38 @@ def test_registered_scan_rebuilt_from_its_transform_bit_for_bit(tmp_path, arch):
     rng = np.random.default_rng(8)
     rot = rotation_xyz(*rng.uniform(-np.pi, np.pi, size=3))
     scan = TriangleMesh(mesh.vertices @ rot.T + rng.uniform(-5, 5, 3), mesh.faces)
-    registered, transform = obb_register(scan, arch=arch)
+    registered, transform = obb_register(scan)
     pipeline._save_transform(tmp_path / "die_transform.json", transform)
     rebuilt = pipeline._registered(scan, tmp_path / "die_transform.json")
     assert rebuilt.vertices.tobytes() == registered.vertices.tobytes()
     assert np.array_equal(rebuilt.faces, registered.faces)
+
+
+def test_a_die_declared_upper_or_lower_gets_the_same_transform_and_margin(tmp_path):
+    """The manifest's `arch` (and `tooth_position`) are read by no stage:
+    one die listed as an upper and as a lower case is registered, labelled
+    and cut alike."""
+    data = tmp_path / "data"
+    generate_benchmark(data, n_cases=1, seed=5)
+    paths = {"die_path": "synth000_die.stl",
+             "crown_bottom_path": "synth000_crown_bottom.stl"}
+    save_manifest(data / "manifest.json", [
+        {"case_id": "up", "arch": "upper", "tooth_position": 11, **paths},
+        {"case_id": "low", "arch": "lower", "tooth_position": 31, **paths},
+    ])
+    manifest = load_manifest(data)
+    config = PipelineConfig(target_faces=800, n_samples=64)
+    run = tmp_path / "run"
+    stage_preprocess(manifest, config, run)
+    stage_labels(manifest, config, run)
+    # the transferred labels stand in for the refined ones
+    shutil.copytree(run / "labels", run / "refine")
+    stage_extract(manifest, config, run)
+    for kind in ("transform", "decimated", "labels"):
+        up, low = (artifact_path(run, kind, c).read_bytes() for c in ("up", "low"))
+        assert up == low, kind
+    up, low = (load_margin_json(artifact_path(run, "margin", c))[0] for c in ("up", "low"))
+    assert up.tobytes() == low.tobytes()
 
 
 def test_preprocess_writes_no_registered_scan(tmp_path):

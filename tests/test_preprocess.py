@@ -29,7 +29,7 @@ def _scrambled_die(seed=0):
 
 def test_registration_restores_canonical_pose():
     mesh, moved, crease = _scrambled_die(seed=1)
-    registered, _ = obb_register(moved, arch="lower")
+    registered, _ = obb_register(moved)
     # crown tip up: the topmost vertex is near the axis
     top = registered.vertices[np.argmax(registered.vertices[:, 2])]
     assert np.linalg.norm(top[:2]) < 1.0
@@ -50,19 +50,10 @@ def test_registration_is_pose_invariant():
     rng = np.random.default_rng(2)
     rot = rotation_xyz(*rng.uniform(-np.pi, np.pi, size=3))
     moved = TriangleMesh(v @ rot.T + rng.uniform(-5, 5, 3), mesh.faces)
-    reg_a, _ = obb_register(mesh, arch="lower")
-    reg_b, _ = obb_register(moved, arch="lower")
+    reg_a, _ = obb_register(mesh)
+    reg_b, _ = obb_register(moved)
     # same rigid body in, same canonical coordinates out (up to rounding)
     assert np.allclose(reg_a.vertices, reg_b.vertices, atol=1e-6)
-
-
-def test_upper_arch_flips_about_x():
-    mesh, _, _ = _scrambled_die(seed=3)
-    lower, _ = obb_register(mesh, arch="lower")
-    upper, _ = obb_register(mesh, arch="upper")
-    assert np.allclose(upper.vertices[:, 0], lower.vertices[:, 0], atol=1e-9)
-    assert np.allclose(upper.vertices[:, 1], -lower.vertices[:, 1], atol=1e-9)
-    assert np.allclose(upper.vertices[:, 2], -lower.vertices[:, 2], atol=1e-9)
 
 
 def test_registration_transform_round_trip():

@@ -25,6 +25,7 @@ from pathlib import Path
 
 import marginline
 from marginline.cli import COMMANDS, FLAGS
+from marginline.meshio import load_mesh
 from marginline.pipeline import ARTIFACTS, PipelineConfig
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -55,16 +56,36 @@ def test_every_tracer_target_resolves():
 def test_benchmark_workloads_score_correct_at_smoke_size(tmp_path):
     """Both workloads' own checks, at the smoke size: held-out Dice
     recomputed from the saved folds and feature caches, and every die's
-    margin read back as a closed loop."""
+    margin read back as a closed loop. The passes run traced, and the
+    tracer sees the pipeline's one graph cut: inside extract, never in
+    refine, on a band smaller than the full-resolution die."""
     workloads = _load_perfbench("workloads")
+    tracer = _load_perfbench("tracer").Tracer()
     for cls in (workloads.TrainSynth20, workloads.InferHires):
         workload = cls(tmp_path / cls.name, 1, workloads.SMOKE)
         workload.setup()
         workload.prepare()
-        workload.run()
+        tracer.install()
+        try:
+            workload.run(tracer)
+        finally:
+            tracer.uninstall()
         ok, metrics = workload.score()
         assert ok, (cls.name, workload.details)
         assert workload.failed == 0, (cls.name, workload.details)
+
+    def ancestors(span):
+        while span["parent"] is not None:
+            span = tracer.spans[span["parent"]]
+            yield span["name"]
+
+    cuts = [s for s in tracer.spans if s["name"] == "refine.graph_cut"]
+    assert len(cuts) == workloads.SMOKE.dies
+    for cut in cuts:
+        assert "pipeline.extract" in ancestors(cut)
+        assert "pipeline.refine" not in ancestors(cut)
+    die_faces = sum(load_mesh(case.die_path).n_faces for case in workload.manifest)
+    assert 0 < tracer.counts["refine.faces"] < die_faces
 
 
 def test_every_name_in_all_resolves():
