@@ -26,7 +26,10 @@ Ties: among equally distant triangles the lowest face id wins, so the
 answer does not depend on tree layout and equals `brute_force_closest`.
 A caller may pass a per-face `tie_score` instead: then among the faces
 within `TIE_MM` of the closest, the highest score wins (lowest id after
-that).
+that). `TIE_MM` is 1e-4 mm: above the rounding of coordinates read
+from a float32 STL (≈1e-6 mm at a die's size), so that a point on an
+edge ties its two faces however each was rounded, and far below a
+face's size (≈0.1 mm), so that no face of the next row ties.
 """
 
 from __future__ import annotations
@@ -34,7 +37,7 @@ from __future__ import annotations
 import numpy as np
 from scipy.spatial import cKDTree
 
-TIE_MM = 1e-9
+TIE_MM = 1e-4
 _MAX_LEVELS = 5  # radius buckets: r_max / 2**k for k < _MAX_LEVELS
 _MAX_PAIRS = 1 << 16  # (query, triangle) pairs per vectorized batch
 _SLACK = 1.0 + 1e-9  # keeps rounding in the tree's distances from dropping a face

@@ -13,7 +13,13 @@ import numpy as np
 from scipy.spatial import cKDTree
 
 from .errors import BoundaryExtractionError
-from .mesh import TriangleMesh, closed_loops, compact_mesh
+from .mesh import (
+    TriangleMesh,
+    closed_loops,
+    compact_mesh,
+    connected_components,
+    nearest_face_labels,
+)
 from .spline import fit_smoothing_spline
 
 # the band's half-width, in mean edge lengths of the decimated die, and
@@ -56,12 +62,13 @@ def band_problem(mesh: TriangleMesh, labels, die: TriangleMesh):
     int per face of `mesh`) as a graph-cut problem on `die`.
 
     The band is the faces of `die` whose barycenter lies within
-    BAND_EDGES mean edges of `mesh` from a point on that boundary. A face
-    outside it takes the label of the nearest barycenter of `mesh`. The
-    band's unary is flat, except on faces that share an edge with an
-    outside face, which are held to that face's label. Returns (labels of
-    `die`'s faces, -1 in the band; the band's face ids, ascending; the
-    band's submesh; its (len(ids), 2) unary probabilities)."""
+    BAND_EDGES mean edges of `mesh` from a point on that boundary. Each
+    connected component of the faces outside it takes one label: that of
+    the barycenter of `mesh` nearest its lowest face id. The band's unary
+    is flat, except on faces that share an edge with an outside face,
+    which are held to that face's label. Returns (labels of `die`'s
+    faces, -1 in the band; the band's face ids, ascending; the band's
+    submesh; its (len(ids), 2) unary probabilities)."""
     ev = _label_boundary_edges(mesh, labels)
     if len(ev) == 0:
         raise BoundaryExtractionError("labels are uniform: no label boundary")
@@ -77,8 +84,10 @@ def band_problem(mesh: TriangleMesh, labels, die: TriangleMesh):
     )
     band = np.isfinite(dist)
     out = np.full(die.n_faces, -1, dtype=np.int64)
-    _, nearest = cKDTree(mesh.barycenters).query(die.barycenters[~band])
-    out[~band] = labels[nearest]
+    comps = connected_components(np.flatnonzero(~band), die.adjacency())
+    firsts = die.barycenters[[comp[0] for comp in comps]]
+    for comp, label in zip(comps, nearest_face_labels(mesh, labels, firsts)):
+        out[comp] = label
 
     ids = np.flatnonzero(band)
     ef, _ = die.adjacency().interior_edges()

@@ -11,13 +11,15 @@ TopologyError there). Face components are scipy's connected components
 over its interior edges, a one-ring is one pass over them, and mesh
 boundaries and label boundaries are both closed loops of its edges,
 walked by `walk_closed_loops` and ranked longest first by
-`closed_loops`.
+`closed_loops`. Labels move between two meshes of one surface by
+nearest barycenter (`nearest_face_labels`).
 """
 
 from __future__ import annotations
 
 import numpy as np
 from scipy.sparse import coo_matrix, csgraph
+from scipy.spatial import cKDTree
 
 from .errors import EmptyMeshError, TopologyError
 
@@ -251,6 +253,14 @@ def extract_boundary_loops(mesh: TriangleMesh):
     Raises TopologyError on non-manifold edges (via adjacency
     construction)."""
     return closed_loops(mesh, mesh.adjacency().boundary_edges()[0])
+
+
+def nearest_face_labels(mesh: TriangleMesh, labels, points):
+    """`labels` (one per face of `mesh`) at the face whose barycenter is
+    nearest each of the (n, 3) `points`: how a label field moves from
+    one mesh of a surface to another mesh of it, or to a point set."""
+    _, nearest = cKDTree(mesh.barycenters).query(points)
+    return labels[nearest]
 
 
 def first_positions(values, n):

@@ -55,7 +55,7 @@ from .margin import (
     save_margin_json,
     save_margin_obj,
 )
-from .mesh import TriangleMesh
+from .mesh import TriangleMesh, nearest_face_labels
 from .meshio import load_mesh, save_ply, save_stl_binary
 from .preprocess import RigidTransform, augment, normalize, obb_register
 from .refine import cleanup_components, graph_cut_refine
@@ -233,12 +233,30 @@ def stage_preprocess(manifest: DatasetManifest, config: PipelineConfig, run_dir)
 
 
 def stage_labels(manifest: DatasetManifest, config: PipelineConfig, run_dir):
-    """Transfer each crown-bottom boundary onto its decimated die."""
+    """Transfer each crown-bottom boundary onto its registered
+    full-resolution scan, in float64 (`label_die`), and carry the labels
+    to the decimated die: each decimated face takes the label of the
+    scan face whose barycenter is nearest its own.
+
+    On the scan the crown bottom's boundary points lie on scan edges. A
+    point on an edge is equally close to the faces on both sides, and
+    `map_margin_faces` gives such a tie to the higher face: any face
+    within `bvh.TIE_MM` = 1e-4 mm of the closest ties, above the ≈1e-6 mm
+    by which the float32 STLs of die and crown round one edge apart, and
+    far below a face. So the label boundary runs on the crease. The
+    decimated die keeps only some crease vertices, each a few µm off it;
+    there the boundary points fall between faces, and the ring lands one
+    row low."""
 
     def one(case, path):
+        scan = _registered(load_mesh(case.die_path), path("transform"))
         crown = _registered(load_mesh(case.crown_bottom_path), path("transform"))
         truth = extract_margin_points(crown)
-        np.save(path("labels"), label_die(load_mesh(path("decimated")), truth))
+        decimated = load_mesh(path("decimated"))
+        labels = nearest_face_labels(
+            scan, label_die(scan, truth), decimated.barycenters
+        )
+        np.save(path("labels"), labels)
         save_margin_json(path("truth_margin"), truth, case.case_id)
 
     labeled = [c for c in manifest if c.crown_bottom_path is not None]

@@ -1,3 +1,5 @@
+from functools import partial
+
 import numpy as np
 import pytest
 
@@ -9,7 +11,16 @@ from marginline.labeling import (
     resample_closed_polyline,
     split_regions,
 )
-from marginline.mesh import TriangleMesh
+from marginline.manifest import load_manifest, save_manifest
+from marginline.mesh import TriangleMesh, compact_mesh
+from marginline.meshio import load_mesh, save_stl_binary
+from marginline.pipeline import (
+    PipelineConfig,
+    _load_transform,
+    artifact_path,
+    stage_labels,
+    stage_preprocess,
+)
 from marginline.shapes import crease_circle, icosphere
 
 
@@ -29,6 +40,20 @@ def test_closed_mesh_has_no_margin(unit_sphere):
         extract_margin_points(unit_sphere)
 
 
+# the die of the height-threshold oracle tests: ~12k faces, so that at
+# the 10k-face working budget the one-face boundary band stays thin
+ORACLE_DIE = dict(
+    base_radius=6.2,
+    margin_radius=4.0,
+    margin_height=3.6,
+    crown_height=2.6,
+    scale_xy=(1.0, 0.86),
+    segments=128,
+    rows_below=28,
+    rows_above=20,
+)
+
+
 def test_labels_match_height_threshold_oracle():
     """Transferred labels agree with a direct height split at the crease
     on all but a thin boundary band (< 1% of faces).
@@ -39,16 +64,7 @@ def test_labels_match_height_threshold_oracle():
     from marginline.decimate import decimate
     from marginline.shapes import frustum_die
 
-    die, crease = frustum_die(
-        base_radius=6.2,
-        margin_radius=4.0,
-        margin_height=3.6,
-        crown_height=2.6,
-        scale_xy=(1.0, 0.86),
-        segments=128,
-        rows_below=28,
-        rows_above=20,
-    )
+    die, crease = frustum_die(**ORACLE_DIE)
     decimated = decimate(die, 10000)
     above = die.barycenters[:, 2] > crease["z"] + 1e-9
     from marginline.meshio import soup_to_mesh
@@ -58,6 +74,77 @@ def test_labels_match_height_threshold_oracle():
     oracle = (decimated.barycenters[:, 2] > crease["z"]).astype(np.int64)
     mismatch = np.mean(labels != oracle)
     assert mismatch < 0.01
+
+
+def test_stage_labels_match_height_threshold_oracle(tmp_path):
+    """The oracle test's die and crown bottom written as float32 STLs and
+    labeled by `stage_preprocess` and `stage_labels` keep its 1 % bound
+    against the height split at the crease, taken in the die's own frame."""
+    from marginline.shapes import frustum_die
+
+    die, crease = frustum_die(**ORACLE_DIE)
+    above = die.barycenters[:, 2] > crease["z"] + 1e-9
+    save_stl_binary(die, tmp_path / "die.stl")
+    save_stl_binary(compact_mesh(die.vertices, die.faces[above]), tmp_path / "crown.stl")
+    save_manifest(
+        tmp_path / "manifest.json",
+        [{"case_id": "die", "die_path": "die.stl", "crown_bottom_path": "crown.stl"}],
+    )
+    manifest = load_manifest(tmp_path / "manifest.json")
+    config = PipelineConfig(target_faces=10000)
+    run = tmp_path / "run"
+    stage_preprocess(manifest, config, run)
+    stage_labels(manifest, config, run)
+
+    decimated = load_mesh(artifact_path(run, "decimated", "die"))
+    labels = np.load(artifact_path(run, "labels", "die"))
+    transform = _load_transform(artifact_path(run, "transform", "die"))
+    z = transform.inverse().apply(decimated.barycenters)[:, 2]
+    assert np.mean(labels != (z > crease["z"])) < 0.01
+
+
+def _label_boundary_vertices(mesh, labels):
+    """Ids of the vertices on the edges whose two faces differ in label."""
+    ef, ev = mesh.adjacency().interior_edges()
+    return np.unique(ev[labels[ef[:, 0]] != labels[ef[:, 1]]])
+
+
+def _distance_to_closed_polyline(points, polyline):
+    """Each point's distance to the nearest segment of the closed
+    polyline, by brute force."""
+    a = polyline
+    ab = np.roll(polyline, -1, axis=0) - a
+    ap = points[:, None, :] - a[None]
+    t = np.clip(np.einsum("pnk,nk->pn", ap, ab) / np.einsum("nk,nk->n", ab, ab), 0, 1)
+    return np.linalg.norm(ap - t[..., None] * ab[None], axis=2).min(axis=1)
+
+
+def test_stage_labels_put_the_boundary_on_the_crease(tmp_path):
+    """On the 20 benchmark dies at criterion 09's 2000 faces, every vertex
+    of the transferred label boundary of the decimated die lies within
+    10 um of the analytic crease (the worst die reads about 5 um: the
+    decimated crease vertices are themselves that far off)."""
+    from marginline.synthetic import generate_benchmark, load_truth_points
+
+    data = tmp_path / "data"
+    manifest = load_manifest(generate_benchmark(data, n_cases=20, seed=7))
+    config = PipelineConfig(target_faces=2000)
+    run = tmp_path / "run"
+    stage_preprocess(manifest, config, run)
+    stage_labels(manifest, config, run)
+
+    worst = {}
+    for case in manifest:
+        path = partial(artifact_path, run, case_id=case.case_id)
+        decimated = load_mesh(path("decimated"))
+        labels = np.load(path("labels"))
+        crease = _load_transform(path("transform")).apply(
+            load_truth_points(data, case.case_id)
+        )
+        verts = _label_boundary_vertices(decimated, labels)
+        d = _distance_to_closed_polyline(decimated.vertices[verts], crease)
+        worst[case.case_id] = float(d.max())
+    assert max(worst.values()) < 0.010, worst
 
 
 def test_margin_band_faces_near_crease(labeled_die_case):
