@@ -44,7 +44,9 @@ COMMANDS = {
         "train the k-fold segmentation ensemble",
         ("folds", "epochs", "width_scale", "seed"),
     ),
-    "predict": ((pl.stage_predict,), "run the ensemble on the dataset", ("ensemble",)),
+    "predict": (
+        (pl.stage_predict,), "save the ensemble's vote per face", ("ensemble",)
+    ),
     "refine": ((pl.stage_refine,), "keep the ensemble's vote, islands removed", ()),
     "extract": (
         (pl.stage_extract,), "cut, fit and sample the margin lines", ("n_samples",)

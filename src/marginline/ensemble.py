@@ -18,28 +18,6 @@ def _stack(fields):
     return np.stack(fields)  # (M, N, 2)
 
 
-def combine_max_probability(fields):
-    """Per face, the row of the model with the highest top-class
-    probability; ties go to the lower model index."""
-    stack = _stack(fields)
-    top = stack.max(axis=2)  # (M, N)
-    winner = top.argmax(axis=0)  # lower index wins ties
-    return stack[winner, np.arange(stack.shape[1])]
-
-
-def combine_democracy(fields):
-    """Majority vote over per-model argmax labels, ties broken by the larger
-    mean probability: the vote shares, and the mean field on tied faces,
-    so its argmax is the label."""
-    stack = _stack(fields)
-    m = stack.shape[0]
-    ones = stack.argmax(axis=2).sum(axis=0)
-    field = np.stack([m - ones, ones], axis=1) / m
-    tied = ones * 2 == m
-    field[tied] = stack[:, tied].mean(axis=0)
-    return field
-
-
 def strategy_fold(strategy, n_models):
     """None for a named strategy, K for "fold-K" (model K alone,
     1 <= K <= n_models); anything else raises ValueError."""
@@ -53,17 +31,24 @@ def strategy_fold(strategy, n_models):
     return int(k)
 
 
-def combined_field(fields, strategy):
-    """One (N, 2) field from the per-model fields under `strategy`
-    ("max_probability", "democracy" or "fold-K"); its argmax is the
-    strategy's label on every face."""
-    if strategy == "max_probability":
-        return combine_max_probability(fields)
-    if strategy == "democracy":
-        return combine_democracy(fields)
-    return _stack(fields)[strategy_fold(strategy, len(fields)) - 1]
-
-
 def combine(fields, strategy):
-    """Per-face labels under `strategy`: the argmax of `combined_field`."""
-    return combined_field(fields, strategy).argmax(axis=1)
+    """Per-face int64 labels from the per-model fields under `strategy`:
+
+    - "max_probability": the argmax of the row of the model with the
+      highest top-class probability, ties to the lower model index;
+    - "democracy": the majority of the models' argmax labels; an exact
+      tie goes to the argmax of the mean field;
+    - "fold-K": model K's argmax.
+    """
+    stack = _stack(fields)
+    votes = stack.argmax(axis=2)  # (M, N)
+    if strategy == "max_probability":
+        winner = stack.max(axis=2).argmax(axis=0)  # lower index wins ties
+        return votes[winner, np.arange(stack.shape[1])]
+    if strategy == "democracy":
+        twice_ones, m = 2 * votes.sum(axis=0), len(stack)
+        labels = (twice_ones > m).astype(np.int64)
+        tied = twice_ones == m
+        labels[tied] = stack[:, tied].mean(axis=0).argmax(axis=1)
+        return labels
+    return votes[strategy_fold(strategy, len(stack)) - 1]

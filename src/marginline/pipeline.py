@@ -36,7 +36,7 @@ import numpy as np
 
 from . import metrics as metrics_mod
 from .decimate import decimate
-from .ensemble import combined_field, strategy_fold
+from .ensemble import combine, strategy_fold
 from .errors import DATA_ERRORS, ManifestError, MarginlineError
 from .features import (
     AdjacencyPair,
@@ -136,7 +136,7 @@ ARTIFACTS = {
     "labels": ("labels", "_labels.npy"),
     "truth_margin": ("labels", "_truth_margin.json"),
     "features": ("features", ".mlfc"),
-    "probs": ("predict", "_probs.npy"),
+    "vote": ("predict", "_vote.npy"),
     "refined": ("refine", "_labels.npy"),
     "refined_ply": ("refine", "_refined.ply"),
     "margin": ("margins", "_margin.json"),
@@ -198,14 +198,12 @@ def _load_transform(path):
     )
 
 
-def _load_per_face(path, mesh: TriangleMesh):
+def _load_per_face(path, n_faces):
     """The per-face array an earlier stage saved at `path`, refused with
-    a MarginlineError unless it has one row per face of `mesh`."""
+    a MarginlineError unless it has `n_faces` rows."""
     values = np.load(path)
-    if len(values) != mesh.n_faces:
-        raise MarginlineError(
-            f"{path} has {len(values)} rows for {mesh.n_faces} faces"
-        )
+    if len(values) != n_faces:
+        raise MarginlineError(f"{path} has {len(values)} rows for {n_faces} faces")
     return values
 
 
@@ -234,19 +232,10 @@ def stage_preprocess(manifest: DatasetManifest, config: PipelineConfig, run_dir)
 
 def stage_labels(manifest: DatasetManifest, config: PipelineConfig, run_dir):
     """Transfer each crown-bottom boundary onto its registered
-    full-resolution scan, in float64 (`label_die`), and carry the labels
-    to the decimated die: each decimated face takes the label of the
-    scan face whose barycenter is nearest its own.
-
-    On the scan the crown bottom's boundary points lie on scan edges. A
-    point on an edge is equally close to the faces on both sides, and
-    `map_margin_faces` gives such a tie to the higher face: any face
-    within `bvh.TIE_MM` = 1e-4 mm of the closest ties, above the ≈1e-6 mm
-    by which the float32 STLs of die and crown round one edge apart, and
-    far below a face. So the label boundary runs on the crease. The
-    decimated die keeps only some crease vertices, each a few µm off it;
-    there the boundary points fall between faces, and the ring lands one
-    row low."""
+    full-resolution scan, in float64 (`label_die`; a boundary point on a
+    scan edge goes to the higher face, by the tie rule in `bvh`), and
+    carry the labels to the decimated die: each decimated face takes the
+    label of the scan face whose barycenter is nearest its own."""
 
     def one(case, path):
         scan = _registered(load_mesh(case.die_path), path("transform"))
@@ -285,7 +274,7 @@ def stage_features(manifest: DatasetManifest, config: PipelineConfig, run_dir):
         # an inference-only case (no crown bottom) has no labels
         meshes, labels = [mesh], None
         if path("labels").exists():
-            labels = _load_per_face(path("labels"), mesh)
+            labels = _load_per_face(path("labels"), mesh.n_faces)
             if config.augment_per_die > 0 and case.split == "train":
                 # a case's place in the manifest seeds its augmented copies
                 index = manifest.cases.index(case)
@@ -340,8 +329,9 @@ def _prediction_cases(manifest):
 
 
 def stage_predict(manifest: DatasetManifest, config: PipelineConfig, run_dir):
-    """Run every fold model that train listed in folds.json and combine
-    the probability fields."""
+    """Run every fold model that train listed in folds.json and save the
+    ensemble's vote (`ensemble.combine`): one int64 label per face of
+    the decimated die."""
     model_dir = Path(run_dir) / "models"
     folds = sorted(set(json.loads((model_dir / "folds.json").read_text()).values()))
     models = [NetworkParams.load(model_dir / f"fold{k}.bin") for k in folds]
@@ -349,9 +339,7 @@ def stage_predict(manifest: DatasetManifest, config: PipelineConfig, run_dir):
     def one(case, path):
         feats, adj, _ = load_feature_cache(path("features"))
         fields = thread_map(lambda params: forward(params, feats.matrix, adj), models)
-        # refine keeps this field's argmax, the ensemble's label
-        field = combined_field(fields, config.ensemble)
-        np.save(path("probs"), field)
+        np.save(path("vote"), combine(fields, config.ensemble))
 
     return _each_case("predict", _prediction_cases(manifest), run_dir, one)
 
@@ -362,8 +350,8 @@ def stage_refine(manifest: DatasetManifest, config: PipelineConfig, run_dir):
 
     def one(case, path):
         mesh = load_mesh(path("decimated"))
-        probs = _load_per_face(path("probs"), mesh)
-        labels = cleanup_components(probs.argmax(axis=1), mesh.adjacency())
+        vote = _load_per_face(path("vote"), mesh.n_faces)
+        labels = cleanup_components(vote, mesh.adjacency())
         np.save(path("refined"), labels)
         save_ply(mesh, path("refined_ply"), labels)
 
@@ -387,7 +375,7 @@ def stage_extract(manifest: DatasetManifest, config: PipelineConfig, run_dir):
 
     def one(case, path):
         decimated = load_mesh(path("decimated"))
-        labels = _load_per_face(path("refined"), decimated)
+        labels = _load_per_face(path("refined"), decimated.n_faces)
         scan = _registered(load_mesh(case.die_path), path("transform"))
         points = extract_margin_line(
             scan,
@@ -410,7 +398,7 @@ def stage_evaluate(manifest: DatasetManifest, config: PipelineConfig, run_dir):
         if path("labels").exists():
             truth_labels = np.load(path("labels"))
         if truth_labels is not None and path("refined").exists():
-            pred_labels = np.load(path("refined"))
+            pred_labels = _load_per_face(path("refined"), len(truth_labels))
         truth_margin = pred_margin = None
         if path("truth_margin").exists() and path("margin").exists():
             truth_margin, _ = load_margin_json(path("truth_margin"))

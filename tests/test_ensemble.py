@@ -3,13 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from marginline.ensemble import (
-    combine,
-    combine_democracy,
-    combine_max_probability,
-    combined_field,
-    strategy_fold,
-)
+from marginline.ensemble import combine, strategy_fold
 
 
 def _field(rows):
@@ -30,7 +24,6 @@ def test_max_probability_picks_most_confident_model():
         _field([[0.1, 0.9]]),   # more confident about class 1 -> wins
     ]
     assert combine(fields, "max_probability")[0] == 1
-    assert np.array_equal(combine_max_probability(fields)[0], fields[1][0])
 
 
 def test_max_probability_tie_goes_to_lower_index():
@@ -39,7 +32,6 @@ def test_max_probability_tie_goes_to_lower_index():
         _field([[0.2, 0.8]]),
     ]
     assert combine(fields, "max_probability")[0] == 0  # first model wins
-    assert np.array_equal(combine_max_probability(fields)[0], fields[0][0])
 
 
 def test_democracy_majority_rules_over_confidence():
@@ -96,28 +88,24 @@ def test_both_strategies_agree_with_unanimous_models(m, n, seed):
     assert np.array_equal(combine(fields, "democracy"), winners)
 
 
-def test_democracy_field_carries_the_vote():
-    """Two of three folds call the face 1 with little confidence, one
-    calls it 0 with much: the vote is 1, though the mean field says 0."""
-    fields = [_field([[0.45, 0.55]]), _field([[0.45, 0.55]]), _field([[0.99, 0.01]])]
-    assert np.mean(fields, axis=0)[0].argmax() == 0
-    assert combine(fields, "democracy")[0] == 1
-    assert np.allclose(combine_democracy(fields)[0], [1 / 3, 2 / 3])
-
-
 @given(
     st.integers(min_value=1, max_value=6),
     st.integers(min_value=1, max_value=30),
     st.integers(min_value=0, max_value=2**31 - 1),
 )
 @settings(max_examples=50, deadline=None)
-def test_combined_field_argmax_is_the_label(m, n, seed):
-    """The field whose argmax refine keeps has, face by face, the label
-    each strategy's rule gives (loop references), exact ties included."""
+def test_combine_follows_each_rule_face_by_face(m, n, seed):
+    """Each strategy's int64 labels are, face by face, the label its rule
+    gives (loop references), exact ties included."""
     rng = np.random.default_rng(seed)
     # coarse probabilities, so that confidences, votes and sums often tie
     p = rng.integers(0, 5, size=(m, n)) / 4.0
     fields = [np.stack([1 - q, q], axis=1) for q in p]
+    strategies = ["max_probability", "democracy"]
+    strategies += [f"fold-{k}" for k in range(1, m + 1)]
+    combined = {strategy: combine(fields, strategy) for strategy in strategies}
+    for strategy, labels in combined.items():
+        assert labels.dtype == np.int64 and labels.shape == (n,), strategy
     for face in range(n):
         rows = [f[face] for f in fields]
         top = [max(r) for r in rows]
@@ -128,7 +116,7 @@ def test_combined_field_argmax_is_the_label(m, n, seed):
         for k, row in enumerate(rows, 1):
             expected[f"fold-{k}"] = int(row[1] > row[0])
         for strategy, label in expected.items():
-            assert combined_field(fields, strategy)[face].argmax() == label, strategy
+            assert combined[strategy][face] == label, strategy
 
 
 def test_strategy_names():

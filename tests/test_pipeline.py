@@ -115,16 +115,17 @@ def test_one_bad_die_does_not_stop_the_others(tmp_path, capsys):
     "stage, kind, output",
     [
         (stage_features, "labels", "features"),
-        (stage_refine, "probs", "refined_ply"),
+        (stage_refine, "vote", "refined_ply"),
         (stage_extract, "refined", "margin"),
+        (stage_evaluate, "refined", None),
     ],
 )
 def test_a_per_face_array_of_the_wrong_length_fails_its_own_case(
     tmp_path, stage, kind, output
 ):
     """A per-face array that an earlier stage wrote, 5 rows short for its
-    die: that case fails naming the file and both lengths, and the stage
-    still writes its output for the other case."""
+    die: that case fails naming the file and both lengths, and a stage
+    with a per-case output still writes it for the other case."""
     data = tmp_path / "data"
     manifest = load_manifest(generate_benchmark(data, n_cases=2, seed=5))
     config = PipelineConfig(target_faces=800)
@@ -134,9 +135,9 @@ def test_a_per_face_array_of_the_wrong_length_fails_its_own_case(
     first, second = (case.case_id for case in manifest)
     for case_id in (first, second):
         labels = np.load(artifact_path(run, "labels", case_id))
-        for name, values in (("probs", np.eye(2)[labels]), ("refined", labels)):
+        for name in ("vote", "refined"):
             artifact_path(run, name, case_id).parent.mkdir(exist_ok=True)
-            np.save(artifact_path(run, name, case_id), values)
+            np.save(artifact_path(run, name, case_id), labels)
     path = artifact_path(run, kind, first)
     np.save(path, np.load(path)[:-5])
     n_faces = load_mesh(artifact_path(run, "decimated", first)).n_faces
@@ -145,8 +146,9 @@ def test_a_per_face_array_of_the_wrong_length_fails_its_own_case(
         stage(manifest, config, run)
     error = f"{path} has {n_faces - 5} rows for {n_faces} faces"
     assert f"1 of 2 cases failed: {first}: MarginlineError: {error}" in str(info.value)
-    assert not artifact_path(run, output, first).exists()
-    assert artifact_path(run, output, second).exists()
+    if output is not None:
+        assert not artifact_path(run, output, first).exists()
+        assert artifact_path(run, output, second).exists()
 
 
 @pytest.fixture(scope="module")
@@ -166,10 +168,10 @@ def predicted_run(tmp_path_factory):
 @pytest.mark.parametrize(
     "command, kind, failed, damage, error, output",
     [
-        ("refine", "probs", 0, None, FileNotFoundError, "refined"),
-        ("predict", "features", 1, b"\x80 not a cache", ValueError, "probs"),
+        ("refine", "vote", 0, None, FileNotFoundError, "refined"),
+        ("predict", "features", 1, b"\x80 not a cache", ValueError, "vote"),
     ],
-    ids=("missing probs", "garbage features"),
+    ids=("missing vote", "garbage features"),
 )
 def test_a_missing_or_unreadable_upstream_file_fails_its_own_case(
     tmp_path, capsys, predicted_run, command, kind, failed, damage, error, output
@@ -360,7 +362,7 @@ def test_saved_checkpoints_reproduce_validation_dice(tmp_path):
 
 def test_train_and_predict_do_not_depend_on_the_thread_count(tmp_path, monkeypatch):
     """Checkpoints, history.csv, validation_dice.json and the predicted
-    probabilities are the same bytes from one thread and from two."""
+    votes are the same bytes from one thread and from two."""
     data = tmp_path / "data"
     manifest = load_manifest(generate_benchmark(data, n_cases=4, seed=5))
     config = PipelineConfig(
@@ -395,7 +397,7 @@ def test_train_and_predict_do_not_depend_on_the_thread_count(tmp_path, monkeypat
     names = set(outputs[1])
     assert {"models/fold1.bin", "models/fold2.bin", "models/history.csv",
             "models/validation_dice.json"} <= names
-    assert sum(n.endswith("_probs.npy") for n in names) == 4
+    assert sum(n.endswith("_vote.npy") for n in names) == 4
     assert outputs[1] == outputs[2]
 
 
@@ -426,9 +428,9 @@ def _three_fold_run(run):
 
 
 def test_democracy_vote_reaches_refine(tmp_path, monkeypatch):
-    """Under `democracy`, refine keeps the vote. On the band 0 < z <= 0.5
-    two of three folds call 1 with little confidence and one calls 0
-    with much: the vote is 1, the mean 0.37."""
+    """Under `democracy`, predict writes the vote and refine keeps it. On
+    the band 0 < z <= 0.5 two of three folds call 1 with little
+    confidence and one calls 0 with much: the vote is 1, the mean 0.37."""
     run = tmp_path / "run"
     mesh = _three_fold_run(run)
 
@@ -447,14 +449,15 @@ def test_democracy_vote_reaches_refine(tmp_path, monkeypatch):
     manifest = DatasetManifest([DIE])
     stage_predict(manifest, config, run)
     stage_refine(manifest, config, run)
-    refined = np.load(artifact_path(run, "refined", "die"))
-    assert np.array_equal(refined, (z > 0.0).astype(np.int64))
-    assert sorted(p.name for p in (run / "predict").iterdir()) == ["die_probs.npy"]
+    expected = (z > 0.0).astype(np.int64)
+    assert np.array_equal(np.load(artifact_path(run, "vote", "die")), expected)
+    assert np.array_equal(np.load(artifact_path(run, "refined", "die")), expected)
+    assert sorted(p.name for p in (run / "predict").iterdir()) == ["die_vote.npy"]
 
 
 def test_refine_writes_the_vote_without_islands(tmp_path, monkeypatch, predicted_run):
-    """Refine runs no graph cut: each case's labels are the argmax of the
-    ensemble's field with label-1 islands removed, as int64."""
+    """Refine runs no graph cut: each case's labels are the ensemble's
+    vote with label-1 islands removed, as int64."""
     manifest_path, predicted = predicted_run
     run = tmp_path / "run"
     shutil.copytree(predicted, run)
@@ -467,11 +470,33 @@ def test_refine_writes_the_vote_without_islands(tmp_path, monkeypatch, predicted
     stage_refine(manifest, PipelineConfig.from_json(run / "config.json"), run)
     for case in manifest:
         mesh = load_mesh(artifact_path(run, "decimated", case.case_id))
-        probs = np.load(artifact_path(run, "probs", case.case_id))
-        vote = cleanup_components(probs.argmax(axis=1), mesh.adjacency())
+        vote = np.load(artifact_path(run, "vote", case.case_id))
         refined = np.load(artifact_path(run, "refined", case.case_id))
         assert refined.dtype == np.int64
-        assert np.array_equal(refined, vote)
+        assert np.array_equal(refined, cleanup_components(vote, mesh.adjacency()))
+
+
+def test_every_per_face_array_between_stages_is_int64_labels(tmp_path, predicted_run):
+    """After refine, every .npy that labels, predict and refine wrote is
+    one int64 label per face of its case's decimated die."""
+    manifest_path, predicted = predicted_run
+    run = tmp_path / "run"
+    shutil.copytree(predicted, run)
+    manifest = load_manifest(manifest_path)
+    stage_refine(manifest, PipelineConfig.from_json(run / "config.json"), run)
+    n_faces = {
+        case.case_id: load_mesh(artifact_path(run, "decimated", case.case_id)).n_faces
+        for case in manifest
+    }
+    arrays = [
+        p for sub in ("labels", "predict", "refine") for p in (run / sub).glob("*.npy")
+    ]
+    assert len(arrays) == 3 * len(n_faces)
+    for path in arrays:
+        values = np.load(path)
+        case_id = path.stem.rsplit("_", 1)[0]
+        assert values.dtype == np.int64, path
+        assert values.shape == (n_faces[case_id],), path
 
 
 def test_predict_runs_every_fold_that_train_saved(tmp_path, monkeypatch):
