@@ -6,7 +6,8 @@ class MarginlineError(Exception):
 
 
 class MeshParseError(MarginlineError):
-    """Malformed STL/PLY input. Carries the byte or line offset when known."""
+    """Malformed STL input, or a path without the '.stl' suffix. Carries
+    the byte or line offset when known."""
 
     def __init__(self, message, offset=None):
         super().__init__(message)

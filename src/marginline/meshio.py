@@ -1,9 +1,9 @@
-"""STL and PLY reading/writing: STL is read in ASCII or binary form and
-written binary, PLY read and written in ASCII.
+"""Mesh files: STL is read in ASCII or binary form and written binary;
+PLY is only written, in ASCII, for inspection.
 
 STL stores a triangle soup; on load, vertices closer than the welding
 tolerance (1e-6 mm) are merged into a single indexed vertex. PLY export
-optionally carries a per-face integer `label` plus RGB for inspection.
+optionally carries a per-face integer `label` plus RGB.
 """
 
 from __future__ import annotations
@@ -57,21 +57,17 @@ def _weld(raw_vertices):
     return raw_vertices[order[new]], inverse
 
 
-def _check_coordinates(vertices):
-    # NaN fails the comparisons too: max and min propagate it
-    if not (
-        vertices.max(initial=0.0) < _MAX_COORD
-        and vertices.min(initial=0.0) > -_MAX_COORD
-    ):
-        raise MeshParseError("non-finite or out-of-range vertex coordinate")
-
-
 def soup_to_mesh(raw_vertices):
     """Indexed mesh from an (3F, 3) triangle soup, welding duplicates."""
     raw_vertices = np.asarray(raw_vertices, dtype=np.float64).reshape(-1, 3)
     if len(raw_vertices) == 0:
         raise EmptyMeshError("no triangles in input")
-    _check_coordinates(raw_vertices)
+    # NaN fails the comparisons too: max and min propagate it
+    if not (
+        raw_vertices.max(initial=0.0) < _MAX_COORD
+        and raw_vertices.min(initial=0.0) > -_MAX_COORD
+    ):
+        raise MeshParseError("non-finite or out-of-range vertex coordinate")
     vertices, inverse = _weld(raw_vertices)
     faces = inverse.reshape(-1, 3)
     faces = faces[~repeated_vertex(faces)]
@@ -97,11 +93,11 @@ def _load_stl_binary(data):
     return soup_to_mesh(rec["v"].astype(np.float64).reshape(-1, 3))
 
 
-def _numbers(tok, count, lineno, parse=float):
+def _numbers(tok, count, lineno):
     """The tokens `tok` of line `lineno`, which must be `count` numbers."""
     try:
         if len(tok) == count:
-            return [parse(t) for t in tok]
+            return [float(t) for t in tok]
     except ValueError:
         pass
     raise MeshParseError(f"expected {count} numbers at line {lineno}", offset=lineno)
@@ -131,72 +127,24 @@ def _load_stl_ascii(text):
     return soup_to_mesh(np.asarray(tris))
 
 
-def _load_ply_ascii(text):
-    lines = text.splitlines()
-    if not lines or lines[0].strip() != "ply":
-        raise MeshParseError("missing 'ply' magic line", offset=1)
-    counts = {}
-    # i ends as end_header's line number: the index of the line after it
-    for i, tok in enumerate(map(str.split, lines), 1):
-        head = tok[0] if tok else None
-        if head == "end_header":
-            break
-        if head == "format" and tok[1:2] != ["ascii"]:
-            raise MeshParseError(f"line {i}: only ASCII PLY is supported", offset=i)
-        if head == "element":
-            if len(tok) < 3 or not tok[2].isdecimal():
-                raise MeshParseError(f"element line {i} has no count", offset=i)
-            counts[tok[1]] = int(tok[2])
-    else:
-        raise MeshParseError("PLY header without end_header")
-    n_vert = counts.get("vertex", 0)
-    n_face = counts.get("face", 0)
-    if n_face == 0:
-        raise EmptyMeshError("PLY declares zero faces")
-    # (line number, tokens) of each non-blank body line
-    body = [(k, tok) for k, tok in enumerate(map(str.split, lines[i:]), i + 1) if tok]
-    if len(body) < n_vert + n_face:
-        raise MeshParseError(
-            f"PLY body truncated ({len(body)} rows, need {n_vert + n_face})",
-            offset=i + len(body),
-        )
-    verts = np.reshape([_numbers(tok[:3], 3, k) for k, tok in body[:n_vert]], (-1, 3))
-    _check_coordinates(verts)
-    faces = [_numbers(tok[:4], 4, k, int) for k, tok in body[n_vert : n_vert + n_face]]
-    for (lineno, _), (corners, *face) in zip(body[n_vert:], faces):
-        if corners != 3 or not all(0 <= v < n_vert for v in face):
-            raise MeshParseError(
-                f"face at line {lineno} is not a triangle of listed vertices",
-                offset=lineno,
-            )
-    return TriangleMesh(verts, np.asarray(faces)[:, 1:])
-
-
 def load_mesh(source):
-    """Load a mesh from a path, whose suffix names the format ('stl' or
-    'ply'), or from bytes, whose format is sniffed (as for a path
-    without a suffix)."""
+    """Load an STL mesh, ASCII or binary, from a path or from bytes. A
+    path whose suffix is not '.stl' (in any case) is refused."""
     if isinstance(source, bytes):
-        data, fmt = source, None
+        data = source
     else:
+        if Path(source).suffix.lower() != ".stl":
+            raise MeshParseError(f"{source}: not an STL file")
         data = Path(source).read_bytes()
-        fmt = Path(source).suffix.lstrip(".").lower() or None
-    if fmt is None:
-        fmt = "ply" if data[:3] == b"ply" else "stl"
-    if fmt == "ply":
-        return _load_ply_ascii(data.decode("ascii", errors="replace"))
-    if fmt == "stl":
-        head = data[:5]
-        if head == b"solid":
-            # some binary files start with 'solid'; require 'facet' to confirm
-            try:
-                text = data.decode("ascii")
-            except UnicodeDecodeError:
-                return _load_stl_binary(data)
-            if "facet" in text or "endsolid" in text:
-                return _load_stl_ascii(text)
-        return _load_stl_binary(data)
-    raise MeshParseError(f"unknown mesh format {fmt!r}")
+    if data[:5] == b"solid":
+        # some binary files start with 'solid'; require 'facet' to confirm
+        try:
+            text = data.decode("ascii")
+        except UnicodeDecodeError:
+            return _load_stl_binary(data)
+        if "facet" in text or "endsolid" in text:
+            return _load_stl_ascii(text)
+    return _load_stl_binary(data)
 
 
 def save_stl_binary(mesh, path):

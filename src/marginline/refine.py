@@ -1,4 +1,8 @@
-"""Graph-cut boundary refinement of a predicted labeling.
+"""Graph-cut refinement of a two-label face labeling. Its one caller in
+the pipeline is extract's band cut (`pipeline._scan_labels`): on the
+benchmark's `infer-hires` dies (seed 3) the band holds 6.1k-7.7k faces.
+Its unary is flat apart from the rim, which is held to the labels
+outside, so the pairwise term places the label boundary.
 
 The energy is unary -log probability per face plus, for every adjacent
 face pair with differing labels, an edge weight favoring cuts along
@@ -16,9 +20,9 @@ at most 2**29, floors them to int32 and runs Dinic. The integer flow fits
 within the float capacities, so subtracting it (unscaled) keeps the float
 flow feasible. 2**29 leaves headroom for int32: a capacity plus the flow
 its reverse arc may return stays below 2**31. A phase shrinks `bound` by
-about 2**29 over the number of cut arcs (three phases on a 10k-face die).
-The loop stops when the source no longer reaches the sink over residuals
-above 1e-12; what it still reaches is label 1.
+about 2**29 over the number of cut arcs: each of those bands took three
+phases. The loop stops when the source no longer reaches the sink over
+residuals above 1e-12; what it still reaches is label 1.
 """
 
 from __future__ import annotations

@@ -1,4 +1,5 @@
 import io
+import re
 from pathlib import Path
 
 import numpy as np
@@ -60,31 +61,16 @@ def test_ascii_parse_error_reports_line(tmp_path):
         load_mesh(path)
 
 
-_PLY_HEADER = (
-    "ply\nformat ascii 1.0\nelement vertex 3\n"
-    "property float x\nproperty float y\nproperty float z\n"
-    "element face 1\nproperty list uchar int vertex_indices\nend_header\n"
-)
-
-
-@pytest.mark.parametrize(
-    "text, line",
-    [
-        ("ply\nformat ascii 1.0\nelement vertex\nend_header\n", 3),
-        ("ply\nformat\nelement vertex 3\nend_header\n", 2),
-        ("ply\nformat ascii 1.0\nelement face -1\nend_header\n", 3),
-        (_PLY_HEADER + "0 0 0\n1 0\n0 1 0\n3 0 1 2\n", 11),
-        (_PLY_HEADER + "0 0 0\n1 0 0\n0 1 x\n3 0 1 2\n", 12),
-        (_PLY_HEADER + "0 0 0\n1 0 0\n\n0 1 0\n3 0 1\n", 14),
-        (_PLY_HEADER + "0 0 0\n1 0 0\n0 1 0\n3 0 1 7\n", 13),
-        (_PLY_HEADER + "0 0 0\n1 0 0\n0 1 0\n4 0 1 2 0\n", 13),
-    ],
-)
-def test_ply_parse_errors_carry_their_line(text, line):
-    with pytest.raises(MeshParseError) as info:
-        load_mesh(text.encode())
-    assert info.value.offset == line
-    assert f"line {line}" in str(info.value)
+@pytest.mark.parametrize("suffix", [".ply", ".PLY"])
+def test_load_mesh_refuses_a_path_that_is_not_stl(tmp_path, unit_sphere, suffix):
+    """PLY is export-only: a file `save_ply` wrote is refused by its
+    suffix, with the path named, while the suffix check ignores case."""
+    path = tmp_path / f"die{suffix}"
+    save_ply(unit_sphere, path)
+    with pytest.raises(MeshParseError, match=re.escape(str(path))):
+        load_mesh(path)
+    save_stl_binary(unit_sphere, tmp_path / "die.STL")
+    assert load_mesh(tmp_path / "die.STL").n_faces == unit_sphere.n_faces
 
 
 @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf, 1e30])
@@ -99,19 +85,6 @@ def test_binary_stl_refuses_non_finite_or_huge_coordinates(tmp_path, value):
         load_mesh(path)
 
 
-@pytest.mark.parametrize("row", ["nan 0 0", "1 inf 0", "0 0 -inf", "1e300 0 0"])
-def test_ply_refuses_non_finite_or_huge_coordinates(row):
-    text = _PLY_HEADER + f"0 0 0\n{row}\n0 1 0\n3 0 1 2\n"
-    with pytest.raises(MeshParseError, match="non-finite or out-of-range"):
-        load_mesh(text.encode())
-
-
-def test_minimal_ply_loads():
-    """The valid form of the broken files above."""
-    mesh = load_mesh((_PLY_HEADER + "0 0 0\n1 0 0\n0 1 0\n3 0 1 2\n").encode())
-    assert mesh.n_faces == 1
-
-
 def test_ply_face_rows_carry_labels(tmp_path, unit_sphere):
     labels = (unit_sphere.barycenters[:, 2] > 0).astype(np.int64)
     path = tmp_path / "labeled.ply"
@@ -121,7 +94,6 @@ def test_ply_face_rows_carry_labels(tmp_path, unit_sphere):
     cols = np.array([row.split() for row in face_rows], dtype=np.int64)
     assert np.array_equal(cols[:, 1:4], unit_sphere.faces)
     assert np.array_equal(cols[:, 4], labels)
-    assert load_mesh(path).n_faces == unit_sphere.n_faces
 
 
 def test_soup_welding_merges_shared_vertices():
@@ -260,8 +232,6 @@ def mesh_files(tmp_path_factory):
     """Small valid files of every format `load_mesh` reads."""
     root = tmp_path_factory.mktemp("valid")
     mesh = icosphere(subdivisions=0)
-    save_ply(mesh, root / "plain.ply")
-    save_ply(mesh, root / "labeled.ply", np.arange(mesh.n_faces) % 2)
     _loop_save_stl_ascii(mesh, root / "ascii.stl")
     save_stl_binary(mesh, root / "binary.stl")
     return [p.read_bytes() for p in sorted(root.iterdir())]
@@ -275,13 +245,13 @@ _EDIT = st.tuples(
 
 
 @pytest.mark.filterwarnings("error:invalid value encountered in cast")
-@given(st.integers(0, 3), st.lists(_EDIT, min_size=1, max_size=6))
+@given(st.integers(0, 1), st.lists(_EDIT, min_size=1, max_size=6))
 @settings(
     max_examples=300, deadline=None,
     suppress_health_check=[HealthCheck.function_scoped_fixture],
 )
 def test_mutated_mesh_bytes_raise_only_package_errors(mesh_files, which, edits):
-    """Bytes from a valid PLY or STL with characters overwritten,
+    """Bytes from a valid STL with characters overwritten,
     inserted or deleted either load or raise a MarginlineError or
     ValueError, never an IndexError or other internal failure."""
     data = bytearray(mesh_files[which])

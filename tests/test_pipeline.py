@@ -12,7 +12,12 @@ import pytest
 
 from marginline import metrics, pipeline
 from marginline.cli import main
-from marginline.errors import ManifestError, MarginlineError, RegistrationError
+from marginline.errors import (
+    ManifestError,
+    MarginlineError,
+    MeshParseError,
+    RegistrationError,
+)
 from marginline.features import (
     assemble_features,
     build_adjacency,
@@ -27,7 +32,7 @@ from marginline.manifest import (
 )
 from marginline.margin import load_margin_json
 from marginline.mesh import TriangleMesh
-from marginline.meshio import load_mesh, save_stl_binary
+from marginline.meshio import load_mesh, save_ply, save_stl_binary
 from marginline.pipeline import (
     PipelineConfig,
     artifact_path,
@@ -109,6 +114,30 @@ def test_one_bad_die_does_not_stop_the_others(tmp_path, capsys):
     error = json.loads(capsys.readouterr().err)
     assert "b: RegistrationError" in error["message"]
     assert "\n" not in error["message"]
+
+
+def test_a_ply_die_fails_only_its_own_case(tmp_path):
+    """Dies are read as STL only: a PLY copy of a die fails its case with
+    a `MeshParseError` naming the file, and the STL case after it is
+    preprocessed."""
+    data = tmp_path / "data"
+    data.mkdir()
+    die, _ = frustum_die(segments=16, rows_below=4, rows_above=3)
+    save_ply(die, data / "a_die.ply")
+    save_stl_binary(die, data / "b_die.stl")
+    save_manifest(data / "manifest.json", [
+        {"case_id": "a", "die_path": "a_die.ply"},
+        {"case_id": "b", "die_path": "b_die.stl"},
+    ])
+    run = tmp_path / "run"
+    with pytest.raises(MarginlineError) as info:
+        stage_preprocess(load_manifest(data), PipelineConfig(target_faces=200), run)
+    assert "1 of 2 cases failed: a: MeshParseError" in str(info.value)
+    assert str(data / "a_die.ply") in str(info.value)
+    assert isinstance(info.value.__cause__, MeshParseError)
+    assert sorted(p.name for p in (run / "preprocess").iterdir()) == [
+        "b_decimated.stl", "b_transform.json",
+    ]
 
 
 @pytest.mark.parametrize(

@@ -105,15 +105,16 @@ def test_every_public_name_is_in_all():
 
 
 # about 30 MB of resident memory and half a second of start-up that the
-# package used to pay for one spline and one rank correlation
-HEAVY_SCIPY = ("scipy.stats", "scipy.interpolate", "scipy.optimize")
+# package used to pay for one spline and one rank correlation, and the
+# graph library its graph cut used to run on
+HEAVY_IMPORTS = ("scipy.stats", "scipy.interpolate", "scipy.optimize", "networkx")
 
 
 def test_package_imports_only_its_declared_dependencies():
     """`src/marginline` imports the standard library, itself and the
     dependencies that pyproject.toml lists: numpy and scipy. Importing
     the package and its CLI loads none of the heavy scipy subpackages
-    (tests use them as oracles)."""
+    (tests use them as oracles), nor networkx."""
     pyproject = (ROOT / "pyproject.toml").read_text()
     block = re.search(r"^dependencies = \[(.*?)\]", pyproject, re.M | re.S)[1]
     declared = set(re.findall(r'"([A-Za-z0-9_.-]+)', block))
@@ -140,7 +141,7 @@ def test_package_imports_only_its_declared_dependencies():
     probe = subprocess.run(
         [sys.executable, "-c",
          "import sys, marginline, marginline.cli\n"
-         f"print([m for m in {HEAVY_SCIPY!r} if m in sys.modules])"],
+         f"print([m for m in {HEAVY_IMPORTS!r} if m in sys.modules])"],
         env={**os.environ, "PYTHONPATH": path},
         capture_output=True, text=True, check=True,
     )
