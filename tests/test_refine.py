@@ -1,4 +1,8 @@
 import itertools
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -150,6 +154,16 @@ def test_face_pair_sharing_several_edges():
         # uniform labels cost -log(0.8) - log(0.2); the split costs lam * pair
         split_wins = split + lam * pair < -np.log(0.8) - np.log(0.2)
         assert np.array_equal(labels, [1, 0]) == split_wins
+
+
+def test_pipeline_import_leaves_out_networkx():
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    code = "import sys, marginline.pipeline; print('networkx' in sys.modules)"
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    )
+    assert out.stdout.strip() == "False"
 
 
 def test_zero_smoothness_returns_argmax():
