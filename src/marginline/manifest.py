@@ -114,6 +114,8 @@ def load_manifest(path) -> DatasetManifest:
         raise ManifestError(
             f"{path}: expected a list of cases or an object with a 'cases' list"
         )
+    if not entries:
+        raise ManifestError(f"{path}: the case list is empty")
     cases = [
         _validate_entry(e, path.parent, i) for i, e in enumerate(entries)
     ]

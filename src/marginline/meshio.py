@@ -3,7 +3,7 @@ PLY is only written, in ASCII, for inspection.
 
 STL stores a triangle soup; on load, vertices closer than the welding
 tolerance (1e-6 mm) are merged into a single indexed vertex. PLY export
-optionally carries a per-face integer `label` plus RGB.
+carries a per-face integer `label` plus RGB.
 """
 
 from __future__ import annotations
@@ -159,29 +159,24 @@ def save_stl_binary(mesh, path):
         fh.write(rec.tobytes())
 
 
-def save_ply(mesh, path, labels=None):
-    """ASCII PLY; when labels are given, faces carry `label` and RGB."""
+def save_ply(mesh, path, labels):
+    """ASCII PLY whose faces carry their `label` and its RGB colour."""
     buf = io.StringIO()
     buf.write("ply\nformat ascii 1.0\n")
     buf.write(f"element vertex {mesh.n_vertices}\n")
     buf.write("property float x\nproperty float y\nproperty float z\n")
     buf.write(f"element face {mesh.n_faces}\n")
     buf.write("property list uchar int vertex_indices\n")
-    if labels is not None:
-        buf.write("property int label\n")
-        buf.write("property uchar red\nproperty uchar green\nproperty uchar blue\n")
+    buf.write("property int label\n")
+    buf.write("property uchar red\nproperty uchar green\nproperty uchar blue\n")
     buf.write("end_header\n")
     buf.write(
         ("%.9g %.9g %.9g\n" * mesh.n_vertices) % tuple(mesh.vertices.ravel().tolist())
     )
-    if labels is None:
-        rows, fmt = mesh.faces, "3 %d %d %d\n"
-    else:
-        labels = np.asarray(labels).astype(np.int64)
-        colors = np.full((mesh.n_faces, 3), 255, dtype=np.int64)
-        for label, rgb in _LABEL_COLORS.items():
-            colors[labels == label] = rgb
-        rows = np.column_stack([mesh.faces, labels, colors])
-        fmt = "3 %d %d %d %d %d %d %d\n"
-    buf.write((fmt * len(rows)) % tuple(rows.ravel().tolist()))
+    labels = np.asarray(labels).astype(np.int64)
+    colors = np.full((mesh.n_faces, 3), 255, dtype=np.int64)
+    for label, rgb in _LABEL_COLORS.items():
+        colors[labels == label] = rgb
+    rows = np.column_stack([mesh.faces, labels, colors])
+    buf.write(("3 %d %d %d %d %d %d %d\n" * len(rows)) % tuple(rows.ravel().tolist()))
     Path(path).write_text(buf.getvalue())

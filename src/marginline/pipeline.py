@@ -456,7 +456,12 @@ def run_stages(stages, manifest: DatasetManifest, config: PipelineConfig, run_di
     runs `stages` in order; returns the last stage's directory."""
     config.validate()
     run_dir = Path(run_dir)
-    run_dir.mkdir(parents=True, exist_ok=True)
+    try:
+        run_dir.mkdir(parents=True, exist_ok=True)
+    except (FileExistsError, NotADirectoryError) as exc:
+        raise MarginlineError(
+            f"cannot make run directory {exc.filename}: {exc.strerror}"
+        ) from exc
     config.save(run_dir / "config.json")
     out = None
     for fn in stages:

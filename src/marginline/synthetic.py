@@ -1,9 +1,9 @@
 """Synthetic die benchmark: randomized frustum dies with an analytic crease.
 
-Each case is a closed lathed die whose margin is an exact ellipse at a known
-height, so the extracted margin line can be scored against ground truth with
-no manual annotation. The generator writes binary STL dies, matching
-crown-bottom shells, a dataset manifest, and per-case truth polylines.
+Each case is a lathed die, open at its base rim, whose margin is an exact
+ellipse at a known height, so the extracted margin line can be scored against
+ground truth with no manual annotation. The generator writes binary STL dies,
+matching crown-bottom shells, a dataset manifest, and per-case truth polylines.
 """
 
 from __future__ import annotations
@@ -12,6 +12,7 @@ from pathlib import Path
 
 import numpy as np
 
+from .errors import MarginlineError
 from .manifest import save_manifest
 from .margin import load_margin_json, save_margin_json
 from .mesh import TriangleMesh, compact_mesh
@@ -62,10 +63,17 @@ def generate_case(rng):
 
 def generate_benchmark(out_dir, n_cases=20, seed=7):
     """Write a full synthetic dataset and return its manifest path."""
+    if n_cases < 1:
+        raise ValueError(f"n_cases must be at least 1, not {n_cases}")
     out_dir = Path(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
     truth_dir = out_dir / "truth"
-    truth_dir.mkdir(exist_ok=True)
+    try:
+        out_dir.mkdir(parents=True, exist_ok=True)
+        truth_dir.mkdir(exist_ok=True)
+    except (FileExistsError, NotADirectoryError) as exc:
+        raise MarginlineError(
+            f"cannot make output directory {exc.filename}: {exc.strerror}"
+        ) from exc
 
     entries = []
     for i in range(n_cases):

@@ -9,10 +9,11 @@ for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
 import numpy as np
 import pytest
 
+from geometry import icosphere
 from marginline.decimate import decimate
 from marginline.mesh import TriangleMesh
 from marginline.preprocess import obb_register
-from marginline.shapes import frustum_die, icosphere
+from marginline.shapes import frustum_die
 from marginline.synthetic import generate_case
 
 

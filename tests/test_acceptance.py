@@ -15,6 +15,7 @@ import pytest
 from scipy.spatial import cKDTree
 
 from conftest import face_neighbors
+from geometry import icosphere, open_cylinder
 from marginline.cli import main as cli_main
 from marginline.decimate import decimate
 from marginline.ensemble import combine
@@ -27,7 +28,7 @@ from marginline.preprocess import augment
 from marginline.refine import GraphCutConfig, cut_energy, graph_cut_refine
 from marginline.segnet.network import NetworkParams, forward
 from marginline.segnet.train import sample_loss_and_grads
-from marginline.shapes import frustum_die, icosphere, open_cylinder
+from marginline.shapes import frustum_die
 from marginline.spline import fit_smoothing_spline, smoothness_bound
 from marginline.synthetic import generate_benchmark, load_truth_points
 

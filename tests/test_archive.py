@@ -14,6 +14,7 @@ import scipy.sparse as sp
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from geometry import icosphere
 from marginline.features import (
     assemble_features,
     build_adjacency,
@@ -21,7 +22,6 @@ from marginline.features import (
     save_feature_cache,
 )
 from marginline.segnet import NetworkParams
-from marginline.shapes import icosphere
 
 LOADERS = (load_feature_cache, NetworkParams.load)
 

@@ -3,10 +3,11 @@ import itertools
 import numpy as np
 import pytest
 
+from geometry import icosphere
 import marginline.bvh as bvh_mod
 from marginline.bvh import TIE_MM, TriangleBVH, _batches, brute_force_closest
 from marginline.mesh import TriangleMesh
-from marginline.shapes import frustum_die, icosphere
+from marginline.shapes import frustum_die
 
 
 def _assert_matches_brute_force(mesh, queries):

@@ -303,6 +303,8 @@ def test_config_that_is_not_an_object_exit_1(tmp_path, capsys, raw):
         5,
         ["case_id die_path arch"],
         [{"case_id": "a", "die_path": 3, "arch": "lower"}],
+        {"cases": []},
+        [],
     ],
 )
 def test_malformed_manifest_exit_1(tmp_path, capsys, manifest):
@@ -311,3 +313,27 @@ def test_malformed_manifest_exit_1(tmp_path, capsys, manifest):
     code = main(["preprocess", "--manifest", str(path), "--run-dir", str(tmp_path / "run")])
     assert code == 1
     assert json.loads(capsys.readouterr().err)["error"] == "ManifestError"
+
+
+def test_synth_of_no_cases_exit_1(tmp_path, capsys):
+    assert main(["synth", "--out", str(tmp_path / "data"), "--cases", "0"]) == 1
+    assert json.loads(capsys.readouterr().err)["error"] == "ValueError"
+    assert not (tmp_path / "data").exists()
+
+
+def test_directory_that_names_a_file_exit_1(tmp_path, capsys):
+    """A file where a stage's `--run-dir` or `synth --out` names a
+    directory is bad input: exit 1 with the path named, and nothing
+    written."""
+    (tmp_path / "a_die.stl").write_bytes(b"\0" * 84)
+    occupied = tmp_path / "occupied"
+    occupied.write_text("")
+    for argv in (
+        ["preprocess", "--manifest", str(tmp_path), "--run-dir", str(occupied)],
+        ["synth", "--out", str(occupied), "--cases", "1"],
+    ):
+        assert main(argv) == 1
+        error = json.loads(capsys.readouterr().err)
+        assert error["error"] == "MarginlineError"
+        assert str(occupied) in error["message"]
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["a_die.stl", "occupied"]

@@ -5,11 +5,12 @@ import warnings
 import numpy as np
 import pytest
 
+from geometry import icosphere, open_cylinder
 from marginline.decimate import decimate
 from marginline.errors import TopologyError
 from marginline.mesh import TriangleMesh, extract_boundary_loops
 from marginline.preprocess import obb_register
-from marginline.shapes import frustum_die, icosphere, open_cylinder
+from marginline.shapes import frustum_die
 from marginline.synthetic import generate_case
 
 # the package re-exports the function under the module's name

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from scipy.spatial import cKDTree
 
+from geometry import grid_patch, icosphere, open_cylinder
 from marginline.features import (
     _vertex_mean_curvature,
     assemble_features,
@@ -13,7 +14,6 @@ from marginline.features import (
     save_feature_cache,
 )
 from marginline.preprocess import normalize
-from marginline.shapes import grid_patch, icosphere, open_cylinder
 from marginline.synthetic import generate_case
 
 

@@ -3,6 +3,7 @@ from functools import partial
 import numpy as np
 import pytest
 
+from geometry import icosphere
 from marginline.errors import AlignmentError, TopologyError
 from marginline.labeling import (
     extract_margin_points,
@@ -21,7 +22,7 @@ from marginline.pipeline import (
     stage_labels,
     stage_preprocess,
 )
-from marginline.shapes import crease_circle, icosphere
+from marginline.shapes import crease_circle
 
 
 def test_crown_boundary_is_the_crease(labeled_die_case):

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 from scipy.spatial import cKDTree
 
+from geometry import icosphere
 from marginline.errors import BoundaryExtractionError
 from marginline.margin import (
     _self_intersects_2d,
@@ -19,7 +20,7 @@ from marginline.margin import (
 )
 from marginline.pipeline import _scan_labels
 from marginline.refine import cleanup_components, graph_cut_refine
-from marginline.shapes import crease_circle, frustum_die, icosphere
+from marginline.shapes import crease_circle, frustum_die
 from marginline.spline import fit_smoothing_spline
 
 

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from geometry import grid_patch, icosphere, open_cylinder
 from marginline.errors import EmptyMeshError, TopologyError
 from marginline.mesh import (
     FaceAdjacency,
@@ -10,7 +11,6 @@ from marginline.mesh import (
     extract_boundary_loops,
     first_positions,
 )
-from marginline.shapes import grid_patch, icosphere, open_cylinder
 
 
 def test_counts_and_derived_quantities(unit_sphere):

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from geometry import icosphere
 from marginline.errors import MarginlineError, MeshParseError
 from marginline.mesh import TriangleMesh
 from marginline.meshio import (
@@ -18,7 +19,6 @@ from marginline.meshio import (
     save_stl_binary,
     soup_to_mesh,
 )
-from marginline.shapes import icosphere
 
 
 def test_binary_stl_round_trip(tmp_path, unit_sphere):
@@ -66,7 +66,7 @@ def test_load_mesh_refuses_a_path_that_is_not_stl(tmp_path, unit_sphere, suffix)
     """PLY is export-only: a file `save_ply` wrote is refused by its
     suffix, with the path named, while the suffix check ignores case."""
     path = tmp_path / f"die{suffix}"
-    save_ply(unit_sphere, path)
+    save_ply(unit_sphere, path, np.zeros(unit_sphere.n_faces))
     with pytest.raises(MeshParseError, match=re.escape(str(path))):
         load_mesh(path)
     save_stl_binary(unit_sphere, tmp_path / "die.STL")
@@ -164,7 +164,7 @@ def test_weld_matches_row_unique_reference():
     assert np.array_equal(inverse, ref_inverse)
 
 
-def _loop_save_ply(mesh, path, labels=None):
+def _loop_save_ply(mesh, path, labels):
     """Reference: the per-row f-string PLY writer."""
     buf = io.StringIO()
     buf.write("ply\nformat ascii 1.0\n")
@@ -172,19 +172,14 @@ def _loop_save_ply(mesh, path, labels=None):
     buf.write("property float x\nproperty float y\nproperty float z\n")
     buf.write(f"element face {mesh.n_faces}\n")
     buf.write("property list uchar int vertex_indices\n")
-    if labels is not None:
-        buf.write("property int label\n")
-        buf.write("property uchar red\nproperty uchar green\nproperty uchar blue\n")
+    buf.write("property int label\n")
+    buf.write("property uchar red\nproperty uchar green\nproperty uchar blue\n")
     buf.write("end_header\n")
     for v in mesh.vertices:
         buf.write(f"{v[0]:.9g} {v[1]:.9g} {v[2]:.9g}\n")
-    if labels is None:
-        for f in mesh.faces:
-            buf.write(f"3 {f[0]} {f[1]} {f[2]}\n")
-    else:
-        for f, lab in zip(mesh.faces, labels):
-            r, g, b = _LABEL_COLORS.get(int(lab), (255, 255, 255))
-            buf.write(f"3 {f[0]} {f[1]} {f[2]} {int(lab)} {r} {g} {b}\n")
+    for f, lab in zip(mesh.faces, labels):
+        r, g, b = _LABEL_COLORS.get(int(lab), (255, 255, 255))
+        buf.write(f"3 {f[0]} {f[1]} {f[2]} {int(lab)} {r} {g} {b}\n")
     Path(path).write_text(buf.getvalue())
 
 
@@ -215,10 +210,9 @@ def awkward_mesh():
     return TriangleMesh(vertices, sphere.faces)
 
 
-@pytest.mark.parametrize("labeling", ["none", "binary", "outside"])
+@pytest.mark.parametrize("labeling", ["binary", "outside"])
 def test_ply_writer_matches_loop_reference(tmp_path, awkward_mesh, labeling):
     labels = {
-        "none": None,
         "binary": (awkward_mesh.barycenters[:, 2] > 0).astype(np.int64),
         "outside": np.arange(awkward_mesh.n_faces) % 4 - 1,  # -1, 0, 1, 2
     }[labeling]

@@ -10,6 +10,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from geometry import grid_patch, icosphere
 from marginline import metrics, pipeline
 from marginline.cli import main
 from marginline.errors import (
@@ -51,7 +52,7 @@ from marginline.segnet import NetworkParams, forward
 from marginline.segnet import train as train_mod
 from marginline.preprocess import obb_register, rotation_xyz
 from marginline.refine import cleanup_components
-from marginline.shapes import frustum_die, grid_patch, icosphere
+from marginline.shapes import frustum_die
 from marginline.synthetic import generate_benchmark
 
 
@@ -123,7 +124,7 @@ def test_a_ply_die_fails_only_its_own_case(tmp_path):
     data = tmp_path / "data"
     data.mkdir()
     die, _ = frustum_die(segments=16, rows_below=4, rows_above=3)
-    save_ply(die, data / "a_die.ply")
+    save_ply(die, data / "a_die.ply", np.zeros(die.n_faces))
     save_stl_binary(die, data / "b_die.stl")
     save_manifest(data / "manifest.json", [
         {"case_id": "a", "die_path": "a_die.ply"},

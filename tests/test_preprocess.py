@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from geometry import grid_patch
 from marginline.errors import NormalizationError, RegistrationError
 from marginline.mesh import TriangleMesh
 from marginline.preprocess import (
@@ -9,7 +10,7 @@ from marginline.preprocess import (
     obb_register,
     rotation_xyz,
 )
-from marginline.shapes import frustum_die, grid_patch
+from marginline.shapes import frustum_die
 
 
 def _scrambled_die(seed=0):

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from conftest import face_neighbors
+from geometry import icosphere
 from marginline.errors import EmptyRegionError
 from marginline.mesh import TriangleMesh
 from marginline.refine import (
@@ -18,7 +19,7 @@ from marginline.refine import (
     cut_energy,
     graph_cut_refine,
 )
-from marginline.shapes import frustum_die, icosphere
+from marginline.shapes import frustum_die
 
 
 def _random_mesh(rng, max_faces=16):

@@ -2,18 +2,18 @@ import numpy as np
 import pytest
 
 from marginline.mesh import walk_closed_loops
-from marginline.shapes import frustum_die, open_cylinder
+from marginline.shapes import frustum_die
 from marginline.synthetic import generate_case
 
 
-def _loop_lathe(profile_rz, segments, scale_xy=(1.0, 1.0), cap_top=True):
+def _loop_lathe(profile_rz, segments, scale_xy=(1.0, 1.0)):
     """Reference: the surface of revolution built vertex by vertex and
     quad by quad."""
     profile_rz = np.asarray(profile_rz, dtype=np.float64)
     theta = np.linspace(0.0, 2 * np.pi, segments, endpoint=False)
     sx, sy = scale_xy
     verts = []
-    n_rows = len(profile_rz) - (1 if cap_top else 0)
+    n_rows = len(profile_rz) - 1
     for r, z in profile_rz[:n_rows]:
         for t in theta:
             verts.append([sx * r * np.cos(t), sy * r * np.sin(t), z])
@@ -26,32 +26,14 @@ def _loop_lathe(profile_rz, segments, scale_xy=(1.0, 1.0), cap_top=True):
             d = (row + 1) * segments + (s + 1) % segments
             faces.append([a, b, d])
             faces.append([a, d, c])
-    if cap_top:
-        apex = len(verts)
-        verts.append([0.0, 0.0, profile_rz[-1, 1]])
-        row = n_rows - 1
-        for s in range(segments):
-            a = row * segments + s
-            b = row * segments + (s + 1) % segments
-            faces.append([a, b, apex])
+    apex = len(verts)
+    verts.append([0.0, 0.0, profile_rz[-1, 1]])
+    row = n_rows - 1
+    for s in range(segments):
+        a = row * segments + s
+        b = row * segments + (s + 1) % segments
+        faces.append([a, b, apex])
     return np.asarray(verts), np.asarray(faces, dtype=np.int64)
-
-
-def _loop_cylinder(radius, height, segments, rings):
-    """Reference: the tube built vertex by vertex and quad by quad."""
-    theta = np.linspace(0.0, 2 * np.pi, segments, endpoint=False)
-    zs = np.linspace(0.0, height, rings + 1)
-    verts = [[radius * np.cos(t), radius * np.sin(t), z] for z in zs for t in theta]
-    faces = []
-    for r in range(rings):
-        for s in range(segments):
-            a = r * segments + s
-            b = r * segments + (s + 1) % segments
-            c = (r + 1) * segments + s
-            d = (r + 1) * segments + (s + 1) % segments
-            faces.append([a, b, d])
-            faces.append([a, d, c])
-    return np.asarray(verts, dtype=np.float64), np.asarray(faces, dtype=np.int64)
 
 
 def _same_bytes(mesh, verts, faces):
@@ -97,19 +79,6 @@ def _loop_frustum_die(
 )
 def test_frustum_die_matches_loop_reference(kwargs):
     _same_bytes(frustum_die(**kwargs)[0], *_loop_frustum_die(**kwargs))
-
-
-@pytest.mark.parametrize(
-    "kwargs",
-    [
-        {},
-        dict(radius=3.0, height=6.0, segments=48, rings=12),
-        dict(radius=2, segments=7, rings=1),
-    ],
-)
-def test_open_cylinder_matches_loop_reference(kwargs):
-    args = {"radius": 1.0, "height": 2.0, "segments": 32, "rings": 8, **kwargs}
-    _same_bytes(open_cylinder(**args), *_loop_cylinder(**args))
 
 
 @pytest.mark.parametrize("seed", [3, 7, 17])

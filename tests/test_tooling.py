@@ -11,7 +11,9 @@ its Outputs section does not name, would leave it stale. A config field
 that only a method copying it elsewhere reads is a setting with two
 homes. A heavy scipy subpackage loaded on import would cost every run
 about 30 MB, and a `BENCH_*.json` that lacks a side or a metric cannot
-back the numbers quoted from it."""
+back the numbers quoted from it. A public function or class that neither
+the package nor the benchmark names, and that the package does not
+export, is there only for the tests, whose own code lives in `tests/`."""
 
 import ast
 import importlib.util
@@ -31,6 +33,10 @@ from marginline.pipeline import ARTIFACTS, PipelineConfig
 ROOT = Path(__file__).resolve().parents[1]
 # retired with the labeled-PLY handoff; the tracer still lists it
 RETIRED = {"marginline.pipeline.load_labeled_ply"}
+# public names of the package that only tests call: the oracle of the
+# BVH's closest-point queries, and the reader of the truth files that
+# `generate_benchmark` writes
+TEST_ONLY = {"bvh.brute_force_closest", "synthetic.load_truth_points"}
 
 
 def _load_perfbench(name):
@@ -194,6 +200,34 @@ def test_readme_outputs_name_every_artifact():
         if f"run/{stage}/<case>{suffix}" not in outputs
     ]
     assert missing == []
+
+
+def test_every_public_definition_is_named_outside_the_tests():
+    """Each public top-level function or class of `src/marginline` is
+    named in the package or in `perfbench` (as a name, an attribute or an
+    import) or listed in `marginline.__all__`, but for `TEST_ONLY`."""
+    package = ROOT / "src" / "marginline"
+    named, defined = set(marginline.__all__), set()
+    sources = sorted(package.rglob("*.py")) + sorted((ROOT / "perfbench").glob("*.py"))
+    for path in sources:
+        tree = ast.parse(path.read_text())
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name):
+                named.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                named.add(node.attr)
+            elif isinstance(node, ast.alias):
+                named.add(node.name.rpartition(".")[2])
+        if path.is_relative_to(package):
+            module = ".".join(path.relative_to(package).with_suffix("").parts)
+            defined |= {
+                (module, node.name)
+                for node in tree.body
+                if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+                and not node.name.startswith("_")
+            }
+    unnamed = {f"{module}.{name}" for module, name in defined if name not in named}
+    assert unnamed == TEST_ONLY
 
 
 def test_every_config_field_is_read_as_config_dot_field():

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from conftest import face_neighbors
+from geometry import grid_patch
 from marginline.decimate import decimate
 from marginline.errors import BoundaryExtractionError
 from marginline.labeling import _dilate, extract_margin_points, label_die
@@ -16,7 +17,7 @@ from marginline.mesh import (
     extract_boundary_loops,
     walk_closed_loops,
 )
-from marginline.shapes import frustum_die, grid_patch
+from marginline.shapes import frustum_die
 from marginline.synthetic import generate_case
 
 # -- references: breadth-first search, sets and dictionary walks -----------
