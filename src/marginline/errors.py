@@ -1,5 +1,7 @@
 """Exception hierarchy shared across the package."""
 
+from pathlib import Path
+
 
 class MarginlineError(Exception):
     """Base class for all package errors."""
@@ -60,3 +62,18 @@ class ManifestError(MarginlineError):
 
 # bad input data: fails one case of a stage, and exits 1 at the command line
 DATA_ERRORS = (MarginlineError, ValueError, FileNotFoundError)
+
+
+def make_dir(path, what):
+    """Creates the directory `path` and its parents and returns it as a
+    Path. A file where a directory belongs is bad input: a
+    MarginlineError naming the path (`what` says which directory it is),
+    not an internal failure."""
+    path = Path(path)
+    try:
+        path.mkdir(parents=True, exist_ok=True)
+    except (FileExistsError, NotADirectoryError) as exc:
+        raise MarginlineError(
+            f"cannot make {what} directory {exc.filename}: {exc.strerror}"
+        ) from exc
+    return path

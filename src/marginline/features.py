@@ -16,8 +16,8 @@ from .archive import load_archive, save_archive
 from .mesh import TriangleMesh
 
 # MeshSegNet's pooling radii, in normalized coordinates
-DEFAULT_R_SMALL = 0.1
-DEFAULT_R_LARGE = 0.2
+R_SMALL = 0.1
+R_LARGE = 0.2
 
 
 def _cotangents(mesh):
@@ -157,14 +157,11 @@ def _radius_matrix(points, radius):
     return sp.csr_matrix((data, indices, indptr), shape=(n, n))
 
 
-def build_adjacency(
-    barycenters, r_small=DEFAULT_R_SMALL, r_large=DEFAULT_R_LARGE
-) -> AdjacencyPair:
-    if not (0 < r_small <= r_large):
-        raise ValueError("radii must satisfy 0 < r_small <= r_large")
+def build_adjacency(barycenters) -> AdjacencyPair:
+    """A_S and A_L of the face barycenters, at R_SMALL and R_LARGE."""
     barycenters = np.asarray(barycenters, dtype=np.float64)
     return AdjacencyPair(
-        _radius_matrix(barycenters, r_small), _radius_matrix(barycenters, r_large)
+        _radius_matrix(barycenters, R_SMALL), _radius_matrix(barycenters, R_LARGE)
     )
 
 

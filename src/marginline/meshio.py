@@ -127,15 +127,12 @@ def _load_stl_ascii(text):
     return soup_to_mesh(np.asarray(tris))
 
 
-def load_mesh(source):
-    """Load an STL mesh, ASCII or binary, from a path or from bytes. A
-    path whose suffix is not '.stl' (in any case) is refused."""
-    if isinstance(source, bytes):
-        data = source
-    else:
-        if Path(source).suffix.lower() != ".stl":
-            raise MeshParseError(f"{source}: not an STL file")
-        data = Path(source).read_bytes()
+def load_mesh(path):
+    """Load an STL mesh, ASCII or binary, from `path`. A path whose
+    suffix is not '.stl' (in any case) is refused."""
+    if Path(path).suffix.lower() != ".stl":
+        raise MeshParseError(f"{path}: not an STL file")
+    data = Path(path).read_bytes()
     if data[:5] == b"solid":
         # some binary files start with 'solid'; require 'facet' to confirm
         try:

@@ -37,7 +37,7 @@ import numpy as np
 from . import metrics as metrics_mod
 from .decimate import decimate
 from .ensemble import combine, strategy_fold
-from .errors import DATA_ERRORS, ManifestError, MarginlineError
+from .errors import DATA_ERRORS, ManifestError, MarginlineError, make_dir
 from .features import (
     AdjacencyPair,
     assemble_features,
@@ -116,6 +116,8 @@ class PipelineConfig:
 
     @staticmethod
     def from_json(path):
+        if Path(path).is_dir():
+            raise MarginlineError(f"{path}: a config must be a file, not a directory")
         raw = json.loads(Path(path).read_text())
         if not isinstance(raw, dict):
             raise ValueError(f"{path}: a config must be a JSON object, not {raw!r}")
@@ -155,18 +157,12 @@ def sample_ids(case_id, n_augmented):
     return [case_id] + [f"{case_id}#aug{k}" for k in range(1, n_augmented + 1)]
 
 
-def _stage_dir(run_dir, name):
-    d = Path(run_dir) / name
-    d.mkdir(parents=True, exist_ok=True)
-    return d
-
-
 def _each_case(stage, cases, run_dir, per_case):
     """Creates the `stage` directory of the run and calls
     `per_case(case, path)` for every case in order, `path(kind)` being
     the case's `artifact_path`; returns the directory. Failures follow
     the batch policy in the module docstring."""
-    out = _stage_dir(run_dir, stage)
+    out = make_dir(Path(run_dir) / stage, "stage")
     failures = []
     for case in cases:
         try:
@@ -292,7 +288,7 @@ def stage_features(manifest: DatasetManifest, config: PipelineConfig, run_dir):
 def stage_train(manifest: DatasetManifest, config: PipelineConfig, run_dir):
     """k-fold ensemble training over the labeled training cases: each
     case's samples are exactly those `stage_features` wrote for it."""
-    out = _stage_dir(run_dir, "models")
+    out = make_dir(Path(run_dir) / "models", "stage")
     case_ids = [c.case_id for c in manifest.split("train") if c.crown_bottom_path]
     # folds split cases, not samples: #augK variants do not fill a fold
     if len(case_ids) < config.folds:
@@ -455,13 +451,7 @@ def run_stages(stages, manifest: DatasetManifest, config: PipelineConfig, run_di
     """Validates `config`, creates `run_dir`, writes its config.json and
     runs `stages` in order; returns the last stage's directory."""
     config.validate()
-    run_dir = Path(run_dir)
-    try:
-        run_dir.mkdir(parents=True, exist_ok=True)
-    except (FileExistsError, NotADirectoryError) as exc:
-        raise MarginlineError(
-            f"cannot make run directory {exc.filename}: {exc.strerror}"
-        ) from exc
+    run_dir = make_dir(run_dir, "run")
     config.save(run_dir / "config.json")
     out = None
     for fn in stages:

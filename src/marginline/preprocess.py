@@ -37,9 +37,6 @@ class RigidTransform:
     def apply(self, points):
         return np.asarray(points) @ self.rotation.T + self.translation
 
-    def inverse(self):
-        return RigidTransform(self.rotation.T, -self.rotation.T @ self.translation)
-
 
 # ranges augmented copies draw their rotations (degrees) and per-axis
 # scales from, uniformly

@@ -12,7 +12,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import MarginlineError
+from .errors import make_dir
 from .manifest import save_manifest
 from .margin import load_margin_json, save_margin_json
 from .mesh import TriangleMesh, compact_mesh
@@ -66,14 +66,7 @@ def generate_benchmark(out_dir, n_cases=20, seed=7):
     if n_cases < 1:
         raise ValueError(f"n_cases must be at least 1, not {n_cases}")
     out_dir = Path(out_dir)
-    truth_dir = out_dir / "truth"
-    try:
-        out_dir.mkdir(parents=True, exist_ok=True)
-        truth_dir.mkdir(exist_ok=True)
-    except (FileExistsError, NotADirectoryError) as exc:
-        raise MarginlineError(
-            f"cannot make output directory {exc.filename}: {exc.strerror}"
-        ) from exc
+    truth_dir = make_dir(out_dir / "truth", "output")
 
     entries = []
     for i in range(n_cases):

@@ -16,8 +16,9 @@ from hypothesis import strategies as st
 
 from geometry import icosphere
 from marginline.features import (
+    AdjacencyPair,
+    _radius_matrix,
     assemble_features,
-    build_adjacency,
     load_feature_cache,
     save_feature_cache,
 )
@@ -30,7 +31,7 @@ LOADERS = (load_feature_cache, NetworkParams.load)
 def cache_parts():
     mesh = icosphere(subdivisions=1)
     feats = assemble_features(mesh, np.linspace(-1.0, 1.0, mesh.n_vertices))
-    adj = build_adjacency(mesh.barycenters, r_small=0.5, r_large=1.0)
+    adj = AdjacencyPair(*(_radius_matrix(mesh.barycenters, r) for r in (0.5, 1.0)))
     labels = (mesh.barycenters[:, 2] > 0).astype(np.int64)
     return feats, adj, labels
 

@@ -337,3 +337,26 @@ def test_directory_that_names_a_file_exit_1(tmp_path, capsys):
         assert error["error"] == "MarginlineError"
         assert str(occupied) in error["message"]
     assert sorted(p.name for p in tmp_path.iterdir()) == ["a_die.stl", "occupied"]
+
+
+@pytest.mark.parametrize("wrong", ["stage_dir_is_a_file", "config_is_a_dir"])
+def test_path_of_the_wrong_kind_exit_1(tmp_path, capsys, wrong):
+    """A file where a stage's directory belongs in the run directory, or
+    a `--config` that names a directory, is bad input: exit 1 with the
+    path named, and no stage directory written."""
+    (tmp_path / "a_die.stl").write_bytes(b"\0" * 84)
+    run = tmp_path / "run"
+    argv = ["preprocess", "--manifest", str(tmp_path), "--run-dir", str(run)]
+    if wrong == "stage_dir_is_a_file":
+        run.mkdir()
+        path = run / "preprocess"
+        path.write_text("")
+    else:
+        path = tmp_path / "config.json"
+        path.mkdir()
+        argv += ["--config", str(path)]
+    assert main(argv) == 1
+    error = json.loads(capsys.readouterr().err)
+    assert error["error"] == "MarginlineError"
+    assert str(path) in error["message"]
+    assert [p for p in run.glob("*") if p.is_dir()] == []

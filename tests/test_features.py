@@ -6,6 +6,8 @@ from scipy.spatial import cKDTree
 
 from geometry import grid_patch, icosphere, open_cylinder
 from marginline.features import (
+    R_LARGE,
+    R_SMALL,
     _vertex_mean_curvature,
     assemble_features,
     build_adjacency,
@@ -112,10 +114,12 @@ def _dense_adjacency(points, radius):
 
 def test_adjacency_matches_dense_oracle(tmp_path):
     rng = np.random.default_rng(5)
-    points = rng.normal(size=(400, 3))
+    # scaled by 1/3, so R_SMALL and R_LARGE reach as far as 0.3 and 0.6 would
+    # on the unscaled points
+    points = rng.normal(size=(400, 3)) / 3
     points[300:] = points[rng.integers(0, 300, size=100)]  # duplicates
-    adj = build_adjacency(points, 0.3, 0.6)
-    for a, radius in zip(adj, (0.3, 0.6)):
+    adj = build_adjacency(points)
+    for a, radius in zip(adj, (R_SMALL, R_LARGE)):
         assert a.has_canonical_format
         assert a.indices.dtype == a.indptr.dtype == np.int32
         assert np.array_equal(a.toarray(), _dense_adjacency(points, radius))

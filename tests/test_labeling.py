@@ -22,6 +22,7 @@ from marginline.pipeline import (
     stage_labels,
     stage_preprocess,
 )
+from marginline.preprocess import RigidTransform
 from marginline.shapes import crease_circle
 
 
@@ -100,7 +101,8 @@ def test_stage_labels_match_height_threshold_oracle(tmp_path):
     decimated = load_mesh(artifact_path(run, "decimated", "die"))
     labels = np.load(artifact_path(run, "labels", "die"))
     transform = _load_transform(artifact_path(run, "transform", "die"))
-    z = transform.inverse().apply(decimated.barycenters)[:, 2]
+    R, t = transform.rotation, transform.translation
+    z = RigidTransform(R.T, -R.T @ t).apply(decimated.barycenters)[:, 2]
     assert np.mean(labels != (z > crease["z"])) < 0.01
 
 

@@ -244,10 +244,12 @@ _EDIT = st.tuples(
     max_examples=300, deadline=None,
     suppress_health_check=[HealthCheck.function_scoped_fixture],
 )
-def test_mutated_mesh_bytes_raise_only_package_errors(mesh_files, which, edits):
-    """Bytes from a valid STL with characters overwritten,
-    inserted or deleted either load or raise a MarginlineError or
-    ValueError, never an IndexError or other internal failure."""
+def test_mutated_mesh_bytes_raise_only_package_errors(
+    mesh_files, tmp_path, which, edits
+):
+    """An STL file with characters overwritten, inserted or deleted
+    either loads or raises a MarginlineError or ValueError, never an
+    IndexError or other internal failure."""
     data = bytearray(mesh_files[which])
     for where, op, byte in edits:
         at = int(where * len(data))
@@ -257,7 +259,9 @@ def test_mutated_mesh_bytes_raise_only_package_errors(mesh_files, which, edits):
             data.insert(at, byte)
         else:
             del data[at]
+    path = tmp_path / "mutated.stl"
+    path.write_bytes(data)
     try:
-        load_mesh(bytes(data))
+        load_mesh(path)
     except (MarginlineError, ValueError):
         pass

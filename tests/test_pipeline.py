@@ -31,7 +31,7 @@ from marginline.manifest import (
     load_manifest,
     save_manifest,
 )
-from marginline.margin import load_margin_json
+from marginline.margin import load_margin_json, save_margin_json
 from marginline.mesh import TriangleMesh
 from marginline.meshio import load_mesh, save_ply, save_stl_binary
 from marginline.pipeline import (
@@ -342,6 +342,45 @@ def test_evaluate_reads_truth_labels_without_feature_cache(tmp_path):
         path.unlink()
     stage_evaluate(manifest, config, run)
     assert report.read_bytes() == before
+
+
+def test_report_correlates_rating_with_margin_error(tmp_path):
+    """With three or more rated cases the summary holds Spearman's ρ
+    between rating and mean margin error, and its p-value, as
+    `metrics.spearman` computes them from the report's rows; with two
+    rated cases, or one rating for all, it holds neither."""
+    theta = np.linspace(0.0, 2.0 * np.pi, 64, endpoint=False)
+    truth = np.column_stack([5 * np.cos(theta), 4 * np.sin(theta), 0 * theta])
+    lifts_mm = (0.01, 0.03, 0.04, 0.02)
+
+    def summary(ratings):
+        run = tmp_path / "-".join(map(str, ratings))
+        cases = []
+        for i, (rating, lift) in enumerate(zip(ratings, lifts_mm)):
+            case_id = f"case{i}"
+            cases.append(CaseEntry(case_id, "die.stl", None, rating, "test"))
+            margins = {"truth_margin": truth, "margin": truth + [0.0, 0.0, lift]}
+            for kind in ("labels", "refined", *margins):
+                path = artifact_path(run, kind, case_id)
+                path.parent.mkdir(parents=True, exist_ok=True)
+                if kind in margins:
+                    save_margin_json(path, margins[kind], case_id)
+                else:
+                    np.save(path, np.array([0, 1, 1, 0]))
+        stage_evaluate(DatasetManifest(cases), PipelineConfig(), run)
+        report = json.loads((run / "evaluation" / "report.json").read_text())
+        mean_um = [row["mean_um"] for row in report["cases"]]
+        assert mean_um == pytest.approx([1e3 * lift for lift in lifts_mm])
+        return report["summary"], mean_um
+
+    ratings = (1.0, 3.0, 2.0, 4.0)
+    got, mean_um = summary(ratings)
+    r, p = metrics.spearman(ratings, mean_um)
+    assert (got["spearman_r"], got["spearman_p"]) == (r, p)
+    assert -1.0 < r < 1.0
+    for ratings in ((1.0, 3.0, None, None), (2.0, 2.0, 2.0, 2.0)):
+        got, _ = summary(ratings)
+        assert "spearman_r" not in got and "spearman_p" not in got
 
 
 def test_fold_guard_counts_cases_not_augmented_samples(tmp_path):

@@ -5,6 +5,7 @@ from geometry import grid_patch
 from marginline.errors import NormalizationError, RegistrationError
 from marginline.mesh import TriangleMesh
 from marginline.preprocess import (
+    RigidTransform,
     augment,
     normalize,
     obb_register,
@@ -60,7 +61,8 @@ def test_registration_is_pose_invariant():
 def test_registration_transform_round_trip():
     mesh, moved, _ = _scrambled_die(seed=4)
     registered, transform = obb_register(moved)
-    back = transform.inverse().apply(registered.vertices)
+    R, t = transform.rotation, transform.translation
+    back = RigidTransform(R.T, -R.T @ t).apply(registered.vertices)
     assert np.allclose(back, moved.vertices, atol=1e-9)
 
 

@@ -4,7 +4,7 @@ import threading
 import numpy as np
 import pytest
 
-from marginline.features import build_adjacency
+from marginline.features import AdjacencyPair, _radius_matrix
 from marginline.pipeline import PipelineConfig
 from marginline.segnet import (
     NetworkParams,
@@ -32,7 +32,7 @@ def _toy_sample(n=40, c=18, seed=0):
     pts = rng.normal(size=(n, 3))
     feats = rng.normal(size=(n, c))
     feats[:, 11] = pts[:, 2]  # a usable coordinate channel
-    adj = build_adjacency(pts, r_small=0.8, r_large=1.5)
+    adj = AdjacencyPair(_radius_matrix(pts, 0.8), _radius_matrix(pts, 1.5))
     labels = (pts[:, 2] > 0).astype(np.int64)
     return feats, adj, labels
 

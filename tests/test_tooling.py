@@ -11,9 +11,11 @@ its Outputs section does not name, would leave it stale. A config field
 that only a method copying it elsewhere reads is a setting with two
 homes. A heavy scipy subpackage loaded on import would cost every run
 about 30 MB, and a `BENCH_*.json` that lacks a side or a metric cannot
-back the numbers quoted from it. A public function or class that neither
-the package nor the benchmark names, and that the package does not
-export, is there only for the tests, whose own code lives in `tests/`."""
+back the numbers quoted from it. A public function, class, method or
+property that neither the package nor the benchmark names, and that the
+package does not export, is there only for the tests, whose own code
+lives in `tests/`; so is a defaulted parameter that no call in the
+package or the benchmark passes, a setting only the tests change."""
 
 import ast
 import importlib.util
@@ -37,6 +39,17 @@ RETIRED = {"marginline.pipeline.load_labeled_ply"}
 # BVH's closest-point queries, and the reader of the truth files that
 # `generate_benchmark` writes
 TEST_ONLY = {"bvh.brute_force_closest", "synthetic.load_truth_points"}
+# defaulted parameters that no package or benchmark call passes, kept on
+# purpose
+UNPASSED = {
+    # the entry point the CLI tests drive in-process; the console script
+    # reads sys.argv
+    "cli.main(argv)",
+    # criterion 05 varies λ through it, and the roadmap's crease term and
+    # two-scale cut (items 11 and 17) keep one GraphCutConfig
+    "refine.graph_cut_refine(config)",
+    "refine.cut_energy(config)",
+}
 
 
 def _load_perfbench(name):
@@ -202,32 +215,113 @@ def test_readme_outputs_name_every_artifact():
     assert missing == []
 
 
+def _outside_the_tests():
+    """(module, tree) of each file of `src/marginline`, `module` being its
+    dotted name inside the package, then (None, tree) of each file of
+    `perfbench`."""
+    package = ROOT / "src" / "marginline"
+    for path in sorted(package.rglob("*.py")):
+        module = ".".join(path.relative_to(package).with_suffix("").parts)
+        yield module, ast.parse(path.read_text())
+    for path in sorted((ROOT / "perfbench").glob("*.py")):
+        yield None, ast.parse(path.read_text())
+
+
+def _public_functions(tree):
+    """(qualified name, def, class or None) of each public top-level
+    function of `tree`, and of each public method or property, and each
+    `__init__`, of its public top-level classes."""
+    for node in tree.body:
+        if isinstance(node, ast.FunctionDef) and not node.name.startswith("_"):
+            yield node.name, node, None
+        elif isinstance(node, ast.ClassDef) and not node.name.startswith("_"):
+            for item in node.body:
+                if isinstance(item, ast.FunctionDef) and (
+                    item.name == "__init__" or not item.name.startswith("_")
+                ):
+                    yield f"{node.name}.{item.name}", item, node
+
+
 def test_every_public_definition_is_named_outside_the_tests():
     """Each public top-level function or class of `src/marginline` is
     named in the package or in `perfbench` (as a name, an attribute or an
-    import) or listed in `marginline.__all__`, but for `TEST_ONLY`."""
-    package = ROOT / "src" / "marginline"
-    named, defined = set(marginline.__all__), set()
-    sources = sorted(package.rglob("*.py")) + sorted((ROOT / "perfbench").glob("*.py"))
-    for path in sources:
-        tree = ast.parse(path.read_text())
+    import) or listed in `marginline.__all__`, and each public method or
+    property of its public classes is named there as an attribute
+    (`x.name`; a bare name may be a local, as `inverse` is in
+    `meshio._weld`), but for `TEST_ONLY`."""
+    named, attributes, top, methods = set(marginline.__all__), set(), set(), set()
+    for module, tree in _outside_the_tests():
         for node in ast.walk(tree):
             if isinstance(node, ast.Name):
                 named.add(node.id)
             elif isinstance(node, ast.Attribute):
-                named.add(node.attr)
+                attributes.add(node.attr)
             elif isinstance(node, ast.alias):
                 named.add(node.name.rpartition(".")[2])
-        if path.is_relative_to(package):
-            module = ".".join(path.relative_to(package).with_suffix("").parts)
-            defined |= {
+        if module is not None:
+            top |= {
                 (module, node.name)
                 for node in tree.body
                 if isinstance(node, (ast.FunctionDef, ast.ClassDef))
                 and not node.name.startswith("_")
             }
-    unnamed = {f"{module}.{name}" for module, name in defined if name not in named}
+            methods |= {
+                (module, qualname)
+                for qualname, fn, cls in _public_functions(tree)
+                if cls is not None and fn.name != "__init__"
+            }
+    unnamed = {
+        f"{module}.{name}" for module, name in top if name not in named | attributes
+    } | {
+        f"{module}.{qualname}"
+        for module, qualname in methods
+        if qualname.rpartition(".")[2] not in attributes
+    }
     assert unnamed == TEST_ONLY
+
+
+def test_every_defaulted_parameter_is_passed_outside_the_tests():
+    """Each defaulted parameter of a public function or method of
+    `src/marginline` is passed, by keyword or by position, by some call
+    in the package or in `perfbench` whose callee bears the function's
+    name (the class's, for `__init__`), but for `UNPASSED`. A method's
+    positions count from the argument after `self`."""
+    calls, defaulted = {}, []
+    for module, tree in _outside_the_tests():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call):
+                callee = getattr(node.func, "id", getattr(node.func, "attr", None))
+                calls.setdefault(callee, []).append(node)
+        if module is None:
+            continue
+        for qualname, fn, cls in _public_functions(tree):
+            args = fn.args
+            params = args.posonlyargs + args.args
+            static = any(
+                getattr(d, "id", None) == "staticmethod" for d in fn.decorator_list
+            )
+            first = 1 if cls is not None and not static else 0  # after `self`
+            callee = cls.name if fn.name == "__init__" else fn.name
+            name = f"{module}.{qualname}"
+            defaulted += [
+                (name, callee, param.arg, position - first)
+                for position, param in enumerate(params)
+                if position >= len(params) - len(args.defaults)
+            ] + [
+                (name, callee, param.arg, None)
+                for param, default in zip(args.kwonlyargs, args.kw_defaults)
+                if default is not None
+            ]
+    unpassed = {
+        f"{name}({arg})"
+        for name, callee, arg, position in defaulted
+        if not any(
+            any(keyword.arg == arg for keyword in call.keywords)
+            or (position is not None and len(call.args) > position)
+            for call in calls.get(callee, ())
+        )
+    }
+    assert unpassed == UNPASSED
 
 
 def test_every_config_field_is_read_as_config_dot_field():
