@@ -14,7 +14,7 @@ import traceback
 from pathlib import Path
 
 from . import pipeline as pl
-from .errors import DATA_ERRORS, MarginlineError
+from .errors import DATA_ERRORS, MarginlineError, read_json
 from .manifest import load_manifest
 from .synthetic import generate_benchmark
 
@@ -106,7 +106,7 @@ def _run(args):
         report = Path(args.run_dir) / "evaluation" / "report.json"
         if not report.exists():
             raise MarginlineError(f"no evaluation report at {report}")
-        summary = json.loads(report.read_text())["summary"]
+        summary = read_json(report, "summary")["summary"]
         for key in sorted(summary):
             print(f"{key}: {summary[key]}")
         return 0

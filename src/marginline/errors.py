@@ -1,5 +1,6 @@
 """Exception hierarchy shared across the package."""
 
+import json
 from pathlib import Path
 
 
@@ -60,8 +61,15 @@ class ManifestError(MarginlineError):
     pass
 
 
-# bad input data: fails one case of a stage, and exits 1 at the command line
-DATA_ERRORS = (MarginlineError, ValueError, FileNotFoundError)
+# bad input data: fails one case of a stage, and exits 1 at the command
+# line; a missing file, or a file where a directory belongs or the reverse
+DATA_ERRORS = (
+    MarginlineError,
+    ValueError,
+    FileNotFoundError,
+    IsADirectoryError,
+    NotADirectoryError,
+)
 
 
 def make_dir(path, what):
@@ -77,3 +85,13 @@ def make_dir(path, what):
             f"cannot make {what} directory {exc.filename}: {exc.strerror}"
         ) from exc
     return path
+
+
+def read_json(path, *keys):
+    """The JSON object in the file `path`, refused with a MarginlineError
+    naming the file and the key unless it holds each of `keys`."""
+    data = json.loads(Path(path).read_text())
+    for key in keys:
+        if not isinstance(data, dict) or key not in data:
+            raise MarginlineError(f"{path}: no {key!r}")
+    return data

@@ -12,7 +12,7 @@ from pathlib import Path
 import numpy as np
 from scipy.spatial import cKDTree
 
-from .errors import BoundaryExtractionError
+from .errors import BoundaryExtractionError, read_json
 from .mesh import (
     TriangleMesh,
     closed_loops,
@@ -123,8 +123,9 @@ def save_margin_obj(path, points):
 
 
 def load_margin_json(path):
-    """(points, case_id) of the margin loop `save_margin_json` wrote."""
-    data = json.loads(Path(path).read_text())
+    """(points, case_id) of the margin loop `save_margin_json` wrote; a
+    file without `points` raises a MarginlineError naming it."""
+    data = read_json(path, "points")
     return np.asarray(data["points"], dtype=np.float64), data.get("case_id", "")
 
 

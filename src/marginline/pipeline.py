@@ -13,14 +13,15 @@ re-entered at any point. `artifact_path` names every per-case file, and
 Every stage but train is one function of a single case, mapped over the
 stage's cases by `_each_case`, which holds the batch policy: a case
 that raises one of `errors.DATA_ERRORS` (a `MarginlineError`, or the
-`ValueError` or `FileNotFoundError` of an unreadable or missing upstream
-file) does not stop the others, and once the last case is done the
-stage raises one `MarginlineError` naming every failed case id with its
-error class and message, chained from the first failure. Any other
-exception, such as an `IndexError`, propagates at once. `run_stages` is
-the one entry point of the library and the command line: it validates
-the config, creates the run directory, writes `config.json` and runs
-the stages in order.
+`ValueError`, `FileNotFoundError`, `IsADirectoryError` or
+`NotADirectoryError` of an unreadable or missing file, or of a path of
+the wrong kind) does not stop the others, and once the last case is
+done the stage raises one `MarginlineError` naming every failed case id
+with its error class and message, chained from the first failure. Any
+other exception, such as an `IndexError`, propagates at once.
+`run_stages` is the one entry point of the library and the command
+line: it validates the config, creates the run directory, writes
+`config.json` and runs the stages in order.
 """
 
 from __future__ import annotations
@@ -37,7 +38,7 @@ import numpy as np
 from . import metrics as metrics_mod
 from .decimate import decimate
 from .ensemble import combine, strategy_fold
-from .errors import DATA_ERRORS, ManifestError, MarginlineError, make_dir
+from .errors import DATA_ERRORS, ManifestError, MarginlineError, make_dir, read_json
 from .features import (
     AdjacencyPair,
     assemble_features,
@@ -59,10 +60,9 @@ from .mesh import TriangleMesh, nearest_face_labels
 from .meshio import load_mesh, save_ply, save_stl_binary
 from .preprocess import RigidTransform, augment, normalize, obb_register
 from .refine import cleanup_components, graph_cut_refine
-from .segnet import (
+from .segnet.network import NetworkParams, forward
+from .segnet.train import (
     COMPUTE_DTYPE,
-    NetworkParams,
-    forward,
     kfold_split,
     thread_map,
     train_kfold,
@@ -187,7 +187,7 @@ def _save_transform(path, transform: RigidTransform, meta=None):
 
 
 def _load_transform(path):
-    raw = json.loads(Path(path).read_text())
+    raw = read_json(path, "rotation", "translation")
     return RigidTransform(
         np.asarray(raw["rotation"], dtype=float),
         np.asarray(raw["translation"], dtype=float),

@@ -8,6 +8,7 @@ from pathlib import Path
 
 import pytest
 
+from marginline import pipeline
 from marginline.cli import COMMANDS, FLAGS, _build_config, build_parser, main
 from marginline.pipeline import PipelineConfig
 
@@ -360,3 +361,80 @@ def test_path_of_the_wrong_kind_exit_1(tmp_path, capsys, wrong):
     assert error["error"] == "MarginlineError"
     assert str(path) in error["message"]
     assert [p for p in run.glob("*") if p.is_dir()] == []
+
+
+@pytest.fixture(scope="module")
+def two_dies(tmp_path_factory):
+    """The manifest of a two-case synthetic dataset, `synth000` and
+    `synth001`, that the tests below only read."""
+    data = tmp_path_factory.mktemp("two") / "data"
+    assert main(["synth", "--out", str(data), "--cases", "2", "--seed", "5"]) == 0
+    return data / "manifest.json"
+
+
+def test_artifact_path_that_is_a_directory_fails_its_case(two_dies, tmp_path, capsys):
+    """A directory where a case's artifact belongs fails that case, not
+    the stage: exit 1 naming the path, and the other case's artifacts
+    are written."""
+    run = tmp_path / "run"
+    blocked = run / "preprocess" / "synth000_decimated.stl"
+    blocked.mkdir(parents=True)
+    argv = ["--manifest", str(two_dies), "--run-dir", str(run), "--target-faces", "800"]
+    assert main(["preprocess", *argv]) == 1
+    error = json.loads(capsys.readouterr().err)
+    assert error["error"] == "MarginlineError"
+    assert "synth000: IsADirectoryError" in error["message"]
+    assert str(blocked) in error["message"]
+    assert (run / "preprocess" / "synth001_decimated.stl").is_file()
+    assert (run / "preprocess" / "synth001_transform.json").is_file()
+    assert not (run / "preprocess" / "synth000_transform.json").exists()
+
+
+def test_transform_without_a_key_fails_its_case(two_dies, tmp_path, capsys):
+    """A transform that lacks its rotation fails the case with the file
+    named, not the run with a bare KeyError."""
+    run = tmp_path / "run"
+    argv = ["--manifest", str(two_dies), "--run-dir", str(run)]
+    assert main(["preprocess", *argv, "--target-faces", "800"]) == 0
+    transform = run / "preprocess" / "synth000_transform.json"
+    transform.write_text(json.dumps({"target_faces": 800}))
+    capsys.readouterr()
+    assert main(["label", *argv]) == 1
+    error = json.loads(capsys.readouterr().err)
+    assert error["error"] == "MarginlineError"
+    assert f"{transform}: no 'rotation'" in error["message"]
+    assert (run / "labels" / "synth001_labels.npy").is_file()
+
+
+@pytest.mark.parametrize("wrong", ["directory", "no_summary"])
+def test_report_that_cannot_be_read_exit_1(tmp_path, capsys, wrong):
+    """A `report.json` that is a directory, or that holds no summary,
+    exits 1 naming it."""
+    report = tmp_path / "evaluation" / "report.json"
+    if wrong == "directory":
+        report.mkdir(parents=True)
+    else:
+        report.parent.mkdir()
+        report.write_text("{}")
+    assert main(["report", "--run-dir", str(tmp_path)]) == 1
+    error = json.loads(capsys.readouterr().err)
+    assert str(report) in error["message"]
+    if wrong == "no_summary":
+        assert error == {"error": "MarginlineError", "message": f"{report}: no 'summary'"}
+
+
+def test_internal_failure_exit_3(tmp_path, monkeypatch, capsys):
+    """An exception that is not a data error stops the command with exit
+    3: one JSON line naming it on stderr, then the traceback."""
+
+    def broken(path):
+        raise IndexError("index 7 is out of bounds")
+
+    monkeypatch.setattr(pipeline, "load_mesh", broken)
+    (tmp_path / "a_die.stl").write_bytes(b"\0" * 84)
+    argv = ["preprocess", "--manifest", str(tmp_path), "--run-dir", str(tmp_path / "run")]
+    assert main(argv) == 3
+    first, *rest = capsys.readouterr().err.splitlines()
+    assert json.loads(first) == {"error": "IndexError", "message": "index 7 is out of bounds"}
+    assert rest[0] == "Traceback (most recent call last):"
+    assert rest[-1] == "IndexError: index 7 is out of bounds"

@@ -1,4 +1,3 @@
-import importlib
 import tracemalloc
 import warnings
 
@@ -6,15 +5,13 @@ import numpy as np
 import pytest
 
 from geometry import icosphere, open_cylinder
+from marginline import decimate as decimate_module
 from marginline.decimate import decimate
 from marginline.errors import TopologyError
 from marginline.mesh import TriangleMesh, extract_boundary_loops
 from marginline.preprocess import obb_register
 from marginline.shapes import frustum_die
 from marginline.synthetic import generate_case
-
-# the package re-exports the function under the module's name
-decimate_module = importlib.import_module("marginline.decimate")
 
 
 class SequentialDecimator:
@@ -153,6 +150,16 @@ def test_boundary_edges_preserved():
     for (_, _, a), (_, _, b) in zip(loops_in, loops_out):
         # rim length shrinks only slightly under collapse
         assert b == pytest.approx(a, rel=0.05)
+
+
+def test_stall_warns_and_keeps_both_rims():
+    """An open tube stops short of its target at six faces, two
+    triangular rims joined by one band: decimation returns it with both
+    rims and says so."""
+    with pytest.warns(UserWarning, match=r"^decimation stalled at 6 faces \(target 4\)$"):
+        out = decimate(open_cylinder(), 4)
+    assert out.n_faces == 6
+    assert len(extract_boundary_loops(out)) == 2
 
 
 def test_noop_above_current_count(unit_sphere):

@@ -9,7 +9,7 @@ import pytest
 from scipy.spatial import cKDTree
 
 from geometry import icosphere
-from marginline.errors import BoundaryExtractionError
+from marginline.errors import BoundaryExtractionError, MarginlineError
 from marginline.margin import (
     _self_intersects_2d,
     extract_boundary_faces,
@@ -181,6 +181,14 @@ def test_json_round_trip(tmp_path):
     data = json.loads(path.read_text())
     assert data["closed"] is True
     assert data["n"] == 256
+
+
+def test_json_without_points_names_the_file(tmp_path):
+    path = tmp_path / "m.json"
+    path.write_text(json.dumps({"case_id": "rt"}))
+    with pytest.raises(MarginlineError) as error:
+        load_margin_json(path)
+    assert str(error.value) == f"{path}: no 'points'"
 
 
 def test_obj_export(tmp_path):

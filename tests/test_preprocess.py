@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from geometry import grid_patch
+from geometry import grid_patch, icosphere
 from marginline.errors import NormalizationError, RegistrationError
 from marginline.mesh import TriangleMesh
 from marginline.preprocess import (
@@ -56,6 +56,22 @@ def test_registration_is_pose_invariant():
     reg_b, _ = obb_register(moved)
     # same rigid body in, same canonical coordinates out (up to rounding)
     assert np.allclose(reg_a.vertices, reg_b.vertices, atol=1e-6)
+
+
+def test_closed_scan_puts_its_farthest_vertex_up():
+    """With no boundary loop to put down, the vertex farthest from the
+    centroid goes to +z, from either of two poses a half turn apart."""
+    sphere = icosphere(2)
+    v = sphere.vertices * [3.0, 2.0, 1.0]
+    tip = np.argmax(v[:, 0] + 2 * v[:, 2])
+    v[tip] *= 1.3  # lopsided: the farthest vertex, well off the xy-plane
+    upright = TriangleMesh(v, sphere.faces)
+    flipped = TriangleMesh(v @ rotation_xyz(np.pi, 0, 0).T, sphere.faces)
+    for mesh in (upright, flipped):
+        registered, _ = obb_register(mesh)
+        far = registered.vertices[tip]
+        assert np.argmax(np.linalg.norm(registered.vertices, axis=1)) == tip
+        assert far[2] > 0.2 * np.linalg.norm(far)
 
 
 def test_registration_transform_round_trip():

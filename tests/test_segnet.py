@@ -6,16 +6,6 @@ import pytest
 
 from marginline.features import AdjacencyPair, _radius_matrix
 from marginline.pipeline import PipelineConfig
-from marginline.segnet import (
-    NetworkParams,
-    architecture,
-    forward,
-    kfold_split,
-    thread_map,
-    train_fold,
-    train_kfold,
-    write_history_csv,
-)
 from marginline.segnet import network as network_mod
 from marginline.segnet import train as train_mod
 from marginline.segnet.loss import (
@@ -24,7 +14,20 @@ from marginline.segnet.loss import (
     loss_grad_logits,
     loss_value,
 )
-from marginline.segnet.network import ShapeMismatch, backward
+from marginline.segnet.network import (
+    NetworkParams,
+    ShapeMismatch,
+    architecture,
+    backward,
+    forward,
+)
+from marginline.segnet.train import (
+    kfold_split,
+    thread_map,
+    train_fold,
+    train_kfold,
+    write_history_csv,
+)
 
 
 def _toy_sample(n=40, c=18, seed=0):

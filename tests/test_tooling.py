@@ -1,23 +1,23 @@
 """The benchmark's tracer wraps `marginline` entry points by name, so a
 renamed kernel would silently drop its per-layer metrics; and its
 workloads read the program's artifacts themselves, so an artifact they
-cannot read would fail only the benchmark. `marginline.__all__` lists
-names as strings, so a stale one would break only `import *`, and a
-name bound in the package but left out of it is a second export list. An
-import of a package that pyproject.toml does not list would fail only
-on a machine without it. And README's table of command-line flags is
-written by hand, so a flag that moves between commands, or an artifact
-its Outputs section does not name, would leave it stale. A config field
-that only a method copying it elsewhere reads is a setting with two
-homes. A heavy scipy subpackage loaded on import would cost every run
-about 30 MB, and a `BENCH_*.json` that lacks a side or a metric cannot
-back the numbers quoted from it. A public function, class, method or
-property that neither the package nor the benchmark names, and that the
-package does not export, is there only for the tests, whose own code
-lives in `tests/`; so is a defaulted parameter that no call in the
-package or the benchmark passes, a setting only the tests change."""
+cannot read would fail only the benchmark. The modules are the API, so
+a name an `__init__.py` binds beyond those the benchmark imports from it
+is a second export list. An import of a package that pyproject.toml
+does not list would fail only on a machine without it. And README's
+table of command-line flags is written by hand, so a flag that moves
+between commands, or an artifact its Outputs section does not name,
+would leave it stale. A config field that only a method copying it
+elsewhere reads is a setting with two homes. A heavy scipy subpackage
+loaded on import would cost every run about 30 MB, and a `BENCH_*.json`
+that lacks a side or a metric cannot back the numbers quoted from it. A
+public function, class, method or property that neither the package nor
+the benchmark names is there only for the tests, whose own code lives in
+`tests/`; so is a defaulted parameter that no call in the package or the
+benchmark passes, a setting only the tests change."""
 
 import ast
+import importlib
 import importlib.util
 import json
 import os
@@ -27,7 +27,6 @@ import sys
 import types
 from pathlib import Path
 
-import marginline
 from marginline.cli import COMMANDS, FLAGS
 from marginline.meshio import load_mesh
 from marginline.pipeline import ARTIFACTS, PipelineConfig
@@ -35,10 +34,20 @@ from marginline.pipeline import ARTIFACTS, PipelineConfig
 ROOT = Path(__file__).resolve().parents[1]
 # retired with the labeled-PLY handoff; the tracer still lists it
 RETIRED = {"marginline.pipeline.load_labeled_ply"}
-# public names of the package that only tests call: the oracle of the
-# BVH's closest-point queries, and the reader of the truth files that
-# `generate_benchmark` writes
-TEST_ONLY = {"bvh.brute_force_closest", "synthetic.load_truth_points"}
+# public names of the package that only tests call
+TEST_ONLY = {
+    # the oracle of the BVH's closest-point queries
+    "bvh.brute_force_closest",
+    # the reader of the truth files that `generate_benchmark` writes
+    "synthetic.load_truth_points",
+    # the graph cut's objective, which criterion 05 checks the cut against
+    "refine.cut_energy",
+    # README's one-call entry point, which criteria 09 and 11 run
+    "pipeline.run_pipeline",
+}
+# the names each `__init__.py` binds: the package none, and `segnet` the
+# two that the benchmark's workloads import from it
+PACKAGE_NAMES = {"marginline": set(), "marginline.segnet": {"NetworkParams", "forward"}}
 # defaulted parameters that no package or benchmark call passes, kept on
 # purpose
 UNPASSED = {
@@ -107,20 +116,19 @@ def test_benchmark_workloads_score_correct_at_smoke_size(tmp_path):
     assert 0 < tracer.counts["refine.faces"] < die_faces
 
 
-def test_every_name_in_all_resolves():
-    missing = [name for name in marginline.__all__ if not hasattr(marginline, name)]
-    assert missing == []
-
-
-def test_every_public_name_is_in_all():
-    """The converse: each public name the package binds, modules aside,
-    is listed in `__all__`."""
-    public = {
-        name
-        for name, value in vars(marginline).items()
-        if not name.startswith("_") and not isinstance(value, types.ModuleType)
-    }
-    assert public - set(marginline.__all__) == set()
+def test_init_files_bind_only_the_declared_names():
+    """The modules are the API: `marginline/__init__.py` holds its
+    docstring alone, and each package binds no name, modules aside, but
+    those of `PACKAGE_NAMES`."""
+    tree = ast.parse((ROOT / "src" / "marginline" / "__init__.py").read_text())
+    assert ast.get_docstring(tree) and len(tree.body) == 1
+    for name, names in PACKAGE_NAMES.items():
+        bound = {
+            attr
+            for attr, value in vars(importlib.import_module(name)).items()
+            if not attr.startswith("_") and not isinstance(value, types.ModuleType)
+        }
+        assert bound == names, name
 
 
 # about 30 MB of resident memory and half a second of start-up that the
@@ -132,8 +140,8 @@ HEAVY_IMPORTS = ("scipy.stats", "scipy.interpolate", "scipy.optimize", "networkx
 def test_package_imports_only_its_declared_dependencies():
     """`src/marginline` imports the standard library, itself and the
     dependencies that pyproject.toml lists: numpy and scipy. Importing
-    the package and its CLI loads none of the heavy scipy subpackages
-    (tests use them as oracles), nor networkx."""
+    every module of the package loads none of the heavy scipy
+    subpackages (tests use them as oracles), nor networkx."""
     pyproject = (ROOT / "pyproject.toml").read_text()
     block = re.search(r"^dependencies = \[(.*?)\]", pyproject, re.M | re.S)[1]
     declared = set(re.findall(r'"([A-Za-z0-9_.-]+)', block))
@@ -155,11 +163,16 @@ def test_package_imports_only_its_declared_dependencies():
     assert foreign == {}
 
     # a fresh interpreter: this one has the oracles loaded already
-    source = Path(marginline.__file__).resolve().parents[1]
-    path = os.pathsep.join(filter(None, [str(source), os.environ.get("PYTHONPATH")]))
+    package = ROOT / "src" / "marginline"
+    modules = [
+        ".".join(("marginline",) + path.relative_to(package).with_suffix("").parts)
+        .removesuffix(".__init__")
+        for path in sorted(package.rglob("*.py"))
+    ]
+    path = os.pathsep.join(filter(None, [str(package.parent), os.environ.get("PYTHONPATH")]))
     probe = subprocess.run(
         [sys.executable, "-c",
-         "import sys, marginline, marginline.cli\n"
+         f"import sys, {', '.join(modules)}\n"
          f"print([m for m in {HEAVY_IMPORTS!r} if m in sys.modules])"],
         env={**os.environ, "PYTHONPATH": path},
         capture_output=True, text=True, check=True,
@@ -245,18 +258,19 @@ def _public_functions(tree):
 def test_every_public_definition_is_named_outside_the_tests():
     """Each public top-level function or class of `src/marginline` is
     named in the package or in `perfbench` (as a name, an attribute or an
-    import) or listed in `marginline.__all__`, and each public method or
-    property of its public classes is named there as an attribute
-    (`x.name`; a bare name may be a local, as `inverse` is in
-    `meshio._weld`), but for `TEST_ONLY`."""
-    named, attributes, top, methods = set(marginline.__all__), set(), set(), set()
+    import outside an `__init__.py`, whose imports only re-export), and
+    each public method or property of its public classes is named there
+    as an attribute (`x.name`; a bare name may be a local, as `inverse`
+    is in `meshio._weld`), but for `TEST_ONLY`."""
+    named, attributes, top, methods = set(), set(), set(), set()
     for module, tree in _outside_the_tests():
+        reexports = module is not None and module.rpartition(".")[2] == "__init__"
         for node in ast.walk(tree):
             if isinstance(node, ast.Name):
                 named.add(node.id)
             elif isinstance(node, ast.Attribute):
                 attributes.add(node.attr)
-            elif isinstance(node, ast.alias):
+            elif isinstance(node, ast.alias) and not reexports:
                 named.add(node.name.rpartition(".")[2])
         if module is not None:
             top |= {
