@@ -18,6 +18,7 @@ from .mesh import (
     closed_loops,
     compact_mesh,
     connected_components,
+    extract_boundary_loops,
     nearest_face_labels,
 )
 from .spline import fit_smoothing_spline
@@ -66,9 +67,12 @@ def band_problem(mesh: TriangleMesh, labels, die: TriangleMesh):
     connected component of the faces outside it takes one label: that of
     the barycenter of `mesh` nearest its lowest face id. The band's unary
     is flat, except on faces that share an edge with an outside face,
-    which are held to that face's label. Returns (labels of `die`'s
-    faces, -1 in the band; the band's face ids, ascending; the band's
-    submesh; its (len(ids), 2) unary probabilities)."""
+    which are held to that face's label, and on faces with an edge on
+    `die`'s base (its longest boundary loop), which are held to 0: the
+    open base is background, so the cut closes above it. Returns
+    (labels of `die`'s faces, -1 in the band; the band's face ids,
+    ascending; the band's submesh; its (len(ids), 2) unary
+    probabilities)."""
     ev = _label_boundary_edges(mesh, labels)
     if len(ev) == 0:
         raise BoundaryExtractionError("labels are uniform: no label boundary")
@@ -97,6 +101,11 @@ def band_problem(mesh: TriangleMesh, labels, die: TriangleMesh):
     outer = np.where(inside, ef[:, 1], ef[:, 0])
     unary = np.full((len(ids), 2), 0.5)
     unary[np.searchsorted(ids, rim)] = np.eye(2)[out[outer]]
+    loops = extract_boundary_loops(die)
+    if loops:
+        on_base = np.zeros(die.n_faces, dtype=bool)
+        on_base[die.adjacency().boundary_edges()[1][loops[0][1]]] = True
+        unary[on_base[ids]] = (1.0, 0.0)
     return out, ids, compact_mesh(die.vertices, die.faces[ids]), unary
 
 

@@ -1,14 +1,12 @@
 """Mesh files: STL is read in ASCII or binary form and written binary;
-PLY is only written, in ASCII, for inspection.
+no other format is read or written.
 
 STL stores a triangle soup; on load, vertices closer than the welding
-tolerance (1e-6 mm) are merged into a single indexed vertex. PLY export
-carries a per-face integer `label` plus RGB.
+tolerance (1e-6 mm) are merged into a single indexed vertex.
 """
 
 from __future__ import annotations
 
-import io
 import struct
 from pathlib import Path
 
@@ -21,8 +19,6 @@ WELD_TOL = 1e-6  # mm
 # coordinates must be finite and small enough that their weld keys fit
 # in int64
 _MAX_COORD = 2.0**62 * WELD_TOL
-
-_LABEL_COLORS = {0: (170, 170, 170), 1: (170, 60, 190)}
 
 # one binary STL facet: normal, three vertices, attribute; 50 bytes packed
 _STL_RECORD = np.dtype([("n", "<f4", 3), ("v", "<f4", (3, 3)), ("attr", "<u2")])
@@ -155,25 +151,3 @@ def save_stl_binary(mesh, path):
         fh.write(struct.pack("<I", len(tris)))
         fh.write(rec.tobytes())
 
-
-def save_ply(mesh, path, labels):
-    """ASCII PLY whose faces carry their `label` and its RGB colour."""
-    buf = io.StringIO()
-    buf.write("ply\nformat ascii 1.0\n")
-    buf.write(f"element vertex {mesh.n_vertices}\n")
-    buf.write("property float x\nproperty float y\nproperty float z\n")
-    buf.write(f"element face {mesh.n_faces}\n")
-    buf.write("property list uchar int vertex_indices\n")
-    buf.write("property int label\n")
-    buf.write("property uchar red\nproperty uchar green\nproperty uchar blue\n")
-    buf.write("end_header\n")
-    buf.write(
-        ("%.9g %.9g %.9g\n" * mesh.n_vertices) % tuple(mesh.vertices.ravel().tolist())
-    )
-    labels = np.asarray(labels).astype(np.int64)
-    colors = np.full((mesh.n_faces, 3), 255, dtype=np.int64)
-    for label, rgb in _LABEL_COLORS.items():
-        colors[labels == label] = rgb
-    rows = np.column_stack([mesh.faces, labels, colors])
-    buf.write(("3 %d %d %d %d %d %d %d\n" * len(rows)) % tuple(rows.ravel().tolist()))
-    Path(path).write_text(buf.getvalue())

@@ -57,7 +57,7 @@ from .margin import (
     save_margin_obj,
 )
 from .mesh import TriangleMesh, nearest_face_labels
-from .meshio import load_mesh, save_ply, save_stl_binary
+from .meshio import load_mesh, save_stl_binary
 from .preprocess import RigidTransform, augment, normalize, obb_register
 from .refine import cleanup_components, graph_cut_refine
 from .segnet.network import NetworkParams, forward
@@ -140,7 +140,6 @@ ARTIFACTS = {
     "features": ("features", ".mlfc"),
     "vote": ("predict", "_vote.npy"),
     "refined": ("refine", "_labels.npy"),
-    "refined_ply": ("refine", "_refined.ply"),
     "margin": ("margins", "_margin.json"),
     "margin_obj": ("margins", "_margin.obj"),
 }
@@ -347,9 +346,7 @@ def stage_refine(manifest: DatasetManifest, config: PipelineConfig, run_dir):
     def one(case, path):
         mesh = load_mesh(path("decimated"))
         vote = _load_per_face(path("vote"), mesh.n_faces)
-        labels = cleanup_components(vote, mesh.adjacency())
-        np.save(path("refined"), labels)
-        save_ply(mesh, path("refined_ply"), labels)
+        np.save(path("refined"), cleanup_components(vote, mesh.adjacency()))
 
     return _each_case("refine", _prediction_cases(manifest), run_dir, one)
 

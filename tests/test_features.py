@@ -15,6 +15,7 @@ from marginline.features import (
     load_feature_cache,
     save_feature_cache,
 )
+from marginline.mesh import TriangleMesh
 from marginline.preprocess import normalize
 from marginline.synthetic import generate_case
 
@@ -38,6 +39,22 @@ def test_cylinder_curvature_interior():
 def test_plane_curvature_zero():
     patch = grid_patch(n=12, spacing=0.5)
     h = compute_mean_curvature(patch)
+    assert np.abs(h).max() < 1e-9
+
+
+def test_zero_area_face_warns_and_adds_no_curvature():
+    """A sliver on a plane's edge, its three distinct vertices collinear,
+    is reported and weighs nothing: the plane's curvature stays 0."""
+    patch = grid_patch(n=4, spacing=1.0)
+    a, b = patch.vertices[0], patch.vertices[1]  # the edge of face (0, 1, 6)
+    mesh = TriangleMesh(
+        np.vstack([patch.vertices, 0.5 * (a + b)]),
+        np.vstack([patch.faces, [0, patch.n_vertices, 1]]),
+    )
+    assert mesh.face_areas[-1] == 0.0
+    with pytest.warns(UserWarning, match="zero-area triangle"):
+        h = compute_mean_curvature(mesh)
+    assert np.all(np.isfinite(h))
     assert np.abs(h).max() < 1e-9
 
 

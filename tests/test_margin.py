@@ -3,6 +3,7 @@ on the full-resolution die, the spline's samples on its surface, and
 serialization."""
 
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -18,6 +19,7 @@ from marginline.margin import (
     save_margin_json,
     save_margin_obj,
 )
+from marginline.mesh import TriangleMesh
 from marginline.pipeline import _scan_labels
 from marginline.refine import cleanup_components, graph_cut_refine
 from marginline.shapes import crease_circle, frustum_die
@@ -266,7 +268,7 @@ def _planar_loop(x, y, tilt=0.3):
 
 
 def test_self_intersection_screen():
-    for n in (180, 1000, 5000):
+    for n in (50, 180, 400, 1000, 5000):
         t = 2 * np.pi * (np.arange(n) + 0.5) / n
         ellipse = _planar_loop(3.0 * np.cos(t), 2.0 * np.sin(t))
         figure_eight = _planar_loop(3.0 * np.cos(t), 2.0 * np.sin(t) * np.cos(t))
@@ -281,3 +283,36 @@ def test_self_intersection_screen():
             loop = _planar_loop((3.0 + wobble) * np.cos(t), (2.0 + wobble) * np.sin(t))
             loop += rng.normal(0.0, 0.02, loop.shape)
             assert _self_intersects_2d(loop) == _self_intersects_loop(loop)
+
+
+def _ribbon(curve):
+    """Three rows of vertices, `curve` (n, 3) lowered by 0.2 mm, as given
+    and raised by 0.2 mm, joined in two closed strips: the lower labelled
+    0 and the upper 1, so the label boundary is `curve`. Returns (mesh,
+    labels)."""
+    n = len(curve)
+    rows = np.concatenate([curve + [0.0, 0.0, dz] for dz in (-0.2, 0.0, 0.2)])
+    k, k1 = np.arange(n), (np.arange(n) + 1) % n
+    faces = []
+    for r in (0, n):
+        a, b, c, d = r + k, r + k1, r + n + k, r + n + k1
+        faces += [np.stack([a, b, d], axis=1), np.stack([a, d, c], axis=1)]
+    return TriangleMesh(rows, np.concatenate(faces)), np.repeat([0, 1], 2 * n)
+
+
+@pytest.mark.parametrize("n", [50, 400, 5000])
+@pytest.mark.parametrize("shape", ["ellipse", "figure_eight"])
+def test_a_margin_that_crosses_itself_in_plan_warns(n, shape):
+    """A label boundary that is a figure-eight in plan (its branches pass
+    1 mm apart in z where they cross) gives a margin line that warns,
+    naming the case; an ellipse does not."""
+    t = 2 * np.pi * (np.arange(n) + 0.5) / n
+    y = {"ellipse": 2.0 * np.sin(t), "figure_eight": np.sin(2 * t)}[shape]
+    mesh, labels = _ribbon(np.stack([3.0 * np.cos(t), y, 0.5 * np.sin(t)], axis=1))
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        points = extract_margin_line(mesh, labels, n_samples=500, case_id="eight")
+    assert points.shape == (500, 3)
+    messages = [str(w.message) for w in caught]
+    expected = ["margin line for case 'eight' self-intersects"]
+    assert messages == (expected if shape == "figure_eight" else [])

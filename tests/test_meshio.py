@@ -9,13 +9,10 @@ from hypothesis import strategies as st
 
 from geometry import icosphere
 from marginline.errors import MarginlineError, MeshParseError
-from marginline.mesh import TriangleMesh
 from marginline.meshio import (
-    _LABEL_COLORS,
     WELD_TOL,
     _weld,
     load_mesh,
-    save_ply,
     save_stl_binary,
     soup_to_mesh,
 )
@@ -63,10 +60,11 @@ def test_ascii_parse_error_reports_line(tmp_path):
 
 @pytest.mark.parametrize("suffix", [".ply", ".PLY"])
 def test_load_mesh_refuses_a_path_that_is_not_stl(tmp_path, unit_sphere, suffix):
-    """PLY is export-only: a file `save_ply` wrote is refused by its
-    suffix, with the path named, while the suffix check ignores case."""
+    """Only STL is read: valid STL bytes under a `.ply` name are refused
+    by their suffix, with the path named, while the suffix check ignores
+    case."""
     path = tmp_path / f"die{suffix}"
-    save_ply(unit_sphere, path, np.zeros(unit_sphere.n_faces))
+    save_stl_binary(unit_sphere, path)
     with pytest.raises(MeshParseError, match=re.escape(str(path))):
         load_mesh(path)
     save_stl_binary(unit_sphere, tmp_path / "die.STL")
@@ -83,17 +81,6 @@ def test_binary_stl_refuses_non_finite_or_huge_coordinates(tmp_path, value):
     path.write_bytes(bytes(data))
     with pytest.raises(MeshParseError, match="non-finite or out-of-range"):
         load_mesh(path)
-
-
-def test_ply_face_rows_carry_labels(tmp_path, unit_sphere):
-    labels = (unit_sphere.barycenters[:, 2] > 0).astype(np.int64)
-    path = tmp_path / "labeled.ply"
-    save_ply(unit_sphere, path, labels)
-    rows = path.read_text().splitlines()
-    face_rows = rows[rows.index("end_header") + 1 + unit_sphere.n_vertices :]
-    cols = np.array([row.split() for row in face_rows], dtype=np.int64)
-    assert np.array_equal(cols[:, 1:4], unit_sphere.faces)
-    assert np.array_equal(cols[:, 4], labels)
 
 
 def test_soup_welding_merges_shared_vertices():
@@ -164,25 +151,6 @@ def test_weld_matches_row_unique_reference():
     assert np.array_equal(inverse, ref_inverse)
 
 
-def _loop_save_ply(mesh, path, labels):
-    """Reference: the per-row f-string PLY writer."""
-    buf = io.StringIO()
-    buf.write("ply\nformat ascii 1.0\n")
-    buf.write(f"element vertex {mesh.n_vertices}\n")
-    buf.write("property float x\nproperty float y\nproperty float z\n")
-    buf.write(f"element face {mesh.n_faces}\n")
-    buf.write("property list uchar int vertex_indices\n")
-    buf.write("property int label\n")
-    buf.write("property uchar red\nproperty uchar green\nproperty uchar blue\n")
-    buf.write("end_header\n")
-    for v in mesh.vertices:
-        buf.write(f"{v[0]:.9g} {v[1]:.9g} {v[2]:.9g}\n")
-    for f, lab in zip(mesh.faces, labels):
-        r, g, b = _LABEL_COLORS.get(int(lab), (255, 255, 255))
-        buf.write(f"3 {f[0]} {f[1]} {f[2]} {int(lab)} {r} {g} {b}\n")
-    Path(path).write_text(buf.getvalue())
-
-
 def _loop_save_stl_ascii(mesh, path):
     """ASCII STL bytes for the reader's tests, one f-string per line:
     the package writes only binary STL."""
@@ -196,29 +164,6 @@ def _loop_save_stl_ascii(mesh, path):
         buf.write("  endloop\nendfacet\n")
     buf.write("endsolid mesh\n")
     Path(path).write_text(buf.getvalue())
-
-
-@pytest.fixture(scope="module")
-def awkward_mesh():
-    """A sphere whose coordinates span many magnitudes and signs,
-    including -0.0."""
-    sphere = icosphere(subdivisions=2, radius=3.0)
-    rng = np.random.default_rng(8)
-    scale = rng.choice([1e-7, 1.0, 1234.5678, -1e6], size=(sphere.n_vertices, 1))
-    vertices = sphere.vertices * scale
-    vertices[0, 0] = -0.0
-    return TriangleMesh(vertices, sphere.faces)
-
-
-@pytest.mark.parametrize("labeling", ["binary", "outside"])
-def test_ply_writer_matches_loop_reference(tmp_path, awkward_mesh, labeling):
-    labels = {
-        "binary": (awkward_mesh.barycenters[:, 2] > 0).astype(np.int64),
-        "outside": np.arange(awkward_mesh.n_faces) % 4 - 1,  # -1, 0, 1, 2
-    }[labeling]
-    save_ply(awkward_mesh, tmp_path / "got.ply", labels)
-    _loop_save_ply(awkward_mesh, tmp_path / "ref.ply", labels)
-    assert (tmp_path / "got.ply").read_bytes() == (tmp_path / "ref.ply").read_bytes()
 
 
 @pytest.fixture(scope="module")

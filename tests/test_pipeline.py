@@ -33,7 +33,7 @@ from marginline.manifest import (
 )
 from marginline.margin import load_margin_json, save_margin_json
 from marginline.mesh import TriangleMesh
-from marginline.meshio import load_mesh, save_ply, save_stl_binary
+from marginline.meshio import load_mesh, save_stl_binary
 from marginline.pipeline import (
     PipelineConfig,
     artifact_path,
@@ -118,13 +118,13 @@ def test_one_bad_die_does_not_stop_the_others(tmp_path, capsys):
 
 
 def test_a_ply_die_fails_only_its_own_case(tmp_path):
-    """Dies are read as STL only: a PLY copy of a die fails its case with
-    a `MeshParseError` naming the file, and the STL case after it is
-    preprocessed."""
+    """Dies are read as STL only: a die under a `.ply` name, though its
+    bytes are STL, fails its case with a `MeshParseError` naming the
+    file, and the STL case after it is preprocessed."""
     data = tmp_path / "data"
     data.mkdir()
     die, _ = frustum_die(segments=16, rows_below=4, rows_above=3)
-    save_ply(die, data / "a_die.ply", np.zeros(die.n_faces))
+    save_stl_binary(die, data / "a_die.ply")
     save_stl_binary(die, data / "b_die.stl")
     save_manifest(data / "manifest.json", [
         {"case_id": "a", "die_path": "a_die.ply"},
@@ -145,7 +145,7 @@ def test_a_ply_die_fails_only_its_own_case(tmp_path):
     "stage, kind, output",
     [
         (stage_features, "labels", "features"),
-        (stage_refine, "vote", "refined_ply"),
+        (stage_refine, "vote", "refined"),
         (stage_extract, "refined", "margin"),
         (stage_evaluate, "refined", None),
     ],
@@ -163,11 +163,13 @@ def test_a_per_face_array_of_the_wrong_length_fails_its_own_case(
     for earlier in (stage_preprocess, stage_labels):
         earlier(manifest, config, run)
     first, second = (case.case_id for case in manifest)
+    # the labels stand in for the one per-face array the stage reads
     for case_id in (first, second):
-        labels = np.load(artifact_path(run, "labels", case_id))
-        for name in ("vote", "refined"):
-            artifact_path(run, name, case_id).parent.mkdir(exist_ok=True)
-            np.save(artifact_path(run, name, case_id), labels)
+        artifact_path(run, kind, case_id).parent.mkdir(exist_ok=True)
+        np.save(
+            artifact_path(run, kind, case_id),
+            np.load(artifact_path(run, "labels", case_id)),
+        )
     path = artifact_path(run, kind, first)
     np.save(path, np.load(path)[:-5])
     n_faces = load_mesh(artifact_path(run, "decimated", first)).n_faces
@@ -543,6 +545,34 @@ def test_refine_writes_the_vote_without_islands(tmp_path, monkeypatch, predicted
         refined = np.load(artifact_path(run, "refined", case.case_id))
         assert refined.dtype == np.int64
         assert np.array_equal(refined, cleanup_components(vote, mesh.adjacency()))
+    assert sorted(p.name for p in (run / "refine").iterdir()) == sorted(
+        f"{case.case_id}_labels.npy" for case in manifest
+    )
+
+
+@pytest.mark.parametrize("height", [0.1, 0.3, 0.5])
+def test_labels_whose_band_reaches_the_open_base_close_above_it(tmp_path, height):
+    """Refined labels that are 1 above `height` mm over the decimated
+    die's lowest barycenter: the band around their boundary reaches the
+    scan's open base, whose faces the cut holds to 0, so extract closes
+    the margin above the base instead of labelling the whole band 1."""
+    manifest = load_manifest(generate_benchmark(tmp_path / "data", n_cases=1, seed=5))
+    config = PipelineConfig(target_faces=800)
+    run = tmp_path / "run"
+    stage_preprocess(manifest, config, run)
+    (case,) = manifest
+    die = load_mesh(artifact_path(run, "decimated", case.case_id))
+    z = die.barycenters[:, 2]
+    path = artifact_path(run, "refined", case.case_id)
+    path.parent.mkdir()
+    np.save(path, (z > z.min() + height).astype(np.int64))
+    stage_extract(manifest, config, run)
+    points, _ = load_margin_json(artifact_path(run, "margin", case.case_id))
+    assert len(points) == config.n_samples
+    # the loop runs all the way round the die, clear of its base
+    assert points[:, 2].min() > die.vertices[:, 2].min() + 0.1
+    angle = np.sort(np.arctan2(points[:, 1], points[:, 0]))
+    assert np.diff(angle, append=angle[0] + 2 * np.pi).max() < 0.1
 
 
 def test_every_per_face_array_between_stages_is_int64_labels(tmp_path, predicted_run):

@@ -1,14 +1,15 @@
 """The benchmark's tracer wraps `marginline` entry points by name, so a
-renamed kernel would silently drop its per-layer metrics; and its
+renamed kernel would silently drop its per-layer metrics, and the list
+of its targets whose code is gone must name exactly those; and its
 workloads read the program's artifacts themselves, so an artifact they
 cannot read would fail only the benchmark. The modules are the API, so
 a name an `__init__.py` binds beyond those the benchmark imports from it
 is a second export list. An import of a package that pyproject.toml
 does not list would fail only on a machine without it. And README's
 table of command-line flags is written by hand, so a flag that moves
-between commands, or an artifact its Outputs section does not name,
-would leave it stale. A config field that only a method copying it
-elsewhere reads is a setting with two homes. A heavy scipy subpackage
+between commands, or an artifact its Outputs section does not name or
+names after it is gone, would leave it stale. A config field that only
+a method copying it elsewhere reads is a setting with two homes. A heavy scipy subpackage
 loaded on import would cost every run about 30 MB, and a `BENCH_*.json`
 that lacks a side or a metric cannot back the numbers quoted from it. A
 public function, class, method or property that neither the package nor
@@ -32,8 +33,14 @@ from marginline.meshio import load_mesh
 from marginline.pipeline import ARTIFACTS, PipelineConfig
 
 ROOT = Path(__file__).resolve().parents[1]
-# retired with the labeled-PLY handoff; the tracer still lists it
-RETIRED = {"marginline.pipeline.load_labeled_ply"}
+# tracer targets whose code is gone; the tracer lists them until the
+# benchmark changes
+RETIRED = {
+    # the labeled-PLY handoff between stages
+    "marginline.pipeline.load_labeled_ply",
+    # refine's PLY preview, which no stage read
+    "marginline.pipeline.save_ply",
+}
 # public names of the package that only tests call
 TEST_ONLY = {
     # the oracle of the BVH's closest-point queries
@@ -78,7 +85,7 @@ def test_every_tracer_target_resolves():
         tracer.install()
     finally:
         tracer.uninstall()
-    assert set(tracer.missing) <= RETIRED
+    assert set(tracer.missing) == RETIRED
 
 
 def test_benchmark_workloads_score_correct_at_smoke_size(tmp_path):
@@ -216,16 +223,14 @@ def test_readme_flag_table_matches_the_parsers():
 
 
 def test_readme_outputs_name_every_artifact():
-    """README's Outputs section names each per-case file that
-    `pipeline.ARTIFACTS` declares, as `run/<dir>/<case><suffix>`."""
+    """README's Outputs section names, as `run/<dir>/<case><suffix>`,
+    each per-case file that `pipeline.ARTIFACTS` declares and no other."""
     readme = (ROOT / "README.md").read_text()
     outputs = readme.split("\n## Outputs\n", 1)[1].split("\n## ", 1)[0]
-    missing = [
-        f"run/{stage}/<case>{suffix}"
-        for stage, suffix in ARTIFACTS.values()
-        if f"run/{stage}/<case>{suffix}" not in outputs
-    ]
-    assert missing == []
+    named = set(re.findall(r"run/\w+/<case>[^`\s]*", outputs))
+    assert named == {
+        f"run/{stage}/<case>{suffix}" for stage, suffix in ARTIFACTS.values()
+    }
 
 
 def _outside_the_tests():
